@@ -31,10 +31,8 @@ from .errors import (
     DomainError,
     InfeasibleModelError,
     InversionQualityError,
-    TranscriptionAlarmError,
 )
 from .montecarlo import (
-    Realization,
     SimConfig,
     empirical_ccdf,
     empirical_pmf,
@@ -42,8 +40,6 @@ from .montecarlo import (
     run_sir_simulation,
     sample_pcp,
     sample_ppp,
-    sample_sir_rate,
-    sample_typical_cell_load,
     tv_distance,
 )
 from .ppmodel import (
@@ -55,7 +51,7 @@ from .ppmodel import (
     conditional_distance_pdf,
     pair_correlation_density,
 )
-from .quadrature import IntegrationResult, QuadSpec, integrate_finite, integrate_nested, integrate_semi_infinite
-from .specfun import DiscPair, bessel_i0_scaled, cell_radius_pdf, lens_area, marcum_q1, union_area
+from .quadrature import IntegrationResult, QuadSpec, integrate_finite
+from .specfun import bessel_i0_scaled, cell_radius_pdf, marcum_q1
 
 __version__ = "0.1.0"

@@ -11,8 +11,8 @@ Second moment of the typical-cell load (exact):
     I[rho2] = int_0^{2pi} int_0^inf int_0^inf exp(-A_u(x1, x2, d(x1,x2,th)))
               * rho2(d) * x1 * x2  dx1 dx2 dth
 
-split into the constant part lam_u^2 * E[V^2] (a model-independent kernel
-integral) and the clustering excess, which is evaluated in separation
+split into the constant part lam_u^2 * E[V^2] (a universal constant, stored
+as a literal) and the clustering excess, which is evaluated in separation
 coordinates where the excess density provides a natural truncation radius.
 
 The PGF of the load under the equal-area-circle approximation is a double
@@ -32,15 +32,11 @@ from scipy import special as _sp
 from scipy import stats as _st
 
 from . import quadrature
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InfeasibleModelError,
-    InversionQualityError,
-    TranscriptionAlarmError,
-)
+from .errors import ConvergenceError, DomainError, InfeasibleModelError, InversionQualityError
 from .ppmodel import Matern, NetworkModel, Thomas, cluster_cdf, pair_correlation_excess
-from .quadrature import QuadSpec, integrate_finite
+from .quadrature import QuadSpec
+# Unused here; kept because perfbench/spans.py wraps analytic.integrate_finite.
+from .quadrature import integrate_finite  # noqa: F401
 from .specfun import _union_area_arrays, cell_radius_pdf, cell_radius_quantile
 
 __all__ = [
@@ -59,17 +55,9 @@ __all__ = [
     "invert_pgf",
     "dft_invert_pgf",
     "sir_ccdf",
-    "select_sir_reading",
     "rate_coverage",
-    "SIR_DELTA_AREA_WEIGHTED",
-    "SIR_DELTA_VALIDATED",
+    "E_V2",
 ]
-
-# Candidate shift constants for the coverage kernel: the second moment of the
-# normalized cell area under the Gamma(3.5) law (9/7), and the value the
-# Monte Carlo arbiter validated (see sir_ccdf / select_sir_reading).
-SIR_DELTA_AREA_WEIGHTED = 9.0 / 7.0
-SIR_DELTA_VALIDATED = 1.0
 
 _TRUNC_SIGMAS = 6.0          # Gaussian cluster reach in standard deviations
 _NAKAGAMI_TAIL = 1e-10       # truncation mass of the cell-radius law
@@ -159,41 +147,20 @@ def mean_load(net: NetworkModel) -> float:
     return net.users.intensity / net.lambda_b
 
 
-_EV2_CACHE: dict = {}
+# Second moment of the area of the typical Poisson-Voronoi cell at unit BS
+# density, a universal constant (Gilbert 1962: ~1.28018):
+#     E[V^2] = 2*pi * int_0^{2pi} int_0^inf int_0^inf exp(-A_u(x1, x2, d)) x1 x2,
+# with A_u the union area of the two association discs.  The literal is the
+# double the panel-doubled tensor Gauss-Legendre rule returns on the truncated
+# box [0, pi] x [0, _KERNEL_REACH]^2 (tests/test_analytic.py reruns it), and
+# _E_V2_ERROR is that rule's last refinement change.
+E_V2 = 1.2801762065782523
+_E_V2_ERROR = 1.1614207704150463e-06
 
 # exp(-pi x^2) < 1e-24 beyond this radius; the union area of the two
 # association discs is at least pi * max(x1, x2)^2, so truncating the
 # semi-infinite axes here stays far below every tolerance in use.
 _KERNEL_REACH = 4.2
-
-
-def _ev2_kernel(rel_tol: float = 1e-6) -> quadrature.IntegrationResult:
-    """Second moment of the typical cell area at unit BS density.
-
-    2*pi * int_0^{2pi} int_0^inf int_0^inf exp(-A_u(x1, x2, d)) x1 x2,
-    evaluated once and cached; the value is a universal constant (~1.28018).
-    """
-    key = rel_tol
-    if key in _EV2_CACHE:
-        return _EV2_CACHE[key]
-    spec = QuadSpec(rel_tol=rel_tol, abs_tol=1e-12, max_subdivisions=4000)
-
-    def f(theta, x1, x2):
-        d = np.sqrt(np.maximum(x1**2 + x2**2 - 2.0 * x1 * x2 * np.cos(theta), 0.0))
-        return np.exp(-_union_area_arrays(x1, x2, d)) * x1 * x2
-
-    # the theta integral over [0, 2pi] is twice the [0, pi] half by symmetry
-    res = quadrature.tensor_triple(
-        f,
-        [(0.0, math.pi), (0.0, _KERNEL_REACH), (0.0, _KERNEL_REACH)],
-        spec,
-        start_panels=(3, 5, 5),
-    )
-    out = quadrature.IntegrationResult(
-        4.0 * math.pi * res.value, 4.0 * math.pi * res.error_estimate, res.evaluations
-    )
-    _EV2_CACHE[key] = out
-    return out
 
 
 def _excess_reach(net: NetworkModel) -> float:
@@ -244,10 +211,9 @@ def load_moments(net: NetworkModel) -> LoadMoments:
     norm = net.normalized()
     lam_u = norm.users.intensity
     mean = lam_u  # lambda_u / lambda_b with lambda_b = 1
-    kernel = _ev2_kernel()
     excess = _pair_excess_integral(net)
-    second = mean + lam_u**2 * kernel.value + excess.value
-    err2 = lam_u**2 * kernel.error_estimate + excess.error_estimate
+    second = mean + lam_u**2 * E_V2 + excess.value
+    err2 = lam_u**2 * _E_V2_ERROR + excess.error_estimate
     variance = second - mean**2
     if variance < 0:
         raise ConvergenceError("negative variance from quadrature", best_estimate=variance)
@@ -266,8 +232,7 @@ def ppp_baseline_variance(net: NetworkModel) -> float:
     excess set to zero and serves as the floor every cluster model exceeds.
     """
     mean = mean_load(net)
-    kernel = _ev2_kernel().value
-    return mean + (kernel - 1.0) * mean**2
+    return mean + (E_V2 - 1.0) * mean**2
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +439,7 @@ def invert_pgf(
 # ---------------------------------------------------------------------------
 
 def _power_tail(x, m: float):
-    """int_x^inf du / (1 + u^m) for x >= 0, via hypergeometric branches."""
-    if m <= 1.0:
-        return np.full_like(np.asarray(x, dtype=float), np.inf)
+    """int_x^inf du / (1 + u^m) for x >= 0 and m > 1, via hypergeometric branches."""
     x = np.asarray(x, dtype=float)
     total = (math.pi / m) / math.sin(math.pi / m)
     out = np.empty(x.shape)
@@ -493,121 +456,32 @@ def _power_tail(x, m: float):
     return out
 
 
-def _beta_factor(t, alpha: float, exponent: float):
-    """beta(t) = t * int_{1/t}^inf du / (1 + u^exponent)."""
+def _beta_factor(t, m: float):
+    """beta(t) = t * int_{1/t}^inf du / (1 + u^m) for t > 0 (infinite at t = inf)."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    pos = t > 0
-    if np.any(pos):
-        out[pos] = t[pos] * _power_tail(1.0 / t[pos], exponent)
-    return out
+    return t * _power_tail(1.0 / t, m)
 
 
-def sir_ccdf(
-    alpha: float,
-    tau: float,
-    delta: float = SIR_DELTA_VALIDATED,
-    reading: str = "repaired",
-) -> float:
+def sir_ccdf(alpha: float, tau):
     """CCDF of the SIR of a uniformly random user of the typical cell.
 
-    P_c(tau) = delta^2 tau^{-2/alpha} int_0^{tau^{2/alpha}}
-               (delta + beta(t))^{-2} / (1 + t^{alpha/2}) dt,
-    beta(t)  = t int_{1/t}^inf du / (1 + u^{alpha/2}).
+    P_c(tau) = tau^{-2/alpha} int_0^{tau^{2/alpha}} (1 + beta(t))^{-2} / (1 + t^{alpha/2}) dt
+             = 1 / (1 + beta(tau^{2/alpha})),
+    beta(t)  = t int_{1/t}^inf du / (1 + u^{alpha/2}),
 
-    The closed form circulates with ambiguous exponents, so `reading` selects
-    a transcription:
-
-    * "printed"  - beta integrand exponent 2/alpha as printed; the tail
-      integral diverges for every alpha > 2, so beta is infinite and the
-      result degenerates to 0.
-    * "swapped"  - exponent alpha/2 with the bare beta(t)^{-2} kernel; the
-      main integral diverges at t -> 0 and trips the alarm.
-    * "repaired" - exponent alpha/2 with the kernel shifted by delta.  With
-      delta = 1 this is analytically identical to 1/(1 + beta(tau^{2/alpha})),
-      the reading validated against the Monte Carlo sampler; delta defaults
-      to that validated value (SIR_DELTA_AREA_WEIGHTED = 9/7 is the
-      area-weighted alternative).
-
-    Results outside [0, 1] raise TranscriptionAlarmError.
+    because the integrand is d/dt [t / (1 + beta(t))].  tau may be a scalar
+    (returns a float) or an array (returns an array); tau = inf gives 0.
     """
     if not alpha > 2:
         raise DomainError("alpha must exceed 2")
-    if not tau > 0:
+    tau_arr = np.asarray(tau, dtype=float)
+    if not np.all(tau_arr > 0):
         raise DomainError("tau must be positive")
-    if math.isinf(tau):
-        return 0.0
-    if reading not in ("printed", "swapped", "repaired"):
-        raise ValueError(f"unknown reading {reading!r}")
-
-    beta_exp = 2.0 / alpha if reading == "printed" else alpha / 2.0
-    shift = delta if reading == "repaired" else 0.0
-    t_hi = tau ** (2.0 / alpha)
-
-    def integrand(t):
-        beta = _beta_factor(t, alpha, beta_exp)
-        with np.errstate(over="ignore", divide="ignore"):
-            kernel = np.where(np.isinf(beta), 0.0, (shift + beta) ** (-2.0))
-        return kernel / (1.0 + t ** (alpha / 2.0))
-
-    if reading == "printed":
-        return 0.0  # beta = inf annihilates the integrand for alpha > 2
-    spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=3000)
-    try:
-        res = integrate_finite(integrand, 0.0, t_hi, spec)
-    except ConvergenceError as err:
-        raise TranscriptionAlarmError(
-            f"coverage integral diverges under reading {reading!r} "
-            f"(best estimate {err.best_estimate!r})"
-        ) from err
-    value = delta**2 * tau ** (-2.0 / alpha) * res.value
-    if not -1e-6 <= value <= 1.0 + 1e-6:
-        raise TranscriptionAlarmError(
-            f"P_c({tau}) = {value:.6g} outside [0, 1] under reading {reading!r}"
-        )
-    return float(min(max(value, 0.0), 1.0))
+    out = 1.0 / (1.0 + _beta_factor(tau_arr ** (2.0 / alpha), alpha / 2.0))
+    return float(out) if out.ndim == 0 else out
 
 
-def select_sir_reading(mc_ccdf: dict, alpha: float, tolerance: float = 0.03):
-    """Monte Carlo arbiter over the candidate formula readings.
-
-    mc_ccdf maps SIR thresholds to empirical CCDF values.  Returns
-    (reading, delta, max_abs_error) for the candidate with the smallest
-    worst-case error, provided it is within `tolerance`; raises
-    TranscriptionAlarmError when every candidate fails.
-    """
-    candidates = [
-        ("printed", SIR_DELTA_AREA_WEIGHTED),
-        ("swapped", SIR_DELTA_AREA_WEIGHTED),
-        ("repaired", SIR_DELTA_AREA_WEIGHTED),
-        ("repaired", SIR_DELTA_VALIDATED),
-    ]
-    best = None
-    for reading, delta in candidates:
-        try:
-            worst = max(
-                abs(sir_ccdf(alpha, tau, delta=delta, reading=reading) - p)
-                for tau, p in mc_ccdf.items()
-            )
-        except TranscriptionAlarmError:
-            continue
-        if best is None or worst < best[2]:
-            best = (reading, delta, worst)
-    if best is None or best[2] > tolerance:
-        raise TranscriptionAlarmError(
-            f"no coverage reading matches Monte Carlo within {tolerance}"
-            + (f"; best {best}" if best else "")
-        )
-    return best
-
-
-def rate_coverage(
-    net: NetworkModel,
-    cfg: RateConfig,
-    pmf: LoadPmf,
-    rho: float,
-    delta: float = SIR_DELTA_VALIDATED,
-) -> float:
+def rate_coverage(net: NetworkModel, cfg: RateConfig, pmf: LoadPmf, rho: float) -> float:
     """P(rate > rho | load > 0) with equal bandwidth sharing and backhaul cap.
 
     P_r(rho) = sum_{n=1}^{floor(R_b/rho)} P_c(2^{n rho / W} - 1) p_n / (1 - p_0).
@@ -618,15 +492,10 @@ def rate_coverage(
     n_cap = weights.size
     if math.isfinite(cfg.backhaul_rb):
         n_cap = min(n_cap, math.floor(cfg.backhaul_rb / rho))
-    total = 0.0
-    for n in range(1, n_cap + 1):
-        w = weights[n - 1]
-        if w < 1e-13:
-            continue
-        exponent = n * rho / cfg.bandwidth_w
-        tau = math.inf if exponent > 1000.0 else 2.0**exponent - 1.0
-        if tau <= 0.0:
-            total += w  # rate threshold below one bit: SIR > 0 always holds
-            continue
-        total += w * sir_ccdf(cfg.alpha, tau, delta=delta)
-    return float(min(max(total, 0.0), 1.0))
+    exponent = np.arange(1, n_cap + 1) * rho / cfg.bandwidth_w
+    # expm1 keeps tau > 0 for thresholds far below one bit; past 2^1024 the
+    # SIR threshold overflows to inf, whose coverage is 0
+    with np.errstate(over="ignore"):
+        tau = np.expm1(exponent * math.log(2.0))
+    total = float(np.dot(weights[:n_cap], sir_ccdf(cfg.alpha, tau)))
+    return min(max(total, 0.0), 1.0)

@@ -109,7 +109,7 @@ class SimulateReport:
     window_radius: float
     mean_load: float
     variance_load: float
-    normalized_variance: float
+    normalized_variance: Optional[float]
     empirical_pmf: list
     sir_thresholds: Optional[list] = None
     sir_ccdf: Optional[list] = None
@@ -130,7 +130,7 @@ class CompareReport:
     checks: list = field(default_factory=list)
     passed: bool = True
 
-    def add(self, name: str, value: float, tolerance: float, ok: bool):
+    def add(self, name: str, value: Optional[float], tolerance: float, ok: bool):
         self.checks.append(
             {"check": name, "value": value, "tolerance": tolerance, "pass": bool(ok)}
         )
@@ -186,8 +186,6 @@ def _rate_flags(p: argparse.ArgumentParser):
     p.add_argument("--backhaul", type=float, default=math.inf, help="backhaul cap R_b, bps")
     p.add_argument("--thresholds", type=str, default=None,
                    help="comma-separated rate thresholds in bps (default: log grid)")
-    p.add_argument("--sir-delta", type=float, default=analytic.SIR_DELTA_VALIDATED,
-                   help="coverage-kernel constant (testing hook)")
 
 
 def _out_flags(p: argparse.ArgumentParser):
@@ -295,6 +293,12 @@ def _threshold_grid(args) -> list:
     return [float(t) for t in np.geomspace(lo, hi, 13)]
 
 
+def _normalized_variance(loads: np.ndarray) -> Optional[float]:
+    """Sample variance / mean^2 of the loads; None when every cell was empty."""
+    mean = float(loads.mean())
+    return float(loads.var()) / mean**2 if mean > 0 else None
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -330,7 +334,7 @@ def cmd_moments(args):
             "variance_stderr": float(
                 math.sqrt(max(np.mean(dev**4) - var**2, 0.0) / loads.size)
             ),
-            "normalized_variance": var / mean**2,
+            "normalized_variance": _normalized_variance(loads),
         }
     return report, EXIT_OK
 
@@ -366,12 +370,11 @@ def cmd_rate(args):
     grid = _threshold_grid(args)
     cfg = _rate_config(args, grid)
     pmf = analytic.invert_pgf(net, args.dft_size, args.inversion_radius)
-    coverage = [analytic.rate_coverage(net, cfg, pmf, rho, delta=args.sir_delta) for rho in grid]
+    coverage = [analytic.rate_coverage(net, cfg, pmf, rho) for rho in grid]
     report = RateReport(
         model=_model_dict(args),
         rate={"alpha": cfg.alpha, "bandwidth_w": cfg.bandwidth_w,
-              "backhaul_rb": cfg.backhaul_rb if math.isfinite(cfg.backhaul_rb) else "inf",
-              "sir_delta": args.sir_delta},
+              "backhaul_rb": cfg.backhaul_rb if math.isfinite(cfg.backhaul_rb) else "inf"},
         thresholds=grid,
         coverage=coverage,
     )
@@ -409,7 +412,7 @@ def cmd_simulate(args):
         window_radius=res.window_radius,
         mean_load=float(loads.mean()),
         variance_load=float(loads.var()),
-        normalized_variance=float(loads.var() / loads.mean() ** 2),
+        normalized_variance=_normalized_variance(loads),
         empirical_pmf=[float(p) for p in emp.probs],
         sir_thresholds=taus,
         sir_ccdf=sir_ccdf,
@@ -444,18 +447,17 @@ def cmd_compare(args):
                abs(moments.mean - mean_mc) <= 3.0 * se)
 
     nv_ana = moments.variance / moments.mean**2
-    nv_mc = float(loads.var() / mean_mc**2)
-    rel = abs(nv_ana - nv_mc) / nv_mc
+    nv_mc = _normalized_variance(loads)
+    # undefined when the sample has no spread to compare against
+    rel = abs(nv_ana - nv_mc) / nv_mc if nv_mc else None
     report.add("normalized_variance_rel_error", rel, args.variance_tolerance,
-               rel <= args.variance_tolerance)
+               rel is not None and rel <= args.variance_tolerance)
 
     tv = montecarlo.tv_distance(pmf, emp)
     report.add("pmf_tv_distance", tv, args.tv_tolerance, tv <= args.tv_tolerance)
 
     if args.with_rate:
-        coverage = np.array(
-            [analytic.rate_coverage(net, cfg, pmf, rho, delta=args.sir_delta) for rho in grid]
-        )
+        coverage = np.array([analytic.rate_coverage(net, cfg, pmf, rho) for rho in grid])
         emp_rate = montecarlo.empirical_ccdf(res.rate, grid)
         gap = float(np.max(np.abs(coverage - emp_rate)))
         report.add("rate_ccdf_max_abs_gap", gap, args.rate_tolerance,
@@ -469,7 +471,7 @@ def cmd_compare(args):
 # ---------------------------------------------------------------------------
 
 def render_json(report) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _csv_rows(report):

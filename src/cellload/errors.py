@@ -29,9 +29,5 @@ class InversionQualityError(CellLoadError):
     """A PGF inversion produced a mass function that fails its sanity checks."""
 
 
-class TranscriptionAlarmError(CellLoadError):
-    """A coverage-formula reading produced a value outside [0, 1]."""
-
-
 class ConfigurationError(CellLoadError, ValueError):
     """A simulation or CLI configuration violates an invariant."""

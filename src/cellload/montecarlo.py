@@ -43,14 +43,11 @@ from .ppmodel import NetworkModel, Thomas, UserModel
 
 __all__ = [
     "SimConfig",
-    "Realization",
     "LoadSimResult",
     "SirSimResult",
     "required_window_radius",
     "sample_ppp",
     "sample_pcp",
-    "sample_typical_cell_load",
-    "sample_sir_rate",
     "run_load_simulation",
     "run_sir_simulation",
     "empirical_pmf",
@@ -62,7 +59,6 @@ __all__ = [
 _CELL_MISS_PROB = 1e-6     # bound on P(typical cell not contained in b(o, W/2))
 _USER_TAIL = 1e-7          # bound on expected in-cell users beyond the cutoff
 _CLUSTER_SIGMAS = 6.0      # Gaussian cluster truncation for edge correction
-_AREA_PROBES = 10_000      # hit-or-miss probes for the cell-area diagnostic
 
 
 def required_window_radius(lambda_b: float) -> float:
@@ -76,7 +72,6 @@ class SimConfig:
     seed: int = 0
     window_radius: Optional[float] = None   # None: sized from lambda_b
     parallel_chunks: int = 1
-    collect_cell_area: bool = False
 
     def __post_init__(self):
         if self.realizations < 1:
@@ -99,25 +94,10 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Realization:
-    load: int
-    sir_sample: Optional[float] = None
-    rate_sample: Optional[float] = None
-    cell_area: Optional[float] = None
-
-    def __post_init__(self):
-        if self.load < 0:
-            raise ConfigurationError("load must be non-negative")
-
-
-@dataclass(frozen=True)
 class LoadSimResult:
     loads: np.ndarray
     window_radius: float
     seed: int
-
-    def realizations(self):
-        return [Realization(load=int(n)) for n in self.loads]
 
 
 @dataclass(frozen=True)
@@ -127,15 +107,6 @@ class SirSimResult:
     rate: np.ndarray         # NaN where load = 0
     window_radius: float
     seed: int
-
-    def realizations(self):
-        out = []
-        for n, s, r in zip(self.loads, self.sir, self.rate):
-            if n > 0:
-                out.append(Realization(int(n), float(s), float(r)))
-            else:
-                out.append(Realization(0))
-        return out
 
 
 def _rng_for(seed: int, index: int) -> Generator:
@@ -213,7 +184,7 @@ def _user_cutoff(net: NetworkModel, window: float) -> float:
     return min(cut, 0.5 * window)
 
 
-def _realize(net, window, rng, want_sir, rate_cfg, collect_area):
+def _realize(net, window, rng, want_sir, rate_cfg):
     """One realization; the draw order is fixed so that load-only and SIR
     runs see identical loads for the same (seed, index)."""
     stations = _disc_points(rng, net.lambda_b, window)
@@ -239,36 +210,7 @@ def _realize(net, window, rng, want_sir, rate_cfg, collect_area):
             sir = fades[0] * w2 ** (-0.5 * alpha) / interference
         shannon = rate_cfg.bandwidth_w / load * math.log2(1.0 + sir)
         rate = min(shannon, rate_cfg.backhaul_rb / load)
-
-    area = None
-    if collect_area:
-        probes = 0.5 * window * (2.0 * rng.random((_AREA_PROBES, 2)) - 1.0)
-        inside = np.einsum("ij,ij->i", probes, probes) <= (0.5 * window) ** 2
-        hits = points_in_typical_cell(probes[inside], stations)
-        area = (window**2) * float(np.count_nonzero(hits)) / _AREA_PROBES
-
-    return load, sir, rate, area
-
-
-def sample_typical_cell_load(net: NetworkModel, cfg: SimConfig, rng: Generator) -> Realization:
-    """Sample one realization of the typical-cell load."""
-    window = cfg.resolve_window(net)
-    load, _, _, area = _realize(net, window, rng, False, None, cfg.collect_cell_area)
-    return Realization(load=load, cell_area=area)
-
-
-def sample_sir_rate(
-    net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig, rng: Generator
-) -> Realization:
-    """One realization with the representative user's SIR and rate.
-
-    Zero-load realizations carry no SIR sample; callers count them toward the
-    conditioning denominator.
-    """
-    window = cfg.resolve_window(net)
-    _check_interference_window(net, window, rate_cfg.alpha)
-    load, sir, rate, area = _realize(net, window, rng, True, rate_cfg, cfg.collect_cell_area)
-    return Realization(load=load, sir_sample=sir, rate_sample=rate, cell_area=area)
+    return load, sir, rate
 
 
 def _check_interference_window(net, window, alpha):
@@ -304,7 +246,7 @@ def _load_chunk(args):
     loads = np.empty(stop - start, dtype=np.int64)
     for k in range(start, stop):
         rng = _rng_for(seed, k)
-        loads[k - start], _, _, _ = _realize(net, window, rng, False, None, False)
+        loads[k - start], _, _ = _realize(net, window, rng, False, None)
     return loads
 
 
@@ -315,7 +257,7 @@ def _sir_chunk(args):
     rate = np.full(stop - start, np.nan)
     for k in range(start, stop):
         rng = _rng_for(seed, k)
-        load, s, r, _ = _realize(net, window, rng, True, rate_cfg, False)
+        load, s, r = _realize(net, window, rng, True, rate_cfg)
         loads[k - start] = load
         if load > 0:
             sir[k - start] = s
@@ -356,17 +298,10 @@ def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) 
     return SirSimResult(loads, sir, rate, window, cfg.seed)
 
 
-def _extract_loads(source) -> np.ndarray:
-    if isinstance(source, (LoadSimResult, SirSimResult)):
-        return np.asarray(source.loads, dtype=np.int64)
-    if len(source) and isinstance(source[0], Realization):
-        return np.array([r.load for r in source], dtype=np.int64)
-    return np.asarray(source, dtype=np.int64)
-
-
 def empirical_pmf(source) -> LoadPmf:
-    """Histogram PMF of observed loads; probabilities sum to 1 exactly."""
-    loads = _extract_loads(source)
+    """Histogram PMF of observed loads (an array or a simulation result);
+    probabilities sum to 1 exactly."""
+    loads = np.asarray(getattr(source, "loads", source), dtype=np.int64)
     if loads.size == 0:
         raise ConfigurationError("empirical_pmf needs at least one realization")
     counts = np.bincount(loads)

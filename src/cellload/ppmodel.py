@@ -21,7 +21,6 @@ from typing import Union
 
 import numpy as np
 
-from . import quadrature
 from .errors import DomainError
 from .specfun import _lens_area_arrays, bessel_i0_scaled, marcum_q1
 
@@ -146,23 +145,6 @@ def conditional_distance_pdf(model: UserModel, x, z):
     if np.isscalar(x) and np.isscalar(z):
         return float(out)
     return out
-
-
-def _matern_cdf_quadrature(big_r, r, v, spec=None):
-    """Reference evaluation of the Matern cluster CDF by adaptive quadrature."""
-    spec = spec or quadrature.QuadSpec(rel_tol=1e-10, abs_tol=1e-12)
-    head = min(r, max(big_r - v, 0.0)) ** 2
-    lo = min(r, abs(big_r - v))
-    hi = min(r, big_r + v)
-    if hi <= lo:
-        return head / big_r**2
-
-    def wedge(u):
-        cosarg = np.clip((u**2 + v**2 - big_r**2) / (2.0 * u * v), -1.0, 1.0)
-        return u * np.arccos(cosarg)
-
-    tail = quadrature.integrate_finite(wedge, lo, hi, spec).value
-    return (head + 2.0 / math.pi * tail) / big_r**2
 
 
 # Nodes of the wedge integral after u = lo + (hi - lo) sin^2(pi s / 2); the

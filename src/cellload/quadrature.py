@@ -1,18 +1,14 @@
-"""Deterministic adaptive quadrature for 1-D, semi-infinite and nested integrals.
+"""Deterministic quadrature: adaptive 1-D integrals and tensor triple integrals.
 
-The engine is a classic globally-adaptive bisection scheme.  Every interval is
-evaluated with a Gauss-Legendre pair (orders 7 and 15); the difference between
-the two rules is the local error estimate, and the interval with the largest
-estimate is bisected until the global estimate meets the tolerance.  Integrands
-must accept a numpy array of abscissae and return an array of values, which
-keeps the Python overhead per interval small.
+The 1-D engine is a classic globally-adaptive bisection scheme.  Every interval
+is evaluated with a Gauss-Legendre pair (orders 7 and 15); the difference
+between the two rules is the local error estimate, and the interval with the
+largest estimate is bisected until the global estimate meets the tolerance.
+Integrands must accept a numpy array of abscissae and return an array of
+values, which keeps the Python overhead per interval small.
 
-Semi-infinite domains [a, inf) are mapped onto (0, 1) with
-
-    u = a + s / (1 - s),    du = ds / (1 - s)^2,
-
-which preserves adaptivity near the finite endpoint where the integrands of
-interest (cluster kernels, distance densities) concentrate their mass.
+Triple integrals over finite boxes use a panel-doubled composite
+Gauss-Legendre tensor rule (`tensor_triple`).
 
 Determinism: interval contributions are accumulated in left-endpoint order, so
 a given (integrand, spec) pair always produces bit-identical results.
@@ -31,8 +27,6 @@ __all__ = [
     "QuadSpec",
     "IntegrationResult",
     "integrate_finite",
-    "integrate_semi_infinite",
-    "integrate_nested",
 ]
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
@@ -130,81 +124,6 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> Inte
     return IntegrationResult(value, error, counter.count)
 
 
-def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> IntegrationResult:
-    """Integrate f over [a, inf) via the rational transform u = a + s/(1-s).
-
-    The integrand must decay at least like a power with exponent < -1.
-    """
-    if not np.isfinite(a):
-        raise ValueError("lower bound must be finite")
-
-    def g(s):
-        one_minus = 1.0 - s
-        # beyond u ~ 1e50 any admissible tail contributes < 1e-25; zeroing
-        # there avoids 0 * inf once f underflows while the Jacobian overflows
-        safe = np.maximum(one_minus, 1e-50)
-        u = a + s / safe
-        vals = np.asarray(f(u), dtype=float) / safe**2
-        return np.where(one_minus > 1e-50, vals, 0.0)
-
-    return integrate_finite(g, 0.0, 1.0, spec)
-
-
-def _integrate_axis(f, lo, hi, spec):
-    if np.isinf(hi):
-        return integrate_semi_infinite(f, lo, spec)
-    return integrate_finite(f, lo, hi, spec)
-
-
-def integrate_nested(f, bounds, spec: QuadSpec = QuadSpec()) -> IntegrationResult:
-    """Iterated integration over 2 or 3 axes, outermost axis first.
-
-    bounds is a sequence of (lo, hi) pairs ordered outermost-first.  Each
-    bound may be a number, +inf for a semi-infinite axis, or a callable of
-    the outer variables fixed so far.  f receives the outer variables as
-    scalars and the innermost variable as a numpy array, e.g. for three axes
-    f(t, x, r_array).
-
-    Inner integrations run at a tightened tolerance; the reported error is
-    the outer estimate plus a conservative allowance for the inner passes
-    (validated against closed forms in the test suite).
-    """
-    if len(bounds) not in (2, 3):
-        raise ValueError("integrate_nested supports 2 or 3 axes")
-
-    inner_spec = QuadSpec(
-        rel_tol=spec.rel_tol * 0.1,
-        abs_tol=spec.abs_tol * 0.1,
-        max_subdivisions=spec.max_subdivisions,
-    )
-    counter = _EvalCounter()
-
-    def resolve(bound, outer):
-        return float(bound(*outer)) if callable(bound) else float(bound)
-
-    def level(axis, outer):
-        lo = resolve(bounds[axis][0], outer)
-        hi_raw = bounds[axis][1]
-        hi = hi_raw if (not callable(hi_raw) and np.isinf(hi_raw)) else resolve(hi_raw, outer)
-        if axis == len(bounds) - 1:
-            def innermost(arr):
-                vals = np.asarray(f(*outer, arr), dtype=float)
-                counter.count += arr.size
-                return vals
-
-            return _integrate_axis(innermost, lo, hi, inner_spec)
-
-        def middle(arr):
-            return np.array([level(axis + 1, outer + (x,)).value for x in arr])
-
-        sp = spec if axis == 0 else inner_spec
-        return _integrate_axis(middle, lo, hi, sp)
-
-    res = level(0, ())
-    pad = abs(res.value) * inner_spec.rel_tol * 10.0 + spec.abs_tol
-    return IntegrationResult(res.value, res.error_estimate + pad, counter.count)
-
-
 def _tensor3(f, bounds, panels, order=12, slab_cap=2_000_000):
     """Fixed composite Gauss-Legendre tensor rule on a 3-D box.
 
@@ -241,8 +160,7 @@ def tensor_triple(f, bounds, spec: QuadSpec = QuadSpec(), start_panels=(4, 4, 4)
     f must broadcast over three array arguments.  All three panel counts are
     doubled together until successive values agree within the tolerance; the
     last difference is the reported error estimate.  Suited to smooth
-    integrands on truncated domains (the Gaussian-tail alternative to the
-    rational transform); the iterated engine remains the general path.
+    integrands with Gaussian tails, truncated to a finite box.
     """
     for lo, hi in bounds:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):

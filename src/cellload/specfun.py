@@ -14,7 +14,6 @@ routine accepts scalars or arrays of parameters at the same cost structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -22,32 +21,14 @@ from scipy import special as _sp
 from .errors import DomainError
 
 __all__ = [
-    "DiscPair",
     "bessel_i0_scaled",
     "marcum_q1",
-    "lens_area",
-    "union_area",
     "cell_radius_pdf",
 ]
 
 # Nakagami shape of the equal-area cell radius; the scale is fixed to 1.
 _NAKAGAMI_M = 3.5
 _NAKAGAMI_NORM = 2.0 * _NAKAGAMI_M**_NAKAGAMI_M / math.gamma(_NAKAGAMI_M)
-
-
-@dataclass(frozen=True)
-class DiscPair:
-    """Two disc radii and the separation of their centers."""
-
-    r1: float
-    r2: float
-    d: float
-
-    def __post_init__(self):
-        for name in ("r1", "r2", "d"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
-                raise DomainError(f"DiscPair.{name} must be finite and non-negative, got {val!r}")
 
 
 def bessel_i0_scaled(x):
@@ -141,17 +122,8 @@ def _lens_area_arrays(r1, r2, d):
     return out
 
 
-def lens_area(p: DiscPair) -> float:
-    """Area of the intersection of two discs."""
-    return float(_lens_area_arrays(p.r1, p.r2, p.d))
-
-
-def union_area(p: DiscPair) -> float:
-    """Area of the union of two discs: pi r1^2 + pi r2^2 - lens_area."""
-    return float(np.pi * (p.r1**2 + p.r2**2) - _lens_area_arrays(p.r1, p.r2, p.d))
-
-
 def _union_area_arrays(r1, r2, d):
+    """Vectorized union area of the same two discs: pi r1^2 + pi r2^2 - lens."""
     return np.pi * (np.asarray(r1, dtype=float) ** 2 + np.asarray(r2, dtype=float) ** 2) - _lens_area_arrays(r1, r2, d)
 
 

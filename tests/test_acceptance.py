@@ -16,7 +16,6 @@ from cellload import analytic, montecarlo
 from cellload.analytic import (
     NegBinParams,
     RateConfig,
-    SIR_DELTA_VALIDATED,
     dft_invert_pgf,
     invert_pgf,
     load_moments,
@@ -25,7 +24,6 @@ from cellload.analytic import (
     nb_pmf,
     ppp_baseline_variance,
     rate_coverage,
-    select_sir_reading,
     sir_ccdf,
 )
 from cellload.montecarlo import (
@@ -37,10 +35,10 @@ from cellload.montecarlo import (
     tv_distance,
 )
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel, pair_correlation_excess
-from cellload.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
-from cellload.specfun import DiscPair, lens_area, marcum_q1, union_area
+from cellload.quadrature import QuadSpec, integrate_finite
+from cellload.specfun import _lens_area_arrays, _union_area_arrays, marcum_q1
 
-from helpers import CLOSED_FORM_SUITE, quad_any
+from helpers import CLOSED_FORM_SUITE, integrate_semi_infinite, quad_any, sir_ccdf_by_quadrature
 
 SEED = 20240808
 N_FULL = 100_000
@@ -169,13 +167,15 @@ def test_criterion_5_void_probability_gap():
 def test_criterion_6_sir_ccdf():
     taus = (0.1, 1.0, 10.0)
     mc = {t: float(p) for t, p in zip(taus, empirical_ccdf(sir_run(5.0).sir, taus))}
-    reading, delta, err = select_sir_reading(mc, ALPHA, tolerance=0.03)
-    assert (reading, delta) == ("repaired", SIR_DELTA_VALIDATED)
     gaps = {t: abs(sir_ccdf(ALPHA, t) - mc[t]) for t in taus}
     assert all(g <= 0.03 for g in gaps.values())
+    # the area-weighted kernel constant 9/7 is the competing reading; the
+    # shipped delta = 1 closed form must match the simulator more closely
+    alt = max(abs(sir_ccdf_by_quadrature(ALPHA, t, 9.0 / 7.0) - mc[t]) for t in taus)
+    assert max(gaps.values()) < alt
     report(
         "criterion 6 (SIR CCDF)",
-        "arbiter kept delta=1 reading; gaps "
+        f"delta=1 closed form beats delta=9/7 (worst gap {alt:.4f}); gaps "
         + ", ".join(f"tau={t}: {g:.4f}" for t, g in gaps.items()),
     )
 
@@ -230,8 +230,7 @@ def test_criterion_8_property_suites():
     for _ in range(200):
         r1, r2 = rng.uniform(0.05, 3.0, 2)
         d = rng.uniform(0.0, 6.5)
-        p = DiscPair(r1, r2, d)
-        assert lens_area(p) + union_area(p) == pytest.approx(
+        assert _lens_area_arrays(r1, r2, d) + _union_area_arrays(r1, r2, d) == pytest.approx(
             math.pi * (r1**2 + r2**2), rel=1e-12
         )
 

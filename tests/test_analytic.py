@@ -9,8 +9,6 @@ from cellload.analytic import (
     LoadPmf,
     NegBinParams,
     RateConfig,
-    SIR_DELTA_AREA_WEIGHTED,
-    SIR_DELTA_VALIDATED,
     dft_invert_pgf,
     invert_pgf,
     load_moments,
@@ -21,22 +19,22 @@ from cellload.analytic import (
     ppp_baseline_variance,
     rate_coverage,
     second_moment_load,
-    select_sir_reading,
     sir_ccdf,
     variance_load,
 )
-from cellload.analytic import _beta_factor, _ev2_kernel, _pair_excess_integral
-from cellload.errors import (
-    DomainError,
-    InfeasibleModelError,
-    TranscriptionAlarmError,
-)
+from cellload.analytic import E_V2, _KERNEL_REACH, _beta_factor, _pair_excess_integral
+from cellload.errors import DomainError, InfeasibleModelError
 from cellload.montecarlo import points_in_typical_cell, sample_ppp, _rng_for
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
-from cellload.quadrature import QuadSpec, integrate_nested, integrate_semi_infinite
+from cellload.quadrature import QuadSpec, tensor_triple
 from cellload.specfun import _union_area_arrays
 
-from helpers import pgf_by_nested_quadrature
+from helpers import (
+    integrate_nested,
+    integrate_semi_infinite,
+    pgf_by_nested_quadrature,
+    sir_ccdf_by_quadrature,
+)
 
 TCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.05)))
 MCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Matern(0.1)))
@@ -57,11 +55,25 @@ class TestMeanLoad:
 
 class TestSecondMoment:
     def test_cell_area_kernel_against_gamma_oracle(self):
-        # the exact E[V^2] kernel (~1.280176) sits within 1% of the
+        # E[V^2] is Gilbert's (1962) ~1.28018 and sits within 1% of the
         # Gamma(3.5, 1/3.5) second moment 1 + 1/3.5 used by the PGF model
-        kernel = _ev2_kernel().value
-        assert kernel == pytest.approx(1.0 + 1.0 / 3.5, rel=0.01)
-        assert kernel == pytest.approx(1.280176, abs=1e-4)
+        assert E_V2 == pytest.approx(1.28018, abs=1e-5)
+        assert E_V2 == pytest.approx(1.0 + 1.0 / 3.5, rel=0.01)
+
+    def test_cell_area_kernel_reproduced_by_tensor_rule(self):
+        # 2*pi * int_0^{2pi} int int exp(-A_u(x1, x2, d)) x1 x2 on the
+        # truncated box, the theta range halved by symmetry
+        def f(theta, x1, x2):
+            d = np.sqrt(np.maximum(x1**2 + x2**2 - 2.0 * x1 * x2 * np.cos(theta), 0.0))
+            return np.exp(-_union_area_arrays(x1, x2, d)) * x1 * x2
+
+        res = tensor_triple(
+            f,
+            [(0.0, math.pi), (0.0, _KERNEL_REACH), (0.0, _KERNEL_REACH)],
+            QuadSpec(rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=4000),
+            start_panels=(3, 5, 5),
+        )
+        assert 4.0 * math.pi * res.value == pytest.approx(E_V2, abs=1e-6)
 
     def test_cell_area_kernel_against_nested_engine(self):
         def f(theta, x1, x2):
@@ -73,12 +85,12 @@ class TestSecondMoment:
             [(0.0, math.pi), (0.0, 4.2), (0.0, 4.2)],
             QuadSpec(rel_tol=1e-5, abs_tol=1e-9),
         )
-        assert 4.0 * math.pi * res.value == pytest.approx(_ev2_kernel().value, rel=1e-4)
+        assert 4.0 * math.pi * res.value == pytest.approx(E_V2, rel=1e-4)
 
     def test_ppp_limit_against_monte_carlo(self):
         # PPP users: second moment = lam_u + lam_u^2 E[V^2] exactly
         lam_u = 10.0
-        analytic_val = lam_u + lam_u**2 * _ev2_kernel().value
+        analytic_val = lam_u + lam_u**2 * E_V2
         window = 9.6
         cut = math.sqrt(math.log(lam_u * 1e7) / math.pi)
         n = 20_000
@@ -145,9 +157,8 @@ class TestVariance:
     def test_ppp_limit_of_baseline(self):
         # excess removed: variance reduces to shot noise + cell-area part
         mean = mean_load(TCP_NET)
-        kernel = _ev2_kernel().value
         assert ppp_baseline_variance(TCP_NET) == pytest.approx(
-            mean + (kernel - 1.0) * mean**2, rel=1e-12
+            mean + (E_V2 - 1.0) * mean**2, rel=1e-12
         )
 
     def test_normalized_variance_decreasing_in_cluster_size(self):
@@ -288,12 +299,19 @@ class TestInvertPgf:
 class TestSirCcdf:
     def test_identity_with_closed_form(self):
         # delta^2 tau^{-2/a} int (delta+beta)^{-2}/(1+t^{a/2}) equals
-        # delta/(delta+beta(tau^{2/a})) when delta = 1
+        # 1/(1+beta(tau^{2/a})) when delta = 1
         for alpha in (3.0, 4.0, 5.0):
-            for tau in (0.1, 1.0, 10.0):
-                beta = float(_beta_factor(np.array(tau ** (2.0 / alpha)), alpha, alpha / 2.0))
-                closed = 1.0 / (1.0 + beta)
-                assert sir_ccdf(alpha, tau) == pytest.approx(closed, abs=1e-8)
+            for tau in (0.01, 0.1, 1.0, 10.0, 1e4):
+                oracle = sir_ccdf_by_quadrature(alpha, tau, 1.0)
+                assert sir_ccdf(alpha, tau) == pytest.approx(oracle, abs=1e-8)
+
+    def test_array_input_matches_scalar(self):
+        taus = np.array([[0.1, 1.0], [10.0, math.inf]])
+        out = sir_ccdf(4.0, taus)
+        assert out.shape == taus.shape
+        assert out.tolist() == [[sir_ccdf(4.0, float(t)) for t in row] for row in taus]
+        with pytest.raises(DomainError):
+            sir_ccdf(4.0, np.array([1.0, 0.0]))
 
     def test_alpha4_frozen_value(self):
         # beta(1) = arctan(1) = pi/4 at alpha = 4
@@ -309,21 +327,12 @@ class TestSirCcdf:
         assert sir_ccdf(4.0, 1e12) < 1e-3
         assert sir_ccdf(4.0, math.inf) == 0.0
 
-    def test_printed_reading_degenerates(self):
-        # beta's integrand exponent 2/alpha makes the tail integral diverge
-        # for every alpha > 2, so the printed formula collapses to zero
-        assert sir_ccdf(4.0, 1.0, reading="printed") == 0.0
-
-    def test_swapped_reading_alarms(self):
-        with pytest.raises(TranscriptionAlarmError):
-            sir_ccdf(4.0, 1.0, reading="swapped", delta=SIR_DELTA_AREA_WEIGHTED)
-
     def test_beta_factor_against_quadrature(self):
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=4000)
         for alpha in (3.0, 4.0, 6.0):
             m = alpha / 2.0
             for t in (0.05, 0.7, 1.0, 3.0, 40.0):
-                direct = float(_beta_factor(np.array(t), alpha, m))
+                direct = float(_beta_factor(np.array(t), m))
                 tail = integrate_semi_infinite(lambda u: 1.0 / (1.0 + u**m), 1.0 / t, spec).value
                 assert direct == pytest.approx(t * tail, rel=1e-7)
 
@@ -332,22 +341,8 @@ class TestSirCcdf:
             sir_ccdf(2.0, 1.0)
         with pytest.raises(DomainError):
             sir_ccdf(4.0, 0.0)
-        with pytest.raises(ValueError):
-            sir_ccdf(4.0, 1.0, reading="folklore")
-
-    def test_arbiter_prefers_matching_candidate(self):
-        alpha = 4.0
-        taus = (0.1, 1.0, 10.0)
-        as_validated = {t: sir_ccdf(alpha, t) for t in taus}
-        reading, delta, err = select_sir_reading(as_validated, alpha)
-        assert (reading, delta) == ("repaired", SIR_DELTA_VALIDATED) and err < 1e-8
-        as_paper = {t: sir_ccdf(alpha, t, delta=SIR_DELTA_AREA_WEIGHTED) for t in taus}
-        reading, delta, err = select_sir_reading(as_paper, alpha)
-        assert (reading, delta) == ("repaired", SIR_DELTA_AREA_WEIGHTED) and err < 1e-8
-
-    def test_arbiter_rejects_unmatchable_targets(self):
-        with pytest.raises(TranscriptionAlarmError):
-            select_sir_reading({0.1: 0.2, 1.0: 0.9, 10.0: 0.5}, 4.0)
+        with pytest.raises(DomainError):
+            sir_ccdf(4.0, math.nan)
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +351,26 @@ def tcp_pmf():
 
 
 class TestRateCoverage:
+    @pytest.mark.parametrize("backhaul", [math.inf, 2e6])
+    def test_matches_per_load_sum_by_quadrature(self, tcp_pmf, backhaul):
+        # the per-n loop over the quadrature oracle, as the formula reads
+        cfg = RateConfig(alpha=4.0, bandwidth_w=1e6, backhaul_rb=backhaul)
+        weights = tcp_pmf.conditional_tail()
+        for rho in (2e4, 3e5):
+            n_cap = int(min(weights.size, backhaul / rho))
+            ref = sum(
+                weights[n - 1] * sir_ccdf_by_quadrature(4.0, 2.0 ** (n * rho / 1e6) - 1.0, 1.0)
+                for n in range(1, n_cap + 1)
+            )
+            assert rate_coverage(TCP_NET, cfg, tcp_pmf, rho) == pytest.approx(ref, abs=1e-7)
+
+    def test_tiny_threshold_is_full_coverage(self, tcp_pmf):
+        # n rho / W below one ulp of 1, where 2^x - 1 rounds to 0: every
+        # loaded cell is covered
+        cfg = RateConfig(alpha=4.0, bandwidth_w=1e6)
+        full = tcp_pmf.conditional_tail().sum()
+        assert rate_coverage(TCP_NET, cfg, tcp_pmf, 1e-12) == pytest.approx(full, abs=1e-12)
+
     def test_small_threshold_limit(self, tcp_pmf):
         cfg = RateConfig(alpha=4.0, bandwidth_w=1e6)
         assert rate_coverage(TCP_NET, cfg, tcp_pmf, 1e-3) == pytest.approx(1.0, abs=1e-4)

@@ -6,12 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from cellload import cli
+from cellload import analytic, cli
+
+from helpers import sir_ccdf_by_quadrature
 
 TCP_ARGS = ["--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "5",
             "--sigma", "0.05"]
 MCP_ARGS = ["--kind", "mcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "5",
             "--cluster-radius", "0.1"]
+# so few users that every sampled cell is empty
+EMPTY_ARGS = ["--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "1e-9",
+              "--sigma", "0.05"]
 
 
 def run_cli(argv, capsys):
@@ -77,11 +82,26 @@ class TestPmf:
         assert d["nb_selftest_max_error"] < 1e-10
 
     def test_degenerate_model(self, capsys):
-        argv = ["pmf", "--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5",
-                "--mbar", "1e-9", "--sigma", "0.05"]
-        code, out, _ = run_cli(argv, capsys)
+        code, out, _ = run_cli(["pmf"] + EMPTY_ARGS, capsys)
         d = json.loads(out)
         assert d["probs"][0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_degenerate_model_with_empty_samples(self, capsys):
+        # var/mean^2 of an all-zero sample is undefined: null, never NaN
+        code, out, _ = run_cli(["moments"] + EMPTY_ARGS + ["--mc", "--realizations", "50"], capsys)
+        assert code == 0
+        assert json.loads(out)["mc"]["normalized_variance"] is None
+
+        code, out, _ = run_cli(["simulate"] + EMPTY_ARGS + ["--realizations", "50"], capsys)
+        assert code == 0
+        d = json.loads(out)
+        assert d["mean_load"] == 0.0 and d["normalized_variance"] is None
+
+        code, out, _ = run_cli(["compare"] + EMPTY_ARGS + ["--realizations", "50"], capsys)
+        assert code == cli.EXIT_COMPARISON
+        check = {c["check"]: c for c in json.loads(out)["checks"]}
+        assert check["normalized_variance_rel_error"]["value"] is None
+        assert not check["normalized_variance_rel_error"]["pass"]
 
     def test_mc_tv_distance(self, capsys):
         code, out, _ = run_cli(
@@ -154,9 +174,21 @@ class TestCompare:
         assert {"mean_within_3_stderr", "normalized_variance_rel_error",
                 "pmf_tv_distance"} <= names
 
-    def test_delta_perturbation_trips_rate_gate(self, capsys):
-        argv = ["compare"] + TCP_ARGS + ["--with-rate", "--realizations", "8000",
-                "--seed", "12", "--sir-delta", "2.5"]
+    def test_single_realization_fails_variance_gate(self, capsys):
+        # one sample has zero variance, so the relative error is undefined
+        argv = ["compare"] + TCP_ARGS + ["--realizations", "1", "--seed", "12"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_COMPARISON
+        check = {c["check"]: c for c in json.loads(out)["checks"]}
+        assert check["normalized_variance_rel_error"]["value"] is None
+        assert not check["normalized_variance_rel_error"]["pass"]
+
+    def test_delta_perturbation_trips_rate_gate(self, capsys, monkeypatch):
+        # a coverage kernel shifted to delta = 2.5 must fail the rate gate
+        monkeypatch.setattr(
+            analytic, "sir_ccdf", lambda alpha, tau: sir_ccdf_by_quadrature(alpha, tau, 2.5)
+        )
+        argv = ["compare"] + TCP_ARGS + ["--with-rate", "--realizations", "8000", "--seed", "12"]
         code, out, _ = run_cli(argv, capsys)
         d = json.loads(out)
         rate_check = [c for c in d["checks"] if c["check"] == "rate_ccdf_max_abs_gap"][0]

@@ -14,9 +14,11 @@ from cellload.ppmodel import (
     pair_correlation_density,
     pair_correlation_excess,
 )
-from cellload.ppmodel import _matern_cdf_batch, _matern_cdf_quadrature
-from cellload.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
+from cellload.ppmodel import _matern_cdf_batch
+from cellload.quadrature import QuadSpec, integrate_finite
 from cellload.specfun import marcum_q1
+
+from helpers import integrate_semi_infinite, matern_cdf_quadrature
 
 TCP = UserModel(5.0, 5.0, Thomas(0.05))
 MCP = UserModel(5.0, 5.0, Matern(0.1))
@@ -145,7 +147,7 @@ class TestClusterCdf:
         rs = rng.uniform(0.0, 0.4, 250)
         vs = rng.uniform(0.0, 0.5, 250)
         ref = np.array(
-            [_matern_cdf_quadrature(0.1, float(r), float(v)) for r, v in zip(rs, vs)]
+            [matern_cdf_quadrature(0.1, float(r), float(v)) for r, v in zip(rs, vs)]
         )
         assert np.max(np.abs(_matern_cdf_batch(0.1, rs, vs) - ref)) < 1e-9
 

@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 
 from cellload.errors import ConvergenceError
-from cellload.quadrature import (
-    IntegrationResult,
-    QuadSpec,
-    integrate_finite,
-    integrate_nested,
-    integrate_semi_infinite,
-    tensor_triple,
-)
+from cellload.quadrature import IntegrationResult, QuadSpec, integrate_finite, tensor_triple
 
-from helpers import CLOSED_FORM_SUITE, quad_any
+from helpers import CLOSED_FORM_SUITE, integrate_nested, integrate_semi_infinite, quad_any
 
 
 @pytest.mark.parametrize("f,lo,hi,exact", CLOSED_FORM_SUITE)

@@ -5,20 +5,20 @@ import pytest
 
 from cellload.errors import DomainError
 from cellload.specfun import (
-    DiscPair,
+    _lens_area_arrays,
+    _union_area_arrays,
     bessel_i0_scaled,
     cell_radius_pdf,
     cell_radius_quantile,
-    lens_area,
     marcum_q1,
-    union_area,
 )
-from cellload.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
+from cellload.quadrature import QuadSpec
 
 from helpers import (
     bessel_i0_scaled_asymptotic,
     bessel_i0_scaled_series,
     disc_overlap_hit_or_miss,
+    integrate_semi_infinite,
     marcum_q1_quadrature,
 )
 
@@ -103,31 +103,30 @@ class TestMarcumQ1:
 
 class TestDiscGeometry:
     def test_coincident(self):
-        assert lens_area(DiscPair(1.0, 1.0, 0.0)) == pytest.approx(math.pi)
-        assert union_area(DiscPair(1.0, 1.0, 0.0)) == pytest.approx(math.pi)
+        assert _lens_area_arrays(1.0, 1.0, 0.0) == pytest.approx(math.pi)
+        assert _union_area_arrays(1.0, 1.0, 0.0) == pytest.approx(math.pi)
 
     def test_tangent_and_disjoint(self):
-        assert lens_area(DiscPair(1.0, 1.0, 2.0)) == 0.0
-        assert union_area(DiscPair(1.0, 2.0, 5.0)) == pytest.approx(5.0 * math.pi)
+        assert _lens_area_arrays(1.0, 1.0, 2.0) == 0.0
+        assert _union_area_arrays(1.0, 2.0, 5.0) == pytest.approx(5.0 * math.pi)
 
     def test_unit_overlap_closed_form(self):
-        assert lens_area(DiscPair(1.0, 1.0, 1.0)) == pytest.approx(LENS_1_1_1, rel=1e-14)
-        assert union_area(DiscPair(1.0, 1.0, 1.0)) == pytest.approx(2.0 * math.pi - LENS_1_1_1)
+        assert _lens_area_arrays(1.0, 1.0, 1.0) == pytest.approx(LENS_1_1_1, rel=1e-14)
+        assert _union_area_arrays(1.0, 1.0, 1.0) == pytest.approx(2.0 * math.pi - LENS_1_1_1)
 
     def test_unit_overlap_monte_carlo_oracle(self):
         est, stderr = disc_overlap_hit_or_miss(1.0, 1.0, 1.0, samples=10**7, seed=11)
-        assert lens_area(DiscPair(1.0, 1.0, 1.0)) == pytest.approx(est, abs=3.0 * stderr)
+        assert _lens_area_arrays(1.0, 1.0, 1.0) == pytest.approx(est, abs=3.0 * stderr)
 
     def test_contained_disc(self):
-        assert lens_area(DiscPair(3.0, 1.0, 1.5)) == pytest.approx(math.pi)
+        assert _lens_area_arrays(3.0, 1.0, 1.5) == pytest.approx(math.pi)
 
     def test_union_intersection_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             r1, r2 = rng.uniform(0.1, 4.0, size=2)
             d = rng.uniform(0.0, 6.0)
-            p = DiscPair(r1, r2, d)
-            assert lens_area(p) + union_area(p) == pytest.approx(
+            assert _lens_area_arrays(r1, r2, d) + _union_area_arrays(r1, r2, d) == pytest.approx(
                 math.pi * (r1**2 + r2**2), rel=1e-12
             )
 
@@ -136,8 +135,8 @@ class TestDiscGeometry:
         for _ in range(100):
             r1, r2 = rng.uniform(0.1, 3.0, size=2)
             d = rng.uniform(0.0, 7.0)
-            a_i = lens_area(DiscPair(r1, r2, d))
-            a_u = union_area(DiscPair(r1, r2, d))
+            a_i = _lens_area_arrays(r1, r2, d)
+            a_u = _union_area_arrays(r1, r2, d)
             assert -1e-12 <= a_i <= math.pi * min(r1, r2) ** 2 + 1e-12
             assert math.pi * max(r1, r2) ** 2 - 1e-12 <= a_u <= math.pi * (r1**2 + r2**2) + 1e-12
 
@@ -146,8 +145,8 @@ class TestDiscGeometry:
         # (d* - d)^{3/2} behavior at external tangency: one-sided evaluations
         # at +-1e-9 agree with the limit 0 to far better than 1e-9
         d_star = r1 + r2
-        below = lens_area(DiscPair(r1, r2, d_star - 1e-9))
-        above = lens_area(DiscPair(r1, r2, d_star + 1e-9))
+        below = _lens_area_arrays(r1, r2, d_star - 1e-9)
+        above = _lens_area_arrays(r1, r2, d_star + 1e-9)
         assert abs(below - above) < 1e-9
         assert below == pytest.approx(0.0, abs=1e-9)
 
@@ -156,16 +155,10 @@ class TestDiscGeometry:
         # same 3/2-power behavior where the smaller disc stops being contained
         d_star = abs(r1 - r2)
         limit = math.pi * min(r1, r2) ** 2
-        below = lens_area(DiscPair(r1, r2, d_star - 1e-9))
-        above = lens_area(DiscPair(r1, r2, d_star + 1e-9))
+        below = _lens_area_arrays(r1, r2, d_star - 1e-9)
+        above = _lens_area_arrays(r1, r2, d_star + 1e-9)
         assert abs(below - above) < 1e-9
         assert above == pytest.approx(limit, abs=1e-9)
-
-    def test_invariants_rejected(self):
-        with pytest.raises(DomainError):
-            DiscPair(-1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            DiscPair(1.0, 1.0, math.inf)
 
 
 class TestCellRadiusPdf:
