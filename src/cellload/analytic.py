@@ -24,12 +24,12 @@ DFT nodes at once, with panel doubling until the node values stabilize.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import special as _sp
-from scipy import stats as _st
 
 from . import quadrature
 from .errors import ConvergenceError, DomainError, InfeasibleModelError, InversionQualityError
@@ -258,6 +258,9 @@ def nb_fit(m: LoadMoments) -> NegBinParams:
 
 def nb_pmf(params: NegBinParams, n) -> np.ndarray:
     """PMF of NB(r, t): C(r+n-1, n) (1-t)^r t^n."""
+    # imported here: scipy.stats costs about a second per cold process
+    from scipy import stats as _st
+
     return _st.nbinom.pmf(np.asarray(n), params.r, 1.0 - params.t)
 
 
@@ -265,11 +268,16 @@ def nb_pmf(params: NegBinParams, n) -> np.ndarray:
 # PGF of the load and its DFT inversion
 # ---------------------------------------------------------------------------
 
-def _panel_nodes(edges: np.ndarray, order: int = 12):
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(12)
+
+
+def _panel_nodes(edges: np.ndarray):
+    """Gauss-Legendre nodes and weights of the panels between consecutive
+    edges along the last axis, flattened per row."""
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    half = 0.5 * np.diff(edges)[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * _PANEL_X).reshape(shape), (half * _PANEL_W).reshape(shape)
 
 
 class _PgfGrid:
@@ -299,20 +307,20 @@ class _PgfGrid:
         self.r_weights = r_weights * cell_radius_pdf(r_nodes)
         r_phys = r_nodes / math.sqrt(math.pi)
 
-        v_nodes = np.empty((r_nodes.size, (n_plateau + n_trans) * 12))
-        v_weights = np.empty_like(v_nodes)
-        for i, rp in enumerate(r_phys):
-            lo = max(rp - reach, 0.0)
-            hi = rp + reach
-            edges = np.concatenate(
-                [np.linspace(0.0, lo, n_plateau + 1)[:-1], np.linspace(lo, hi, n_trans + 1)]
-            )
-            v_nodes[i], v_weights[i] = _panel_nodes(edges)
+        # one row of v-panels per r node: a plateau up to r - reach, then the
+        # transition band [r - reach, r + reach] where the cluster CDF moves
+        lo = np.maximum(r_phys - reach, 0.0)
+        edges = np.concatenate(
+            [
+                np.linspace(0.0, lo, n_plateau + 1, axis=-1)[:, :-1],
+                np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1),
+            ],
+            axis=1,
+        )
+        v_nodes, v_weights = _panel_nodes(edges)
         self.v_nodes = v_nodes
         self.vw = v_weights * v_nodes          # weights folded with the v d v measure
-        self.xi = np.empty_like(v_nodes)
-        for i, rp in enumerate(r_phys):
-            self.xi[i] = cluster_cdf(users, rp, v_nodes[i])
+        self.xi = cluster_cdf(users, r_phys[:, None], v_nodes)
 
     def refined(self) -> "_PgfGrid":
         n_r, n_p, n_t = self.levels
@@ -328,20 +336,30 @@ class _PgfGrid:
         return out
 
 
-_GRID_CACHE: dict = {}
+# Grid pairs of the most recently used models, least recent first.
+_GRID_CACHE: "OrderedDict[NetworkModel, tuple]" = OrderedDict()
+_GRID_CACHE_SIZE = 8
+
+
+def _cache_grids(net: NetworkModel, pair: tuple) -> None:
+    _GRID_CACHE[net] = pair
+    _GRID_CACHE.move_to_end(net)
+    while len(_GRID_CACHE) > _GRID_CACHE_SIZE:
+        _GRID_CACHE.popitem(last=False)
 
 
 def _pgf_values(net: NetworkModel, thetas, tol: float = 1e-8, max_levels: int = 3) -> np.ndarray:
     """PGF values checked on a coarse/fine grid pair, refining until stable.
 
-    The converged pair is cached per model, so later calls only re-evaluate
-    the two tabulated grids (the costly cluster-CDF tables are reused).
+    The converged pair is cached per model (least recently used out), so later
+    calls only re-evaluate the two tabulated grids (the costly cluster-CDF
+    tables are reused).
     """
     pair = _GRID_CACHE.get(net)
     if pair is None:
         coarse = _PgfGrid(net)
         pair = (coarse, coarse.refined())
-        _GRID_CACHE[net] = pair
+    _cache_grids(net, pair)
     coarse, fine = pair
     vals, fine_vals = coarse.eval(thetas), fine.eval(thetas)
     for _ in range(max_levels):
@@ -349,7 +367,7 @@ def _pgf_values(net: NetworkModel, thetas, tol: float = 1e-8, max_levels: int = 
         if delta <= tol:
             return fine_vals
         coarse, fine = fine, fine.refined()
-        _GRID_CACHE[net] = (coarse, fine)
+        _cache_grids(net, (coarse, fine))
         vals, fine_vals = fine_vals, fine.eval(thetas)
     raise ConvergenceError(f"PGF grid did not stabilize to {tol:g}", best_estimate=fine_vals)
 

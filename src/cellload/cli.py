@@ -288,7 +288,12 @@ def _rate_config(args, thresholds=()) -> RateConfig:
 
 def _threshold_grid(args) -> list:
     if args.thresholds:
-        return [float(t) for t in args.thresholds.split(",")]
+        try:
+            return [float(t) for t in args.thresholds.split(",")]
+        except ValueError:
+            raise ConfigurationError(
+                f"--thresholds must be comma-separated numbers, got {args.thresholds!r}"
+            ) from None
     lo, hi = 0.02 * args.bandwidth, 2.0 * args.bandwidth
     return [float(t) for t in np.geomspace(lo, hi, 13)]
 
@@ -542,7 +547,7 @@ def main(argv=None) -> int:
     except ConvergenceError as err:
         print(f"convergence error: {err}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (DomainError, ConfigurationError, ValueError) as err:
+    except (DomainError, ConfigurationError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except CellLoadError as err:

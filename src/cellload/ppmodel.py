@@ -155,6 +155,7 @@ _WEDGE_S = 0.5 * (_WEDGE_S + 1.0)
 _WEDGE_W = 0.5 * _WEDGE_W
 _WEDGE_POS = np.sin(0.5 * math.pi * _WEDGE_S) ** 2
 _WEDGE_JAC = 0.5 * math.pi * np.sin(math.pi * _WEDGE_S) * _WEDGE_W
+_MATERN_BLOCK = 8192
 
 
 def _matern_cdf_batch(big_r, r_arr, v_arr):
@@ -188,7 +189,13 @@ def cluster_cdf(model: UserModel, r, v):
         sig = model.kind.sigma
         out = 1.0 - marcum_q1(v_arr / sig, r_arr / sig)
     else:
-        out = np.clip(_matern_cdf_batch(model.kind.radius, r_arr, v_arr), 0.0, 1.0)
+        # blocks bound the (points, 48) wedge-node matrix of a whole PGF grid
+        r_flat, v_flat = r_arr.ravel(), v_arr.ravel()
+        out = np.empty(r_flat.shape)
+        for i in range(0, out.size, _MATERN_BLOCK):
+            block = slice(i, i + _MATERN_BLOCK)
+            out[block] = _matern_cdf_batch(model.kind.radius, r_flat[block], v_flat[block])
+        out = np.clip(out.reshape(r_arr.shape), 0.0, 1.0)
     if np.isscalar(r) and np.isscalar(v):
         return float(out)
     return out

@@ -23,7 +23,7 @@ from cellload.analytic import (
     variance_load,
 )
 from cellload.analytic import E_V2, _KERNEL_REACH, _beta_factor, _pair_excess_integral
-from cellload.errors import DomainError, InfeasibleModelError
+from cellload.errors import ConvergenceError, DomainError, InfeasibleModelError
 from cellload.montecarlo import points_in_typical_cell, sample_ppp, _rng_for
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
 from cellload.quadrature import QuadSpec, tensor_triple
@@ -294,6 +294,25 @@ class TestInvertPgf:
         pmf = invert_pgf(TCP_NET, moments=m)
         assert pmf.dft_size >= 128 and pmf.dft_size & (pmf.dft_size - 1) == 0
         assert pmf.dft_size >= m.mean + 10.0 * math.sqrt(m.variance)
+
+    def test_grid_cache_is_bounded(self):
+        size = analytic._GRID_CACHE_SIZE
+        nets = [NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.05 + 0.01 * k)))
+                for k in range(size + 2)]
+        first = invert_pgf(nets[0], 64).probs
+        for net in nets[1:]:
+            invert_pgf(net, 64)
+            assert len(analytic._GRID_CACHE) <= size
+            assert next(reversed(analytic._GRID_CACHE)) == net
+        assert nets[0] not in analytic._GRID_CACHE
+        np.testing.assert_array_equal(invert_pgf(nets[0], 64).probs, first)
+
+    def test_grid_cache_keeps_refined_pair(self):
+        net = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.07)))
+        with pytest.raises(ConvergenceError):
+            analytic._pgf_values(net, [0.5], tol=0.0, max_levels=1)
+        coarse, fine = analytic._GRID_CACHE[net]
+        assert (coarse.levels, fine.levels) == ((24, 6, 12), (48, 12, 24))
 
 
 class TestSirCcdf:

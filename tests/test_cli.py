@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +134,11 @@ class TestRate:
         d = json.loads(out)
         assert d["coverage"][1] == 0.0  # threshold above the backhaul cap
 
+    def test_unparsable_thresholds_exit_validation(self, capsys):
+        code, _, err = run_cli(["rate"] + TCP_ARGS + ["--thresholds", "1e5,abc"], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert "thresholds" in err
+
     def test_mc_gap_reported(self, capsys):
         argv = ["rate"] + TCP_ARGS + ["--mc", "--realizations", "3000", "--seed", "5",
                 "--thresholds", "5e4,2e5,8e5"]
@@ -235,3 +244,25 @@ class TestReports:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["mean"] == 25.0
+
+
+class TestProcess:
+    def test_bare_value_error_propagates(self, monkeypatch):
+        # a bare ValueError is a programming error, not an invalid input
+        def broken(net):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(analytic, "load_moments", broken)
+        with pytest.raises(ValueError, match="not an input error"):
+            cli.main(["moments"] + TCP_ARGS)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a second of every cold CLI process
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = "import sys, cellload.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

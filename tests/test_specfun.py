@@ -66,7 +66,16 @@ class TestMarcumQ1:
         assert oracle == pytest.approx(0.7328798037968202, abs=1e-10)
         assert marcum_q1(1.0, 1.0) == pytest.approx(oracle, abs=1e-10)
 
-    @pytest.mark.parametrize("a,b", [(0.5, 2.0), (3.0, 1.0), (0.2, 0.2), (6.0, 8.0), (40.0, 38.0)])
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (0.5, 2.0), (3.0, 1.0), (0.2, 0.2), (6.0, 8.0), (40.0, 38.0),
+            # the transition b ~ a at large arguments
+            (100.0, 99.0), (100.0, 101.5), (300.0, 299.0), (300.0, 302.0),
+            # corner of the PGF grid's domain for sigma = 0.05: a = (r + 6 sigma) / sigma
+            (39.3, 33.3),
+        ],
+    )
     def test_quadrature_oracle_grid(self, a, b):
         assert marcum_q1(a, b) == pytest.approx(marcum_q1_quadrature(a, b), abs=1e-10)
 
