@@ -24,7 +24,6 @@ DFT nodes at once, with panel doubling until the node values stabilize.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -33,8 +32,8 @@ from scipy import special as _sp
 
 from . import quadrature
 from .errors import ConvergenceError, DomainError, InfeasibleModelError, InversionQualityError
-from .ppmodel import Matern, NetworkModel, Thomas, cluster_cdf, pair_correlation_excess
-from .quadrature import QuadSpec
+from .ppmodel import NetworkModel, cluster_cdf, cluster_reach, pair_correlation_excess
+from .quadrature import QuadSpec, _panel_nodes
 # Unused here; kept because perfbench/spans.py wraps analytic.integrate_finite.
 from .quadrature import integrate_finite  # noqa: F401
 from .specfun import _union_area_arrays, cell_radius_pdf, cell_radius_quantile
@@ -59,7 +58,6 @@ __all__ = [
     "E_V2",
 ]
 
-_TRUNC_SIGMAS = 6.0          # Gaussian cluster reach in standard deviations
 _NAKAGAMI_TAIL = 1e-10       # truncation mass of the cell-radius law
 
 
@@ -163,14 +161,7 @@ _E_V2_ERROR = 1.1614207704150463e-06
 _KERNEL_REACH = 4.2
 
 
-def _excess_reach(net: NetworkModel) -> float:
-    users = net.users
-    if isinstance(users.kind, Thomas):
-        return 2.0 * _TRUNC_SIGMAS * users.kind.sigma
-    return 2.0 * users.kind.radius
-
-
-def _pair_excess_integral(net: NetworkModel, rel_tol: float = 1e-6) -> quadrature.IntegrationResult:
+def _pair_excess_integral(net: NetworkModel) -> quadrature.IntegrationResult:
     """Clustering contribution to E[L^2] in separation coordinates.
 
     4*pi * int_0^inf dx int_0^pi dth int_0^rmax dr
@@ -179,8 +170,8 @@ def _pair_excess_integral(net: NetworkModel, rel_tol: float = 1e-6) -> quadratur
     """
     norm = net.normalized()
     users = norm.users
-    rmax = _excess_reach(norm)
-    spec = QuadSpec(rel_tol=rel_tol, abs_tol=1e-12, max_subdivisions=4000)
+    rmax = 2.0 * cluster_reach(users)
+    spec = QuadSpec(rel_tol=1e-6, abs_tol=1e-12)
 
     def f(x, theta, r):
         x2 = np.sqrt(x**2 + r**2 + 2.0 * x * r * np.cos(theta))
@@ -268,108 +259,60 @@ def nb_pmf(params: NegBinParams, n) -> np.ndarray:
 # PGF of the load and its DFT inversion
 # ---------------------------------------------------------------------------
 
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(12)
+_BASE_LEVELS = (12, 3, 6)    # panels of the coarsest grid: r, v plateau, v transition
 
 
-def _panel_nodes(edges: np.ndarray):
-    """Gauss-Legendre nodes and weights of the panels between consecutive
-    edges along the last axis, flattened per row."""
-    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
-    half = 0.5 * np.diff(edges)[..., None]
-    shape = edges.shape[:-1] + (-1,)
-    return (mid + half * _PANEL_X).reshape(shape), (half * _PANEL_W).reshape(shape)
+def _pgf_on_grid(net: NetworkModel, levels, thetas) -> np.ndarray:
+    """Load PGF at complex nodes on one quadrature grid of the circle approximation.
 
-
-class _PgfGrid:
-    """Shared quadrature grid for the load PGF under the circle approximation.
-
-    The cluster CDF does not depend on the PGF argument, so it is tabulated
-    once on an (r, v) product grid; evaluating the PGF at any set of complex
-    nodes is then a pair of vectorized exponentials.  `refined` doubles every
-    panel count, which the driver uses for error control.
+    levels = (n_r, n_plateau, n_trans) panel counts.  The outer integral runs
+    over the normalized cell radius r; for each r node the inner one runs over
+    the parent distance v, on a plateau up to r - reach and the transition
+    band [r - reach, r + reach] where the cluster CDF moves.  That CDF does
+    not depend on the PGF argument, so it is tabulated once per grid and each
+    node costs a pair of vectorized exponentials.
     """
+    n_r, n_plateau, n_trans = levels
+    users = net.normalized().users
+    reach = cluster_reach(users)
+    r_max = cell_radius_quantile(_NAKAGAMI_TAIL)
+    r_nodes, r_weights = _panel_nodes(np.linspace(0.0, r_max, n_r + 1))
+    r_weights = r_weights * cell_radius_pdf(r_nodes)
+    r_phys = r_nodes / math.sqrt(math.pi)
 
-    def __init__(self, net: NetworkModel, n_r: int = 12, n_plateau: int = 3, n_trans: int = 6):
-        norm = net.normalized()
-        users = norm.users
-        self.lambda_p = users.lambda_p
-        self.m_bar = users.m_bar
-        self.levels = (n_r, n_plateau, n_trans)
-        self._net = net
+    lo = np.maximum(r_phys - reach, 0.0)
+    edges = np.concatenate(
+        [
+            np.linspace(0.0, lo, n_plateau + 1, axis=-1)[:, :-1],
+            np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1),
+        ],
+        axis=1,
+    )
+    v_nodes, v_weights = _panel_nodes(edges)
+    vw = v_weights * v_nodes          # weights folded with the v dv measure
+    xi = cluster_cdf(users, r_phys[:, None], v_nodes)
 
-        reach = (
-            _TRUNC_SIGMAS * users.kind.sigma
-            if isinstance(users.kind, Thomas)
-            else users.kind.radius
-        )
-        r_max = cell_radius_quantile(_NAKAGAMI_TAIL)
-        r_nodes, r_weights = _panel_nodes(np.linspace(0.0, r_max, n_r + 1))
-        self.r_weights = r_weights * cell_radius_pdf(r_nodes)
-        r_phys = r_nodes / math.sqrt(math.pi)
-
-        # one row of v-panels per r node: a plateau up to r - reach, then the
-        # transition band [r - reach, r + reach] where the cluster CDF moves
-        lo = np.maximum(r_phys - reach, 0.0)
-        edges = np.concatenate(
-            [
-                np.linspace(0.0, lo, n_plateau + 1, axis=-1)[:, :-1],
-                np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1),
-            ],
-            axis=1,
-        )
-        v_nodes, v_weights = _panel_nodes(edges)
-        self.v_nodes = v_nodes
-        self.vw = v_weights * v_nodes          # weights folded with the v d v measure
-        self.xi = cluster_cdf(users, r_phys[:, None], v_nodes)
-
-    def refined(self) -> "_PgfGrid":
-        n_r, n_p, n_t = self.levels
-        return _PgfGrid(self._net, 2 * n_r, 2 * n_p, 2 * n_t)
-
-    def eval(self, thetas) -> np.ndarray:
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
-        out = np.empty(thetas.shape, dtype=complex)
-        for k, theta in enumerate(thetas):
-            c = self.m_bar * (1.0 - theta)
-            inner = ((1.0 - np.exp(-c * self.xi)) * self.vw).sum(axis=1)
-            out[k] = np.dot(self.r_weights, np.exp(-2.0 * math.pi * self.lambda_p * inner))
-        return out
-
-
-# Grid pairs of the most recently used models, least recent first.
-_GRID_CACHE: "OrderedDict[NetworkModel, tuple]" = OrderedDict()
-_GRID_CACHE_SIZE = 8
-
-
-def _cache_grids(net: NetworkModel, pair: tuple) -> None:
-    _GRID_CACHE[net] = pair
-    _GRID_CACHE.move_to_end(net)
-    while len(_GRID_CACHE) > _GRID_CACHE_SIZE:
-        _GRID_CACHE.popitem(last=False)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
+    out = np.empty(thetas.shape, dtype=complex)
+    for k, theta in enumerate(thetas):
+        c = users.m_bar * (1.0 - theta)
+        inner = ((1.0 - np.exp(-c * xi)) * vw).sum(axis=1)
+        out[k] = np.dot(r_weights, np.exp(-2.0 * math.pi * users.lambda_p * inner))
+    return out
 
 
 def _pgf_values(net: NetworkModel, thetas, tol: float = 1e-8, max_levels: int = 3) -> np.ndarray:
-    """PGF values checked on a coarse/fine grid pair, refining until stable.
-
-    The converged pair is cached per model (least recently used out), so later
-    calls only re-evaluate the two tabulated grids (the costly cluster-CDF
-    tables are reused).
-    """
-    pair = _GRID_CACHE.get(net)
-    if pair is None:
-        coarse = _PgfGrid(net)
-        pair = (coarse, coarse.refined())
-    _cache_grids(net, pair)
-    coarse, fine = pair
-    vals, fine_vals = coarse.eval(thetas), fine.eval(thetas)
+    """PGF values on grids of doubling panel counts, until two successive
+    grids agree within tol; at most max_levels + 1 grids are built."""
+    levels = _BASE_LEVELS
+    vals = _pgf_on_grid(net, levels, thetas)
     for _ in range(max_levels):
-        delta = float(np.max(np.abs(fine_vals - vals)))
-        if delta <= tol:
+        levels = tuple(2 * n for n in levels)
+        fine_vals = _pgf_on_grid(net, levels, thetas)
+        if float(np.max(np.abs(fine_vals - vals))) <= tol:
             return fine_vals
-        coarse, fine = fine, fine.refined()
-        _cache_grids(net, (coarse, fine))
-        vals, fine_vals = fine_vals, fine.eval(thetas)
-    raise ConvergenceError(f"PGF grid did not stabilize to {tol:g}", best_estimate=fine_vals)
+        vals = fine_vals
+    raise ConvergenceError(f"PGF grid did not stabilize to {tol:g}", best_estimate=vals)
 
 
 def load_pgf(net: NetworkModel, theta) -> complex:

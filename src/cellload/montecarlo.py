@@ -39,7 +39,7 @@ from numpy.random import Generator, Philox
 
 from .analytic import LoadPmf, RateConfig
 from .errors import ConfigurationError
-from .ppmodel import NetworkModel, Thomas, UserModel
+from .ppmodel import NetworkModel, Thomas, UserModel, cluster_reach
 
 __all__ = [
     "SimConfig",
@@ -58,7 +58,6 @@ __all__ = [
 
 _CELL_MISS_PROB = 1e-6     # bound on P(typical cell not contained in b(o, W/2))
 _USER_TAIL = 1e-7          # bound on expected in-cell users beyond the cutoff
-_CLUSTER_SIGMAS = 6.0      # Gaussian cluster truncation for edge correction
 
 
 def required_window_radius(lambda_b: float) -> float:
@@ -133,19 +132,12 @@ def sample_ppp(intensity: float, window_radius: float, rng: Generator) -> np.nda
     return _disc_points(rng, intensity, window_radius)
 
 
-def cluster_reach(model: UserModel) -> float:
-    """Parent-window expansion guaranteeing an edge-corrected restriction."""
-    if isinstance(model.kind, Thomas):
-        return _CLUSTER_SIGMAS * model.kind.sigma
-    return model.kind.radius
-
-
 def sample_pcp(model: UserModel, window_radius: float, rng: Generator) -> np.ndarray:
     """Clustered users restricted to b(o, window_radius).
 
     Parents are drawn in a window expanded by the cluster reach so that the
     restriction is distributed as the stationary process (Gaussian clusters
-    truncated at 6 sigma, tail mass < 1e-8).
+    truncated at 6 sigma, tail mass ~1.5e-8).
     """
     parents = _disc_points(rng, model.lambda_p, window_radius + cluster_reach(model))
     counts = rng.poisson(model.m_bar, parents.shape[0])

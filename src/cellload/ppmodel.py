@@ -30,6 +30,7 @@ __all__ = [
     "ClusterKind",
     "UserModel",
     "NetworkModel",
+    "cluster_reach",
     "conditional_distance_pdf",
     "cluster_cdf",
     "pair_correlation_density",
@@ -110,6 +111,19 @@ class NetworkModel:
         return NetworkModel(1.0, self.users.rescaled(factor))
 
 
+# Gaussian clusters are truncated at this many standard deviations: an
+# offspring lands farther from its parent with probability exp(-18) ~ 1.5e-8.
+_CLUSTER_SIGMAS = 6.0
+
+
+def cluster_reach(model: UserModel) -> float:
+    """Distance from its parent within which (almost) every offspring lands:
+    6 sigma for Thomas, the cluster radius for Matern."""
+    if isinstance(model.kind, Thomas):
+        return _CLUSTER_SIGMAS * model.kind.sigma
+    return model.kind.radius
+
+
 def _check_nonneg(name, arr):
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
         raise DomainError(f"{name} must be finite and non-negative")
@@ -147,39 +161,13 @@ def conditional_distance_pdf(model: UserModel, x, z):
     return out
 
 
-# Nodes of the wedge integral after u = lo + (hi - lo) sin^2(pi s / 2); the
-# substitution flattens the square-root cusps of the arccos term at both
-# integration limits, so a fixed Gauss-Legendre rule reaches ~1e-12.
-_WEDGE_S, _WEDGE_W = np.polynomial.legendre.leggauss(48)
-_WEDGE_S = 0.5 * (_WEDGE_S + 1.0)
-_WEDGE_W = 0.5 * _WEDGE_W
-_WEDGE_POS = np.sin(0.5 * math.pi * _WEDGE_S) ** 2
-_WEDGE_JAC = 0.5 * math.pi * np.sin(math.pi * _WEDGE_S) * _WEDGE_W
-_MATERN_BLOCK = 8192
-
-
-def _matern_cdf_batch(big_r, r_arr, v_arr):
-    head = np.minimum(r_arr, np.maximum(big_r - v_arr, 0.0)) ** 2
-    lo = np.minimum(r_arr, np.abs(big_r - v_arr))
-    hi = np.minimum(r_arr, big_r + v_arr)
-    width = np.maximum(hi - lo, 0.0)
-    u = lo[..., None] + width[..., None] * _WEDGE_POS
-    vv = v_arr[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosarg = np.where(
-            u * vv > 0.0, (u**2 + vv**2 - big_r**2) / (2.0 * u * vv), 1.0
-        )
-    wedge = u * np.arccos(np.clip(cosarg, -1.0, 1.0))
-    tail = width * (wedge @ _WEDGE_JAC)
-    return (head + 2.0 / math.pi * tail) / big_r**2
-
-
 def cluster_cdf(model: UserModel, r, v):
     """P(offspring within distance r of the origin | parent at distance v).
 
     Thomas: 1 - Q1(v/sigma, r/sigma) in closed Marcum form.  Matern: the
-    contained-disc term plus the one remaining 1-D arccos integral; the
-    min/max limits absorb every geometric case without branching.
+    offspring is uniform on the disc b(parent, R), so the CDF is the area of
+    b(o, r) intersected with that disc over pi R^2; the lens formula covers
+    the contained, disjoint and overlapping cases.
     """
     r_arr, v_arr = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(v, dtype=float))
     _check_nonneg("r", r_arr)
@@ -189,13 +177,8 @@ def cluster_cdf(model: UserModel, r, v):
         sig = model.kind.sigma
         out = 1.0 - marcum_q1(v_arr / sig, r_arr / sig)
     else:
-        # blocks bound the (points, 48) wedge-node matrix of a whole PGF grid
-        r_flat, v_flat = r_arr.ravel(), v_arr.ravel()
-        out = np.empty(r_flat.shape)
-        for i in range(0, out.size, _MATERN_BLOCK):
-            block = slice(i, i + _MATERN_BLOCK)
-            out[block] = _matern_cdf_batch(model.kind.radius, r_flat[block], v_flat[block])
-        out = np.clip(out.reshape(r_arr.shape), 0.0, 1.0)
+        big_r = model.kind.radius
+        out = np.clip(_lens_area_arrays(r_arr, big_r, v_arr) / (math.pi * big_r**2), 0.0, 1.0)
     if np.isscalar(r) and np.isscalar(v):
         return float(out)
     return out

@@ -124,18 +124,30 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> Inte
     return IntegrationResult(value, error, counter.count)
 
 
-def _tensor3(f, bounds, panels, order=12, slab_cap=2_000_000):
+# per-panel rule of the tensor rule below and of the PGF grid in analytic
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(12)
+_SLAB_CAP = 2_000_000      # integrand values per slab of the tensor rule
+
+
+def _panel_nodes(edges: np.ndarray):
+    """Gauss-Legendre nodes and weights of the panels between consecutive
+    edges along the last axis, flattened per row."""
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    half = 0.5 * np.diff(edges)[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * _PANEL_X).reshape(shape), (half * _PANEL_W).reshape(shape)
+
+
+def _tensor3(f, bounds, panels):
     """Fixed composite Gauss-Legendre tensor rule on a 3-D box.
 
     Evaluates in slabs along the first axis to bound peak memory.
     """
-    axes = []
-    for (lo, hi), n in zip(bounds, panels):
-        x, w = _panel_grid(lo, hi, n, order)
-        axes.append((x, w))
-    (x0, w0), (x1, w1), (x2, w2) = axes
+    (x0, w0), (x1, w1), (x2, w2) = (
+        _panel_nodes(np.linspace(lo, hi, n + 1)) for (lo, hi), n in zip(bounds, panels)
+    )
     plane = x1.size * x2.size
-    step = max(1, slab_cap // plane)
+    step = max(1, _SLAB_CAP // plane)
     total = 0.0
     evals = 0
     for start in range(0, x0.size, step):
@@ -144,14 +156,6 @@ def _tensor3(f, bounds, panels, order=12, slab_cap=2_000_000):
         total += np.einsum("i,j,k,ijk->", w0[sl], w1, w2, vals)
         evals += vals.size
     return float(total), evals
-
-
-def _panel_grid(lo, hi, n_panels, order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def tensor_triple(f, bounds, spec: QuadSpec = QuadSpec(), start_panels=(4, 4, 4)) -> IntegrationResult:

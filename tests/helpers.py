@@ -159,8 +159,7 @@ def pgf_by_nested_quadrature(net, theta: float) -> float:
     the normalized cell radius, the inner over the parent distance, both with
     the generic adaptive rules and the cluster CDF evaluated directly.
     """
-    from cellload.montecarlo import cluster_reach
-    from cellload.ppmodel import cluster_cdf
+    from cellload.ppmodel import cluster_cdf, cluster_reach
     from cellload.specfun import cell_radius_pdf, cell_radius_quantile
 
     norm = net.normalized()

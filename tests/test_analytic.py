@@ -295,24 +295,22 @@ class TestInvertPgf:
         assert pmf.dft_size >= 128 and pmf.dft_size & (pmf.dft_size - 1) == 0
         assert pmf.dft_size >= m.mean + 10.0 * math.sqrt(m.variance)
 
-    def test_grid_cache_is_bounded(self):
-        size = analytic._GRID_CACHE_SIZE
-        nets = [NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.05 + 0.01 * k)))
-                for k in range(size + 2)]
-        first = invert_pgf(nets[0], 64).probs
-        for net in nets[1:]:
-            invert_pgf(net, 64)
-            assert len(analytic._GRID_CACHE) <= size
-            assert next(reversed(analytic._GRID_CACHE)) == net
-        assert nets[0] not in analytic._GRID_CACHE
-        np.testing.assert_array_equal(invert_pgf(nets[0], 64).probs, first)
+    def test_failed_refinement_builds_no_extra_grid(self, monkeypatch):
+        # max_levels = 1 compares the base grid with one refinement and then
+        # gives up: two cluster-CDF tables, no third grid built and discarded
+        calls = []
+        real = analytic.cluster_cdf
 
-    def test_grid_cache_keeps_refined_pair(self):
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analytic, "cluster_cdf", counting)
         net = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.07)))
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as err:
             analytic._pgf_values(net, [0.5], tol=0.0, max_levels=1)
-        coarse, fine = analytic._GRID_CACHE[net]
-        assert (coarse.levels, fine.levels) == ((24, 6, 12), (48, 12, 24))
+        assert len(calls) == 2
+        assert err.value.best_estimate.shape == (1,)
 
 
 class TestSirCcdf:

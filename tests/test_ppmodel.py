@@ -14,7 +14,6 @@ from cellload.ppmodel import (
     pair_correlation_density,
     pair_correlation_excess,
 )
-from cellload.ppmodel import _matern_cdf_batch
 from cellload.quadrature import QuadSpec, integrate_finite
 from cellload.specfun import marcum_q1
 
@@ -144,12 +143,16 @@ class TestClusterCdf:
 
     def test_matern_batch_matches_adaptive(self):
         rng = np.random.default_rng(21)
-        rs = rng.uniform(0.0, 0.4, 250)
-        vs = rng.uniform(0.0, 0.5, 250)
+        big_r = MCP.kind.radius
+        # the last three points sit 1e-6 inside the outer edge r = v + R,
+        # where the CDF approaches 1 with a square-root cusp
+        edge_vs = np.array([0.12, 0.188478, 0.3])
+        rs = np.concatenate([rng.uniform(0.0, 0.4, 250), edge_vs + big_r - 1e-6])
+        vs = np.concatenate([rng.uniform(0.0, 0.5, 250), edge_vs])
         ref = np.array(
-            [matern_cdf_quadrature(0.1, float(r), float(v)) for r, v in zip(rs, vs)]
+            [matern_cdf_quadrature(big_r, float(r), float(v)) for r, v in zip(rs, vs)]
         )
-        assert np.max(np.abs(_matern_cdf_batch(0.1, rs, vs) - ref)) < 1e-9
+        assert np.max(np.abs(cluster_cdf(MCP, rs, vs) - ref)) < 1e-10
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
