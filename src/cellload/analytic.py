@@ -16,9 +16,10 @@ as a literal) and the clustering excess, which is evaluated in separation
 coordinates where the excess density provides a natural truncation radius.
 
 The PGF of the load under the equal-area-circle approximation is a double
-integral whose inner kernel (the cluster CDF) does not depend on the PGF
-argument; a shared Gauss-Legendre grid therefore evaluates the PGF at all
-DFT nodes at once, with panel doubling until the node values stabilize.
+integral whose inner kernel exp(-m_bar xi (1 - theta)) is the PGF of a
+Poisson(m_bar xi) count: a power series in theta whose coefficients, tabulated
+once on a Gauss-Legendre grid, serve all DFT nodes at once, with panel
+doubling until the node values stabilize.
 """
 
 from __future__ import annotations
@@ -268,9 +269,15 @@ def _pgf_on_grid(net: NetworkModel, levels, thetas) -> np.ndarray:
     levels = (n_r, n_plateau, n_trans) panel counts.  The outer integral runs
     over the normalized cell radius r; for each r node the inner one runs over
     the parent distance v, on a plateau up to r - reach and the transition
-    band [r - reach, r + reach] where the cluster CDF moves.  That CDF does
-    not depend on the PGF argument, so it is tabulated once per grid and each
-    node costs a pair of vectorized exponentials.
+    band [r - reach, r + reach] where the cluster CDF xi moves.  With
+    mu = m_bar xi, 1 - exp(-mu (1 - theta)) is one minus the PGF of a
+    Poisson(mu) count, so the inner integral is sum_j A_j(r) (1 - theta^j),
+    A_j(r) = sum_v w_v v pi_j(mu(r, v)).  The A_j are tabulated once per grid,
+    each node costs a row of a matrix product, and G(1) is exact.
+    pi_j = exp(j log mu - mu - log j!) is taken in log space (exp(-mu)
+    underflows for mu > 745).  The series stops at the first j with
+    j + 1 > max mu and max pi_j / (1 - max mu / (j + 1)) < 1e-17, which bounds
+    the truncated tail sum_{k>j} pi_k on the whole grid.
     """
     n_r, n_plateau, n_trans = levels
     users = net.normalized().users
@@ -290,15 +297,23 @@ def _pgf_on_grid(net: NetworkModel, levels, thetas) -> np.ndarray:
     )
     v_nodes, v_weights = _panel_nodes(edges)
     vw = v_weights * v_nodes          # weights folded with the v dv measure
-    xi = cluster_cdf(users, r_phys[:, None], v_nodes)
+    mu = users.m_bar * cluster_cdf(users, r_phys[:, None], v_nodes)
+    mu_max = float(mu.max())
+    if not math.isfinite(mu_max):     # the stopping rule below needs a finite bound
+        raise ConvergenceError("cluster CDF is not finite on the PGF grid")
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu)
+    coeffs, j = [], 0
+    while True:
+        j += 1
+        pi_j = np.exp(j * log_mu - mu - _sp.gammaln(j + 1))
+        coeffs.append((pi_j * vw).sum(axis=1))
+        if j + 1 > mu_max and pi_j.max() < 1e-17 * (1.0 - mu_max / (j + 1)):
+            break
 
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
-    out = np.empty(thetas.shape, dtype=complex)
-    for k, theta in enumerate(thetas):
-        c = users.m_bar * (1.0 - theta)
-        inner = ((1.0 - np.exp(-c * xi)) * vw).sum(axis=1)
-        out[k] = np.dot(r_weights, np.exp(-2.0 * math.pi * users.lambda_p * inner))
-    return out
+    inner = (1.0 - thetas[:, None] ** np.arange(1, j + 1)) @ np.array(coeffs)
+    return (np.exp(-2.0 * math.pi * users.lambda_p * inner) * r_weights).sum(axis=1)
 
 
 def _pgf_values(net: NetworkModel, thetas, tol: float = 1e-8, max_levels: int = 3) -> np.ndarray:

@@ -184,6 +184,52 @@ def pgf_by_nested_quadrature(net, theta: float) -> float:
     return integrate_finite(outer_integrand, 0.0, hi, QuadSpec(rel_tol=1e-8, abs_tol=1e-12)).value
 
 
+def pgf_grid(net, levels):
+    """The quadrature grid of analytic._pgf_on_grid, rebuilt independently.
+
+    Returns (users, r_weights, vw, xi): the normalized user model, the outer
+    weights folded with the cell-radius density, the inner weights folded
+    with the v dv measure, and the cluster CDF tabulated on the (r, v) grid.
+    """
+    from cellload.ppmodel import cluster_cdf, cluster_reach
+    from cellload.quadrature import _panel_nodes
+    from cellload.specfun import cell_radius_pdf, cell_radius_quantile
+
+    n_r, n_plateau, n_trans = levels
+    users = net.normalized().users
+    reach = cluster_reach(users)
+    r_nodes, r_weights = _panel_nodes(np.linspace(0.0, cell_radius_quantile(1e-10), n_r + 1))
+    r_weights = r_weights * cell_radius_pdf(r_nodes)
+    r_phys = r_nodes / math.sqrt(math.pi)
+    lo = np.maximum(r_phys - reach, 0.0)
+    edges = np.concatenate(
+        [
+            np.linspace(0.0, lo, n_plateau + 1, axis=-1)[:, :-1],
+            np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1),
+        ],
+        axis=1,
+    )
+    v_nodes, v_weights = _panel_nodes(edges)
+    return users, r_weights, v_weights * v_nodes, cluster_cdf(users, r_phys[:, None], v_nodes)
+
+
+def pgf_on_grid_direct(net, levels, thetas):
+    """Load PGF on one grid of the circle approximation, node by node.
+
+    The direct reading of the double integral: for each node theta one
+    complex exponential exp(-m_bar (1 - theta) xi) over the whole tabulated
+    grid.  Oracle for the Poisson-series evaluation of analytic._pgf_on_grid.
+    """
+    users, r_weights, vw, xi = pgf_grid(net, levels)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
+    out = np.empty(thetas.shape, dtype=complex)
+    for k, theta in enumerate(thetas):
+        c = users.m_bar * (1.0 - theta)
+        inner = ((1.0 - np.exp(-c * xi)) * vw).sum(axis=1)
+        out[k] = np.dot(r_weights, np.exp(-2.0 * math.pi * users.lambda_p * inner))
+    return out
+
+
 def matern_cdf_quadrature(big_r, r, v, spec=None):
     """Matern cluster CDF by adaptive quadrature of the arccos wedge integral."""
     spec = spec or QuadSpec(rel_tol=1e-10, abs_tol=1e-12)

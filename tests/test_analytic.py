@@ -33,6 +33,8 @@ from helpers import (
     integrate_nested,
     integrate_semi_infinite,
     pgf_by_nested_quadrature,
+    pgf_grid,
+    pgf_on_grid_direct,
     sir_ccdf_by_quadrature,
 )
 
@@ -230,6 +232,36 @@ class TestLoadPgf:
             for theta in (0.0, 0.5):
                 oracle = pgf_by_nested_quadrature(net, theta)
                 assert complex(load_pgf(net, theta)).real == pytest.approx(oracle, abs=2e-7)
+
+    @pytest.mark.parametrize("m_bar", [5.0, 300.0, 2000.0])
+    @pytest.mark.parametrize("kernel", [Thomas(0.05), Matern(0.1)], ids=["tcp", "mcp"])
+    def test_series_matches_direct_oracle(self, kernel, m_bar):
+        # the Poisson series against one complex exponential per node; at
+        # m_bar = 2000 exp(-m_bar xi) underflows, so a series that starts
+        # from it drops the mass of the grid cells with m_bar xi > 745
+        net = NetworkModel(1.0, UserModel(5.0, m_bar, kernel))
+        roots = np.exp(2j * np.pi * np.arange(64) / 64)
+        thetas = np.concatenate([[0.0, 1.0, -1.0, 0.5 + 0.3j], roots, 0.9 * roots])
+        got = analytic._pgf_on_grid(net, analytic._BASE_LEVELS, thetas)
+        want = pgf_on_grid_direct(net, analytic._BASE_LEVELS, thetas)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        # 1 - theta^j vanishes at theta = 1: no cancellation in G(1)
+        r_weights = pgf_grid(net, analytic._BASE_LEVELS)[1]
+        assert got[1] == got[4] == r_weights.sum()
+
+    def test_non_finite_cluster_cdf_raises(self, monkeypatch):
+        # the series stops on a bound from max(m_bar xi); a NaN there would
+        # leave it without one
+        real = analytic.cluster_cdf
+
+        def with_nan(*args):
+            xi = real(*args)
+            xi[-1, -1] = np.nan
+            return xi
+
+        monkeypatch.setattr(analytic, "cluster_cdf", with_nan)
+        with pytest.raises(ConvergenceError):
+            analytic._pgf_on_grid(TCP_NET, analytic._BASE_LEVELS, [0.5])
 
     def test_conjugate_symmetry_and_modulus_bound(self):
         thetas = 0.8 * np.exp(2j * np.pi * np.linspace(0.07, 0.93, 7))

@@ -1,5 +1,5 @@
-"""The pmf and rate examples under docs/examples/ regenerate from the commands
-that docs/reports.md and README.md record for them."""
+"""Every example under docs/examples/ regenerates from the command that
+docs/reports.md and README.md record for it."""
 
 import json
 import math
@@ -10,33 +10,60 @@ import pytest
 from cellload import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+EXAMPLE_DIR = ROOT / "docs" / "examples"
 
+TCP = "--kind tcp --lambda-b 1 --lambda-p 5 --mbar 5 --sigma 0.05"
 EXAMPLES = {
+    "moments.json": f"cellload moments {TCP} --mc --realizations 5000 --seed 7",
     "pmf.json": "cellload pmf --kind mcp --lambda-b 1 --lambda-p 5 --mbar 5 "
     "--cluster-radius 0.1 --dft-size 128 --mc --realizations 20000 --seed 7",
-    "rate.json": "cellload rate --kind tcp --lambda-b 1 --lambda-p 5 --mbar 5 --sigma 0.05 "
+    "rate.json": f"cellload rate {TCP} "
     "--alpha 4 --bandwidth 1e6 --backhaul 2e6 --thresholds 5e4,1e5,2e5,5e5,1e6 "
     "--mc --realizations 5000 --seed 7",
+    "simulate.json": f"cellload simulate {TCP} "
+    "--with-sir --realizations 2000 --seed 7 --raw-out samples.csv",
+    "compare.json": f"cellload compare {TCP} --with-rate --realizations 20000 --seed 7",
 }
 
-# fields computed from the simulated loads alone; everything else that is a
-# float depends on the analytic chain
-MC_FIELDS = {"empirical"}
+# fields computed from the simulated samples alone, compared exactly; every
+# other float depends on the analytic chain and is compared at abs 1e-12
+MC_FIELDS = {
+    "moments.json": {"mc"},
+    "pmf.json": {"empirical"},
+    "rate.json": {"empirical"},
+    "simulate.json": {
+        "empirical_pmf", "mean_load", "normalized_variance", "sir_ccdf",
+        "variance_load", "window_radius",
+    },
+    "compare.json": set(),
+}
+
+RAW_ROWS = 20   # docs/examples/simulate_raw.csv: the header and the first rows of samples.csv
 
 
 def _one_line(text: str) -> str:
     return " ".join(text.replace("\\\n", " ").split())
 
 
-def _assert_matches(got, want, key):
-    if key in MC_FIELDS or not isinstance(want, (float, list)):
-        assert got == want, key
+def _assert_matches(got, want, key, exact=False):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), key
+        for k in want:
+            _assert_matches(got[k], want[k], f"{key}.{k}", exact)
     elif isinstance(want, list):
         assert len(got) == len(want), key
-        for g, w in zip(got, want):
-            _assert_matches(g, w, key)
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{key}[{i}]", exact)
+    elif exact or not isinstance(want, float):
+        assert got == want, (key, got, want)
     else:
         assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12), (key, got, want)
+
+
+def _run(name, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)   # --raw-out writes its file here
+    assert cli.main(EXAMPLES[name].split()[1:]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
@@ -46,12 +73,22 @@ def test_command_is_documented(name):
     assert command in _one_line((ROOT / "README.md").read_text())
 
 
+def test_every_example_has_a_command():
+    assert {p.name for p in EXAMPLE_DIR.glob("*.json")} == set(EXAMPLES)
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
-def test_example_regenerates(name, capsys):
-    argv = EXAMPLES[name].split()[1:]
-    assert cli.main(argv) == 0
-    got = json.loads(capsys.readouterr().out)
-    want = json.loads((ROOT / "docs" / "examples" / name).read_text())
+def test_example_regenerates(name, capsys, monkeypatch, tmp_path):
+    got = _run(name, capsys, monkeypatch, tmp_path)
+    want = json.loads((EXAMPLE_DIR / name).read_text())
     assert got.keys() == want.keys()
     for key in want:
-        _assert_matches(got[key], want[key], key)
+        _assert_matches(got[key], want[key], key, exact=key in MC_FIELDS[name])
+
+
+def test_raw_samples_regenerate(capsys, monkeypatch, tmp_path):
+    _run("simulate.json", capsys, monkeypatch, tmp_path)
+    got = (tmp_path / "samples.csv").read_text().splitlines()
+    want = (EXAMPLE_DIR / "simulate_raw.csv").read_text().splitlines()
+    assert len(want) == RAW_ROWS + 1
+    assert got[: RAW_ROWS + 1] == want
