@@ -354,6 +354,8 @@ def dft_invert_pgf(pgf: Callable, n_points: int, radius: float = 1.0) -> LoadPmf
     coeff = np.fft.fft(values) / n_points
     if radius != 1.0:
         coeff *= radius ** (-np.arange(n_points, dtype=float))
+    if not (np.isfinite(values).all() and np.isfinite(coeff).all()):
+        raise InversionQualityError("PGF values or DFT coefficients are not finite")
     raw = coeff.real
     imag_max = float(np.max(np.abs(coeff.imag)))
     raw_sum = float(raw.sum())

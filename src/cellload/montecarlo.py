@@ -5,9 +5,11 @@ a PPP in a disc window, draws the clustered users, and counts the users whose
 nearest BS is the origin.  A user u belongs to the typical cell iff no other
 BS lies strictly inside b(u, |u|); with stations x this is the power test
 
-    max_x (2 u.x - |x|^2) < 0,
+    max_x (2 u.x - |x|^2) < 0.
 
-a single matrix product per realization.
+Realizations are simulated in batches of _BATCH: each batch draws its
+stations and users in a few bulk calls, each point tagged with its
+realization, and runs one two-stage power test for all of them.
 
 Window bookkeeping (all radii scale as 1/sqrt(lambda_b)):
 
@@ -19,17 +21,23 @@ Window bookkeeping (all radii scale as 1/sqrt(lambda_b)):
   the origin lies within 2|u| <= W.
 * user cutoff: users beyond r_u with lambda_u exp(-pi lambda_b r_u^2) < 1e-7
   contribute that many expected in-cell users and are not sampled; BSs
-  beyond 2 r_u cannot exclude a sampled user and are skipped by the power
-  test (they still generate interference).
+  beyond 2 r_u cannot exclude a sampled user.  The BSs in b(o, 2 r_u) and
+  those in the annulus out to W are independent PPPs, so a load run draws
+  only the former and a SIR run draws the annulus afterwards for the
+  interference.
 
-Determinism: realization k uses a counter-based Philox stream derived from
-(seed, k), so the realization sequence is identical no matter how the run is
-chunked; chunk outputs are concatenated in index order.
+Determinism: realization k belongs to batch floor(k / _BATCH), whose draws
+come from a counter-based Philox stream keyed by (seed, batch).  Every batch
+is drawn in full and the last one is truncated, so realization k depends only
+on (seed, k): a run of n realizations is a prefix of any longer run with the
+same seed.  Chunks are whole batches and their outputs are concatenated in
+index order, so results are bitwise identical for any parallel_chunks.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -58,6 +66,8 @@ __all__ = [
 
 _CELL_MISS_PROB = 1e-6     # bound on P(typical cell not contained in b(o, W/2))
 _USER_TAIL = 1e-7          # bound on expected in-cell users beyond the cutoff
+_BATCH = 64                # realizations per Philox stream
+_STAGE1 = 8                # nearest stations tested against every user
 
 
 def required_window_radius(lambda_b: float) -> float:
@@ -108,13 +118,24 @@ class SirSimResult:
     seed: int
 
 
-def _rng_for(seed: int, index: int) -> Generator:
-    return Generator(Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF), counter=index << 128))
+def _rng_for(seed: int, batch: int) -> Generator:
+    """The Philox stream of realization batch `batch` under `seed`."""
+    return Generator(Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF), counter=batch << 128))
 
 
-def _disc_points(rng: Generator, intensity: float, radius: float) -> np.ndarray:
-    n = rng.poisson(intensity * math.pi * radius * radius)
-    r = radius * np.sqrt(rng.random(n))
+def _norm2(pts: np.ndarray) -> np.ndarray:
+    return pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+
+
+def _owners(counts: np.ndarray) -> np.ndarray:
+    """Realization index of every point of a batch grouped by realization."""
+    return np.repeat(np.arange(counts.size), counts)
+
+
+def _annulus_points(rng: Generator, n: int, inner: float, outer: float) -> np.ndarray:
+    """n points uniform in the annulus inner < |x| <= outer, as (n, 2)."""
+    area = outer * outer - inner * inner
+    r = np.sqrt(inner * inner + area * rng.random(n))
     phi = rng.random(n) * (2.0 * math.pi)
     pts = np.empty((n, 2))
     np.cos(phi, out=pts[:, 0])
@@ -123,13 +144,46 @@ def _disc_points(rng: Generator, intensity: float, radius: float) -> np.ndarray:
     return pts
 
 
+def _disc_batch(rng: Generator, intensity: float, inner: float, outer: float, size: int):
+    """PPP in the annulus inner < |x| <= outer for `size` independent
+    realizations: (n, 2) points grouped by realization, and the per-realization
+    counts."""
+    counts = rng.poisson(intensity * math.pi * (outer * outer - inner * inner), size)
+    return _annulus_points(rng, int(counts.sum()), inner, outer), counts
+
+
+def _pcp_batch(rng: Generator, model: UserModel, radius: float, size: int):
+    """Clustered users in b(o, radius) for `size` independent realizations:
+    (n, 2) points grouped by realization, and each point's realization.
+
+    Offspring counts are drawn before parent positions, and only parents with
+    offspring get a position: positions are independent of the counts, so
+    this is exact, and sparse clusters (small m_bar) skip most parents."""
+    outer = radius + cluster_reach(model)
+    per_real = rng.poisson(model.lambda_p * math.pi * outer * outer, size)
+    kids = rng.poisson(model.m_bar, int(per_real.sum()))
+    owner = np.repeat(_owners(per_real), kids)
+    kids = kids[kids > 0]
+    users = np.repeat(_annulus_points(rng, kids.size, 0.0, outer), kids, axis=0)
+    total = owner.size
+    if isinstance(model.kind, Thomas):
+        users += model.kind.sigma * rng.standard_normal((total, 2))
+    else:
+        rad = model.kind.radius * np.sqrt(rng.random(total))
+        ang = rng.random(total) * (2.0 * math.pi)
+        users[:, 0] += rad * np.cos(ang)
+        users[:, 1] += rad * np.sin(ang)
+    keep = _norm2(users) <= radius * radius
+    return np.compress(keep, users, axis=0), owner[keep]
+
+
 def sample_ppp(intensity: float, window_radius: float, rng: Generator) -> np.ndarray:
     """Homogeneous PPP in the disc b(o, window_radius); returns (n, 2) points."""
     if intensity < 0:
         raise ConfigurationError("intensity must be non-negative")
     if intensity == 0:
         return np.empty((0, 2))
-    return _disc_points(rng, intensity, window_radius)
+    return _disc_batch(rng, intensity, 0.0, window_radius, 1)[0]
 
 
 def sample_pcp(model: UserModel, window_radius: float, rng: Generator) -> np.ndarray:
@@ -139,18 +193,7 @@ def sample_pcp(model: UserModel, window_radius: float, rng: Generator) -> np.nda
     restriction is distributed as the stationary process (Gaussian clusters
     truncated at 6 sigma, tail mass ~1.5e-8).
     """
-    parents = _disc_points(rng, model.lambda_p, window_radius + cluster_reach(model))
-    counts = rng.poisson(model.m_bar, parents.shape[0])
-    total = int(counts.sum())
-    users = np.repeat(parents, counts, axis=0)
-    if isinstance(model.kind, Thomas):
-        users = users + model.kind.sigma * rng.standard_normal((total, 2))
-    else:
-        rad = model.kind.radius * np.sqrt(rng.random(total))
-        ang = rng.random(total) * (2.0 * math.pi)
-        users = users + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    keep = np.einsum("ij,ij->i", users, users) <= window_radius * window_radius
-    return users[keep]
+    return _pcp_batch(rng, model, window_radius, 1)[0]
 
 
 def points_in_typical_cell(points: np.ndarray, stations: np.ndarray) -> np.ndarray:
@@ -158,7 +201,8 @@ def points_in_typical_cell(points: np.ndarray, stations: np.ndarray) -> np.ndarr
 
     stations excludes the origin BS itself.  A point u is in the cell iff no
     station is strictly closer to u than the origin, i.e.
-    max_x (2 u.x - |x|^2) < 0.
+    max_x (2 u.x - |x|^2) < 0.  This is the dense one-realization form of the
+    batched test `_in_cell`.
     """
     if points.shape[0] == 0:
         return np.zeros(0, dtype=bool)
@@ -169,6 +213,54 @@ def points_in_typical_cell(points: np.ndarray, stations: np.ndarray) -> np.ndarr
     return power.max(axis=1) < 0.0
 
 
+def _max_power(ux, uy, per_real, cols):
+    """Running max over station columns of 2 u.x - |x|^2, with cols holding
+    (2x, 2y, |x|^2) as (3, columns, realizations).  Each column is repeated
+    over the realizations' users on 1-D arrays, which stay in cache where a
+    (users, columns) table would not."""
+    peak = np.full(ux.size, -np.inf)
+    for sx, sy, sn2 in zip(*cols):
+        p = ux * np.repeat(sx, per_real)
+        p += uy * np.repeat(sy, per_real)
+        p -= np.repeat(sn2, per_real)
+        np.maximum(peak, p, out=peak)
+    return peak
+
+
+def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
+    """Indices of the users in their realization's typical cell: the power
+    test of `points_in_typical_cell` for a whole batch, users and stations
+    grouped by realization.
+
+    Stations are sorted by |x| within each realization and padded with
+    x = 0, |x|^2 = +inf into columns that hold one station per realization.
+    Stage 1 tests every user against the _STAGE1 nearest columns and drops
+    those with a non-negative power, which fail the full test too; stage 2
+    tests the survivors against the remaining columns.  Both stages are
+    exact.
+    """
+    per_st = np.bincount(st_owner, minlength=size)
+    width = int(per_st.max(initial=0))
+    slot = np.arange(st_owner.size) - np.repeat(np.cumsum(per_st) - per_st, per_st)
+    rows = np.zeros((3, size, width))
+    rows[2] = np.inf
+    rows[0, st_owner, slot] = 2.0 * stations[:, 0]
+    rows[1, st_owner, slot] = 2.0 * stations[:, 1]
+    rows[2, st_owner, slot] = _norm2(stations)
+    order = np.argsort(rows[2], axis=1)
+    cols = np.take_along_axis(rows, order[None], axis=2).transpose(0, 2, 1).copy()
+
+    ux = np.ascontiguousarray(users[:, 0])
+    uy = np.ascontiguousarray(users[:, 1])
+    peak = _max_power(ux, uy, np.bincount(owner, minlength=size), cols[:, :_STAGE1])
+    alive = np.flatnonzero(peak < 0.0)
+    if width > _STAGE1:
+        peak = _max_power(ux[alive], uy[alive], np.bincount(owner[alive], minlength=size),
+                          cols[:, _STAGE1:])
+        alive = alive[peak < 0.0]
+    return alive
+
+
 def _user_cutoff(net: NetworkModel, window: float) -> float:
     lam_u = net.users.intensity
     ratio = max(lam_u / net.lambda_b, 1.0) / _USER_TAIL
@@ -176,33 +268,44 @@ def _user_cutoff(net: NetworkModel, window: float) -> float:
     return min(cut, 0.5 * window)
 
 
-def _realize(net, window, rng, want_sir, rate_cfg):
-    """One realization; the draw order is fixed so that load-only and SIR
-    runs see identical loads for the same (seed, index)."""
-    stations = _disc_points(rng, net.lambda_b, window)
+def _batch(net, window, seed, batch, rate_cfg):
+    """Loads, and with rate_cfg also SIR and rate, of the _BATCH realizations
+    of one stream.  The draw order is fixed so that load-only and SIR runs see
+    identical loads: near stations in b(o, 2 cutoff), users, then (SIR only)
+    the stations in the annulus out to the window, the representative users
+    and the fades."""
+    rng = _rng_for(seed, batch)
     cut = _user_cutoff(net, window)
-    users = sample_pcp(net.users, cut, rng)
-    near = stations[np.einsum("ij,ij->i", stations, stations) <= 4.0 * cut * cut]
-    mask = points_in_typical_cell(users, near)
-    load = int(np.count_nonzero(mask))
+    near, near_per = _disc_batch(rng, net.lambda_b, 0.0, 2.0 * cut, _BATCH)
+    near_owner = _owners(near_per)
+    users, owner = _pcp_batch(rng, net.users, cut, _BATCH)
+    cell = _in_cell(users, owner, near, near_owner, _BATCH)
+    loads = np.bincount(owner[cell], minlength=_BATCH)
+    if rate_cfg is None:
+        return loads, None, None
 
-    sir = rate = None
-    if want_sir and load > 0:
-        u = users[mask][rng.integers(load)]
-        fades = rng.standard_exponential(stations.shape[0] + 1)
-        w2 = float(u @ u)
-        d2 = np.einsum("ij,ij->i", stations - u, stations - u)
-        alpha = rate_cfg.alpha
-        interference = float(np.dot(fades[1:], d2 ** (-0.5 * alpha)))
-        if w2 == 0.0:
-            sir = math.inf
-        elif interference == 0.0:
-            sir = math.inf
-        else:
-            sir = fades[0] * w2 ** (-0.5 * alpha) / interference
-        shannon = rate_cfg.bandwidth_w / load * math.log2(1.0 + sir)
-        rate = min(shannon, rate_cfg.backhaul_rb / load)
-    return load, sir, rate
+    far, far_per = _disc_batch(rng, net.lambda_b, 2.0 * cut, window, _BATCH)
+    stations = np.concatenate([near, far])
+    st_owner = np.concatenate([near_owner, _owners(far_per)])
+    busy = np.flatnonzero(loads)
+    first = np.cumsum(loads) - loads
+    rep = np.zeros((_BATCH, 2))
+    rep[busy] = users[cell[first[busy] + rng.integers(loads[busy])]]
+    fades = rng.standard_exponential(busy.size + stations.shape[0])
+    alpha = rate_cfg.alpha
+    gain = fades[busy.size:] * _norm2(stations - rep[st_owner]) ** (-0.5 * alpha)
+    interference = np.bincount(st_owner, weights=gain, minlength=_BATCH)[busy]
+    w2 = _norm2(rep[busy])
+    sir = np.full(_BATCH, np.nan)
+    rate = np.full(_BATCH, np.nan)
+    s = np.full(busy.size, np.inf)   # a user on the origin or no interference
+    ok = (w2 > 0.0) & (interference > 0.0)
+    s[ok] = fades[: busy.size][ok] * w2[ok] ** (-0.5 * alpha) / interference[ok]
+    sir[busy] = s
+    load = loads[busy]
+    rate[busy] = np.minimum(rate_cfg.bandwidth_w / load * np.log2(1.0 + s),
+                            rate_cfg.backhaul_rb / load)
+    return loads, sir, rate
 
 
 def _check_interference_window(net, window, alpha):
@@ -222,71 +325,58 @@ def _check_interference_window(net, window, alpha):
 
 
 def _chunk_ranges(total: int, chunks: int):
-    base, extra = divmod(total, chunks)
-    start = 0
+    """Split realizations [0, total) into at most `chunks` contiguous ranges
+    of whole batches (the last batch may be cut short)."""
+    batches = -(-total // _BATCH)
+    groups = min(chunks, batches)
+    base, extra = divmod(batches, groups)
     out = []
-    for i in range(chunks):
-        size = base + (1 if i < extra else 0)
-        if size:
-            out.append((start, start + size))
-        start += size
+    start = 0
+    for i in range(groups):
+        stop = start + base + (1 if i < extra else 0)
+        out.append((start * _BATCH, min(stop * _BATCH, total)))
+        start = stop
     return out
 
 
-def _load_chunk(args):
-    net, window, seed, start, stop = args
-    loads = np.empty(stop - start, dtype=np.int64)
-    for k in range(start, stop):
-        rng = _rng_for(seed, k)
-        loads[k - start], _, _ = _realize(net, window, rng, False, None)
-    return loads
+def _stack(parts, size):
+    """Concatenate the (loads, sir, rate) parts field by field and keep the
+    first `size` realizations; load runs carry None for sir and rate."""
+    return [None if f[0] is None else np.concatenate(f)[:size] for f in zip(*parts)]
 
 
-def _sir_chunk(args):
+def _chunk(args):
     net, window, seed, start, stop, rate_cfg = args
-    loads = np.empty(stop - start, dtype=np.int64)
-    sir = np.full(stop - start, np.nan)
-    rate = np.full(stop - start, np.nan)
-    for k in range(start, stop):
-        rng = _rng_for(seed, k)
-        load, s, r = _realize(net, window, rng, True, rate_cfg)
-        loads[k - start] = load
-        if load > 0:
-            sir[k - start] = s
-            rate[k - start] = r
-    return loads, sir, rate
+    batches = range(start // _BATCH, -(-stop // _BATCH))
+    return _stack([_batch(net, window, seed, b, rate_cfg) for b in batches], stop - start)
 
 
-def _map_chunks(worker, jobs, parallel_chunks):
-    if parallel_chunks == 1 or len(jobs) == 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=parallel_chunks) as pool:
-        return list(pool.map(worker, jobs))
+def _simulate(net, cfg, window, rate_cfg):
+    jobs = [
+        (net, window, cfg.seed, start, stop, rate_cfg)
+        for start, stop in _chunk_ranges(cfg.realizations, cfg.parallel_chunks)
+    ]
+    workers = min(cfg.parallel_chunks, len(jobs), os.cpu_count() or 1)
+    if workers == 1:
+        parts = [_chunk(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_chunk, jobs))
+    return _stack(parts, cfg.realizations)
 
 
 def run_load_simulation(net: NetworkModel, cfg: SimConfig) -> LoadSimResult:
     """Loads of cfg.realizations independent typical cells."""
     window = cfg.resolve_window(net)
-    jobs = [
-        (net, window, cfg.seed, start, stop)
-        for start, stop in _chunk_ranges(cfg.realizations, cfg.parallel_chunks)
-    ]
-    parts = _map_chunks(_load_chunk, jobs, cfg.parallel_chunks)
-    return LoadSimResult(np.concatenate(parts), window, cfg.seed)
+    loads, _, _ = _simulate(net, cfg, window, None)
+    return LoadSimResult(loads, window, cfg.seed)
 
 
 def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) -> SirSimResult:
     """Loads plus representative-user SIR and rate samples."""
     window = cfg.resolve_window(net)
     _check_interference_window(net, window, rate_cfg.alpha)
-    jobs = [
-        (net, window, cfg.seed, start, stop, rate_cfg)
-        for start, stop in _chunk_ranges(cfg.realizations, cfg.parallel_chunks)
-    ]
-    parts = _map_chunks(_sir_chunk, jobs, cfg.parallel_chunks)
-    loads = np.concatenate([p[0] for p in parts])
-    sir = np.concatenate([p[1] for p in parts])
-    rate = np.concatenate([p[2] for p in parts])
+    loads, sir, rate = _simulate(net, cfg, window, rate_cfg)
     return SirSimResult(loads, sir, rate, window, cfg.seed)
 
 

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Monte Carlo runs are memoized per process, so the full suite performs nine
-100k-realization simulations (about five minutes of sampling on one core).
+100k-realization simulations (about two minutes of sampling on one core).
 """
 
 import functools

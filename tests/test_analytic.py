@@ -23,7 +23,12 @@ from cellload.analytic import (
     variance_load,
 )
 from cellload.analytic import E_V2, _KERNEL_REACH, _beta_factor, _pair_excess_integral
-from cellload.errors import ConvergenceError, DomainError, InfeasibleModelError
+from cellload.errors import (
+    ConvergenceError,
+    DomainError,
+    InfeasibleModelError,
+    InversionQualityError,
+)
 from cellload.montecarlo import points_in_typical_cell, sample_ppp, _rng_for
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
 from cellload.quadrature import QuadSpec, tensor_triple
@@ -300,6 +305,12 @@ class TestInvertPgf:
             dft_invert_pgf(lambda th: th, 100)
         with pytest.raises(DomainError):
             invert_pgf(TCP_NET, 96)
+
+    def test_non_finite_pgf_rejected(self):
+        # NaN slips through both quality checks (every comparison with NaN is
+        # False), so non-finite values are rejected explicitly
+        with pytest.raises(InversionQualityError):
+            dft_invert_pgf(lambda th: np.full(np.shape(th), np.nan + 0j), 128)
 
     def test_distribution_sanity(self):
         pmf = invert_pgf(TCP_NET, 128)

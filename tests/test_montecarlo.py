@@ -18,7 +18,17 @@ from cellload.montecarlo import (
     sample_ppp,
     tv_distance,
 )
-from cellload.montecarlo import _rng_for
+from cellload import montecarlo
+from cellload.montecarlo import (
+    _BATCH,
+    _STAGE1,
+    _disc_batch,
+    _in_cell,
+    _owners,
+    _pcp_batch,
+    _rng_for,
+    _user_cutoff,
+)
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel, pair_correlation_density
 
 TCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.05)))
@@ -122,10 +132,111 @@ class TestDeterminism:
         with_sir = run_sir_simulation(TCP_NET, cfg, RATE_CFG)
         assert np.array_equal(loads_only.loads, with_sir.loads)
 
+    @pytest.mark.parametrize("realizations, chunks", [(129, 2), (10, 3)])
+    def test_chunking_invariance_off_batch_boundaries(self, realizations, chunks):
+        # neither size is a whole number of batches; (10, 3) asks for more
+        # chunks than there are batches
+        cfg = SimConfig(realizations=realizations, seed=13)
+        a = run_load_simulation(TCP_NET, cfg)
+        b = run_load_simulation(TCP_NET, SimConfig(realizations, seed=13, parallel_chunks=chunks))
+        assert np.array_equal(a.loads, b.loads)
+
+    def test_prefix_stability(self):
+        short = run_load_simulation(TCP_NET, SimConfig(realizations=100, seed=10))
+        long = run_load_simulation(TCP_NET, SimConfig(realizations=300, seed=10))
+        assert np.array_equal(short.loads, long.loads[:100])
+
+    def test_sir_run_preserves_load_stream_across_chunks(self):
+        loads_only = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=14))
+        with_sir = run_sir_simulation(
+            TCP_NET, SimConfig(realizations=200, seed=14, parallel_chunks=2), RATE_CFG
+        )
+        assert np.array_equal(loads_only.loads, with_sir.loads)
+        serial = run_sir_simulation(TCP_NET, SimConfig(realizations=200, seed=14), RATE_CFG)
+        assert np.array_equal(serial.sir, with_sir.sir, equal_nan=True)
+        assert np.array_equal(serial.rate, with_sir.rate, equal_nan=True)
+
+    @pytest.mark.parametrize("cpus, expected", [(8, 4), (2, 2)])
+    def test_pool_size_capped(self, monkeypatch, cpus, expected):
+        # 200 realizations are 4 batches, so a huge parallel_chunks must still
+        # start no more workers than there are batch groups or CPUs
+        seen = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        cfg = SimConfig(realizations=200, seed=9, parallel_chunks=5000)
+        res = run_load_simulation(TCP_NET, cfg)
+        assert seen == [expected]
+        serial = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=9))
+        assert np.array_equal(res.loads, serial.loads)
+
     def test_distinct_seeds_differ(self):
         a = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=1))
         b = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=2))
         assert not np.array_equal(a.loads, b.loads)
+
+
+def _dense_loads(users, owner, stations, st_owner, size):
+    return np.array([
+        np.count_nonzero(points_in_typical_cell(users[owner == k], stations[st_owner == k]))
+        for k in range(size)
+    ])
+
+
+class TestBatchedPowerTest:
+    @pytest.mark.parametrize(
+        "net",
+        [TCP_NET, MCP_NET, NetworkModel(1.0, UserModel(0.5, 1.0, Thomas(0.05)))],
+        ids=["tcp", "mcp", "light"],
+    )
+    def test_matches_dense_test_on_engine_draws(self, net):
+        # redraw the engine's batches and test every realization densely
+        batches, seed = 3, 23
+        window = SimConfig(1).resolve_window(net)
+        cut = _user_cutoff(net, window)
+        dense = []
+        for b in range(batches):
+            rng = _rng_for(seed, b)
+            near, per = _disc_batch(rng, net.lambda_b, 0.0, 2.0 * cut, _BATCH)
+            users, owner = _pcp_batch(rng, net.users, cut, _BATCH)
+            dense.append(_dense_loads(users, owner, near, _owners(per), _BATCH))
+        dense = np.concatenate(dense)
+        res = run_load_simulation(net, SimConfig(realizations=batches * _BATCH, seed=seed))
+        assert np.array_equal(res.loads, dense)
+        if net.users.intensity < 1.0:
+            assert (dense == 0).any() and (dense > 0).any()
+
+    def test_padded_realizations(self):
+        # sparse stations: some realizations have fewer than the stage-1
+        # columns and some more, so both stages and the padding run
+        size = 16
+        rng = _rng_for(24, 0)
+        stations, per = _disc_batch(rng, 0.25, 0.0, 3.0, size)
+        users, per_u = _disc_batch(rng, 20.0, 0.0, 1.5, size)
+        assert per.min() < _STAGE1 < per.max()
+        st_owner, owner = _owners(per), _owners(per_u)
+        loads = np.bincount(owner[_in_cell(users, owner, stations, st_owner, size)], minlength=size)
+        assert np.array_equal(loads, _dense_loads(users, owner, stations, st_owner, size))
+
+    def test_no_stations_or_users(self):
+        none = np.empty((0, 2))
+        empty_owner = np.empty(0, dtype=np.int64)
+        users = np.array([[0.5, 0.0], [0.1, 0.2]])
+        assert _in_cell(users, np.array([0, 2]), none, empty_owner, 3).tolist() == [0, 1]
+        assert _in_cell(none, empty_owner, users, np.array([0, 1]), 3).size == 0
 
 
 class TestWindowInvariants:
