@@ -1,12 +1,13 @@
 """Typical-cell load distribution and downlink rate coverage for cellular
 networks with Poisson base stations and clustered (Thomas/Matern) users.
 
-Analytic results (moments, PGF, PMF by DFT inversion, SIR and rate coverage)
+Analytic results (moments, PGF, load PMF, SIR and rate coverage)
 live in `analytic`; the ground-truth spatial simulator lives in `montecarlo`;
 `cellload.cli` exposes both as a command line tool.
 """
 
 from .analytic import (
+    DftPmf,
     LoadMoments,
     LoadPmf,
     NegBinParams,
@@ -15,6 +16,7 @@ from .analytic import (
     invert_pgf,
     load_moments,
     load_pgf,
+    load_pmf,
     mean_load,
     nb_fit,
     nb_pmf,
@@ -48,10 +50,8 @@ from .ppmodel import (
     Thomas,
     UserModel,
     cluster_cdf,
-    conditional_distance_pdf,
-    pair_correlation_density,
 )
 from .quadrature import IntegrationResult, QuadSpec, integrate_finite
-from .specfun import bessel_i0_scaled, cell_radius_pdf, marcum_q1
+from .specfun import cell_radius_pdf, marcum_q1
 
 __version__ = "0.1.0"

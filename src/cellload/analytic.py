@@ -17,9 +17,11 @@ coordinates where the excess density provides a natural truncation radius.
 
 The PGF of the load under the equal-area-circle approximation is a double
 integral whose inner kernel exp(-m_bar xi (1 - theta)) is the PGF of a
-Poisson(m_bar xi) count: a power series in theta whose coefficients, tabulated
-once on a Gauss-Legendre grid, serve all DFT nodes at once, with panel
-doubling until the node values stabilize.
+Poisson(m_bar xi) count: a power series in theta whose coefficients are
+tabulated once on a Gauss-Legendre grid.  On that grid the PGF is a mixture
+of compound Poisson PGFs, so the load PMF follows from them exactly by
+recursion; the same coefficients give the PGF at any nodes for the DFT route.
+Panel counts double until two grids agree.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "LoadMoments",
     "NegBinParams",
     "LoadPmf",
+    "DftPmf",
     "RateConfig",
     "mean_load",
     "second_moment_load",
@@ -52,6 +55,7 @@ __all__ = [
     "nb_fit",
     "nb_pmf",
     "load_pgf",
+    "load_pmf",
     "invert_pgf",
     "dft_invert_pgf",
     "sir_ccdf",
@@ -93,22 +97,19 @@ class NegBinParams:
 
 @dataclass(frozen=True)
 class LoadPmf:
-    """Finite-support PMF with the inversion metadata that produced it."""
+    """Finite-support PMF p_0 .. p_(n-1) of the cell load."""
 
     probs: np.ndarray
-    inversion_radius: float
-    dft_size: int
-    raw_sum: float = 1.0
-    min_raw: float = 0.0
-    alias_bound: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if self.inversion_radius <= 0:
-            raise DomainError("inversion_radius must be positive")
 
     def mean(self) -> float:
         return float(np.dot(np.arange(self.probs.size), self.probs))
+
+    def tail_mass(self) -> float:
+        """1 - sum_n p_n: the probability the listed terms leave out."""
+        return max(0.0, 1.0 - math.fsum(self.probs))
 
     def conditional_tail(self) -> np.ndarray:
         """p_n / (1 - p_0) for n >= 1."""
@@ -116,6 +117,22 @@ class LoadPmf:
         if p0 >= 1.0:
             raise InfeasibleModelError("conditional distribution undefined: p0 = 1")
         return self.probs[1:] / (1.0 - p0)
+
+
+@dataclass(frozen=True)
+class DftPmf(LoadPmf):
+    """PMF from an inverse DFT, with the inversion that produced it: circle
+    radius, DFT size, and the sum and minimum of the terms before clipping."""
+
+    inversion_radius: float
+    dft_size: int
+    raw_sum: float
+    min_raw: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.inversion_radius <= 0:
+            raise DomainError("inversion_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -261,10 +278,14 @@ def nb_pmf(params: NegBinParams, n) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _BASE_LEVELS = (12, 3, 6)    # panels of the coarsest grid: r, v plateau, v transition
+_TAIL_TOL = 1e-12            # probability load_pmf may leave beyond its last term
 
 
-def _pgf_on_grid(net: NetworkModel, levels, thetas) -> np.ndarray:
-    """Load PGF at complex nodes on one quadrature grid of the circle approximation.
+def _pgf_table(net: NetworkModel, levels):
+    """Radius weights w_r and series coefficients c[r, j-1] = c_j(r) of one
+    quadrature grid of the circle approximation, on which the load PGF is
+
+        G(theta) = sum_r w_r exp(-sum_j c_j(r) (1 - theta^j)).
 
     levels = (n_r, n_plateau, n_trans) panel counts.  The outer integral runs
     over the normalized cell radius r; for each r node the inner one runs over
@@ -272,8 +293,7 @@ def _pgf_on_grid(net: NetworkModel, levels, thetas) -> np.ndarray:
     band [r - reach, r + reach] where the cluster CDF xi moves.  With
     mu = m_bar xi, 1 - exp(-mu (1 - theta)) is one minus the PGF of a
     Poisson(mu) count, so the inner integral is sum_j A_j(r) (1 - theta^j),
-    A_j(r) = sum_v w_v v pi_j(mu(r, v)).  The A_j are tabulated once per grid,
-    each node costs a row of a matrix product, and G(1) is exact.
+    A_j(r) = sum_v w_v v pi_j(mu(r, v)), and c_j = 2 pi lambda_p A_j.
     pi_j = exp(j log mu - mu - log j!) is taken in log space (exp(-mu)
     underflows for mu > 745).  The series stops at the first j with
     j + 1 > max mu and max pi_j / (1 - max mu / (j + 1)) < 1e-17, which bounds
@@ -310,24 +330,79 @@ def _pgf_on_grid(net: NetworkModel, levels, thetas) -> np.ndarray:
         coeffs.append((pi_j * vw).sum(axis=1))
         if j + 1 > mu_max and pi_j.max() < 1e-17 * (1.0 - mu_max / (j + 1)):
             break
-
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
-    inner = (1.0 - thetas[:, None] ** np.arange(1, j + 1)) @ np.array(coeffs)
-    return (np.exp(-2.0 * math.pi * users.lambda_p * inner) * r_weights).sum(axis=1)
+    return r_weights, 2.0 * math.pi * users.lambda_p * np.array(coeffs).T
 
 
-def _pgf_values(net: NetworkModel, thetas, tol: float = 1e-8, max_levels: int = 3) -> np.ndarray:
-    """PGF values on grids of doubling panel counts, until two successive
-    grids agree within tol; at most max_levels + 1 grids are built."""
+def _on_refined_grids(net: NetworkModel, output, tol: float = 1e-8, max_levels: int = 3):
+    """output(r_weights, c) on grids of doubling panel counts, until two
+    successive grids agree within tol; at most max_levels + 1 grids are built.
+    Outputs of different lengths are compared zero-padded."""
     levels = _BASE_LEVELS
-    vals = _pgf_on_grid(net, levels, thetas)
+    vals = output(*_pgf_table(net, levels))
     for _ in range(max_levels):
         levels = tuple(2 * n for n in levels)
-        fine_vals = _pgf_on_grid(net, levels, thetas)
-        if float(np.max(np.abs(fine_vals - vals))) <= tol:
+        fine_vals = output(*_pgf_table(net, levels))
+        size = max(vals.size, fine_vals.size)
+        gap = np.pad(fine_vals, (0, size - fine_vals.size)) - np.pad(vals, (0, size - vals.size))
+        if float(np.max(np.abs(gap))) <= tol:
             return fine_vals
         vals = fine_vals
     raise ConvergenceError(f"PGF grid did not stabilize to {tol:g}", best_estimate=vals)
+
+
+def _pgf_from_table(r_weights, c, thetas) -> np.ndarray:
+    """The table's PGF at complex nodes: each node is a row of one matrix
+    product over the series coefficients, and G(1) = sum_r w_r exactly."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
+    inner = (1.0 - thetas[:, None] ** np.arange(1, c.shape[1] + 1)) @ c.T
+    return (np.exp(-inner) * r_weights).sum(axis=1)
+
+
+def _pgf_values(net: NetworkModel, thetas, tol: float = 1e-8, max_levels: int = 3) -> np.ndarray:
+    """PGF values at complex nodes on the first grid that agrees with the one before."""
+    return _on_refined_grids(net, lambda w, c: _pgf_from_table(w, c, thetas), tol, max_levels)
+
+
+def _compound_poisson_pmf(r_weights, c) -> np.ndarray:
+    """PMF sum_r w_r p_n(r) of the table's mixture of compound Poisson laws.
+
+    Row r's PGF exp(-sum_j c_j (1 - theta^j)) is compound Poisson, so Panjer's
+    recursion (Panjer 1981) gives its PMF exactly:
+        p_0 = exp(-sum_j c_j),  p_n = (1/n) sum_{j <= min(n, J)} j c_j p_{n-j}.
+    Every term is non-negative and the recursion is forward-stable (Panjer &
+    Wang 1993).  It stops once the mass it has not yet placed,
+    sum_r w_r - sum_n p_n, is at most _TAIL_TOL.
+    """
+    n_r, n_j = c.shape
+    p0 = np.exp(-c.sum(axis=1))
+    if p0.min() < np.finfo(float).tiny:
+        raise ConvergenceError(
+            "p_0 = exp(-sum_j c_j) underflows on the PGF grid: the cell sees too many clusters"
+        )
+    jc = (np.arange(1, n_j + 1) * c).T[::-1].copy()    # row k holds j c_j for j = J - k
+    # p_n sits in row `top`, after the J rows that hold p_(n-J) .. p_(n-1)
+    # (zeros before p_0); when the buffer is full its last J rows move to the front
+    window = np.zeros((n_j + 512, n_r))
+    top = n_j
+    window[top] = p0
+    probs = [float(r_weights @ p0)]
+    mass = float(r_weights.sum()) - probs[0]
+    n = 0
+    while mass > _TAIL_TOL:
+        n += 1
+        if top + 1 == window.shape[0]:
+            window[:n_j] = window[top + 1 - n_j :]
+            top = n_j - 1
+        top += 1
+        window[top] = np.einsum("jr,jr->r", jc, window[top - n_j : top]) / n
+        q = float(r_weights @ window[top])
+        if q == 0.0:
+            raise ConvergenceError(
+                f"load PMF recursion stalled with {mass:.3g} of its mass unplaced"
+            )
+        probs.append(q)
+        mass -= q
+    return np.array(probs)
 
 
 def load_pgf(net: NetworkModel, theta) -> complex:
@@ -339,7 +414,19 @@ def load_pgf(net: NetworkModel, theta) -> complex:
     return complex(_pgf_values(net, theta)[0])
 
 
-def dft_invert_pgf(pgf: Callable, n_points: int, radius: float = 1.0) -> LoadPmf:
+def load_pmf(net: NetworkModel) -> LoadPmf:
+    """PMF of the typical-cell load under the equal-area-circle approximation.
+
+    Exact on each quadrature grid of the PGF (compound Poisson recursion on
+    its series coefficients), with no DFT size, radius or aliasing; the terms
+    run until at most 1e-12 of the grid's mass lies beyond the last one.
+    Raises ConvergenceError when the void probability of some cell radius
+    underflows (many more clusters per cell than the paper's models).
+    """
+    return LoadPmf(probs=_on_refined_grids(net, _compound_poisson_pmf))
+
+
+def dft_invert_pgf(pgf: Callable, n_points: int, radius: float = 1.0) -> DftPmf:
     """Invert any PGF sampled on a circle of the given radius via inverse DFT.
 
     p_n = R^{-n}/N * sum_m G(R e^{2 pi i m / N}) e^{-2 pi i n m / N},
@@ -366,7 +453,7 @@ def dft_invert_pgf(pgf: Callable, n_points: int, radius: float = 1.0) -> LoadPmf
         )
     if imag_max > 1e-8:
         raise InversionQualityError(f"inverted PMF has imaginary residue {imag_max:.2e}")
-    return LoadPmf(
+    return DftPmf(
         probs=np.clip(raw, 0.0, None),
         inversion_radius=radius,
         dft_size=n_points,
@@ -375,41 +462,25 @@ def dft_invert_pgf(pgf: Callable, n_points: int, radius: float = 1.0) -> LoadPmf
     )
 
 
-def _next_pow2(x: float) -> int:
-    n = 128
-    while n < x:
-        n *= 2
-    return n
-
-
 def invert_pgf(
     net: NetworkModel,
     n_points: Optional[int] = None,
     radius: float = 1.0,
     moments: Optional[LoadMoments] = None,
-) -> LoadPmf:
+) -> DftPmf:
     """PMF of the typical-cell load by inverse DFT of the load PGF.
 
     When n_points is omitted it defaults to the smallest power of two covering
-    mean + 10 std deviations (minimum 128), which keeps aliasing below the
-    Cantelli tail bound reported in the result metadata.
+    mean + 10 std deviations (minimum 128).  load_pmf gives the same PMF
+    without aliasing; this is the paper's inversion route.
     """
     if n_points is None:
         moments = moments or load_moments(net)
-        n_points = _next_pow2(moments.mean + 10.0 * math.sqrt(moments.variance))
-    pmf = dft_invert_pgf(lambda th: _pgf_values(net, th), n_points, radius)
-    alias = None
-    if moments is not None and n_points > moments.mean:
-        gap = n_points - moments.mean
-        alias = moments.variance / (moments.variance + gap**2)
-    return LoadPmf(
-        probs=pmf.probs,
-        inversion_radius=pmf.inversion_radius,
-        dft_size=pmf.dft_size,
-        raw_sum=pmf.raw_sum,
-        min_raw=pmf.min_raw,
-        alias_bound=alias,
-    )
+        reach = moments.mean + 10.0 * math.sqrt(moments.variance)
+        n_points = 128
+        while n_points < reach:
+            n_points *= 2
+    return dft_invert_pgf(lambda th: _pgf_values(net, th), n_points, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 moments   analytic mean/second moment/variance (+ NB fit), optional MC check
-pmf       inverted-PGF load PMF, optional empirical PMF and TV distance
+pmf       load PMF of the PGF approximation, optional empirical PMF and TV distance
 rate      rate-coverage curve over a threshold grid, optional MC check
 simulate  Monte Carlo only; summary plus optional raw sample dump
 compare   analytic vs MC with pass/fail gates (exit 4 on failure)
@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -45,8 +45,22 @@ EXIT_COMPARISON = 4
 # Report records (JSON round-trip supported via from_dict)
 # ---------------------------------------------------------------------------
 
+class _Report:
+    """JSON round trip of a report record; `report` is the tag that names its type."""
+
+    report: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"report": self.report, **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**{k: v for k, v in d.items() if k != "report"})
+
+
 @dataclass
-class MomentsReport:
+class MomentsReport(_Report):
+    report = "moments"
     model: dict
     mean: float
     second_moment: float
@@ -55,37 +69,21 @@ class MomentsReport:
     nb_fit: Optional[dict] = None
     mc: Optional[dict] = None
 
-    def to_dict(self) -> dict:
-        return {"report": "moments", **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MomentsReport":
-        d = {k: v for k, v in d.items() if k != "report"}
-        return cls(**d)
-
 
 @dataclass
-class PmfReport:
+class PmfReport(_Report):
+    report = "pmf"
     model: dict
-    dft_size: int
-    inversion_radius: float
-    raw_sum: float
-    min_raw: float
     probs: list
+    tail_mass: float
     empirical: Optional[list] = None
     tv_distance: Optional[float] = None
     nb_selftest_max_error: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {"report": "pmf", **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PmfReport":
-        return cls(**{k: v for k, v in d.items() if k != "report"})
-
 
 @dataclass
-class RateReport:
+class RateReport(_Report):
+    report = "rate"
     model: dict
     rate: dict
     thresholds: list
@@ -93,16 +91,10 @@ class RateReport:
     empirical: Optional[list] = None
     max_abs_gap: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {"report": "rate", **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RateReport":
-        return cls(**{k: v for k, v in d.items() if k != "report"})
-
 
 @dataclass
-class SimulateReport:
+class SimulateReport(_Report):
+    report = "simulate"
     model: dict
     realizations: int
     seed: int
@@ -114,16 +106,10 @@ class SimulateReport:
     sir_thresholds: Optional[list] = None
     sir_ccdf: Optional[list] = None
 
-    def to_dict(self) -> dict:
-        return {"report": "simulate", **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimulateReport":
-        return cls(**{k: v for k, v in d.items() if k != "report"})
-
 
 @dataclass
-class CompareReport:
+class CompareReport(_Report):
+    report = "compare"
     model: dict
     realizations: int
     seed: int
@@ -136,20 +122,10 @@ class CompareReport:
         )
         self.passed = self.passed and ok
 
-    def to_dict(self) -> dict:
-        return {"report": "compare", **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CompareReport":
-        return cls(**{k: v for k, v in d.items() if k != "report"})
-
 
 REPORT_TYPES = {
-    "moments": MomentsReport,
-    "pmf": PmfReport,
-    "rate": RateReport,
-    "simulate": SimulateReport,
-    "compare": CompareReport,
+    cls.report: cls
+    for cls in (MomentsReport, PmfReport, RateReport, SimulateReport, CompareReport)
 }
 
 
@@ -205,10 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", action="store_true", help="append Monte Carlo estimates")
     _mc_flags(p, 10_000)
 
-    p = sub.add_parser("pmf", help="load PMF by PGF inversion")
+    p = sub.add_parser("pmf", help="load PMF of the PGF approximation")
     _model_flags(p); _out_flags(p)
-    p.add_argument("--dft-size", type=int, default=128)
-    p.add_argument("--inversion-radius", type=float, default=1.0)
     p.add_argument("--mc", action="store_true", help="append the empirical PMF")
     p.add_argument("--self-test-nb", action="store_true",
                    help="also invert a synthetic NB(25, 0.5) PGF and report the max error")
@@ -216,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="downlink rate coverage over a threshold grid")
     _model_flags(p); _rate_flags(p); _out_flags(p)
-    p.add_argument("--dft-size", type=int, default=128)
-    p.add_argument("--inversion-radius", type=float, default=1.0)
     p.add_argument("--mc", action="store_true", help="append the empirical rate CCDF")
     _mc_flags(p, 20_000)
 
@@ -231,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="analytic vs Monte Carlo with pass/fail gates")
     _model_flags(p); _rate_flags(p); _out_flags(p)
-    p.add_argument("--dft-size", type=int, default=128)
-    p.add_argument("--inversion-radius", type=float, default=1.0)
     p.add_argument("--with-rate", action="store_true", help="include the rate-coverage gate")
     p.add_argument("--tv-tolerance", type=float, default=0.05)
     p.add_argument("--variance-tolerance", type=float, default=0.05)
@@ -346,14 +316,11 @@ def cmd_moments(args):
 
 def cmd_pmf(args):
     net = build_network(args)
-    pmf = analytic.invert_pgf(net, args.dft_size, args.inversion_radius)
+    pmf = analytic.load_pmf(net)
     report = PmfReport(
         model=_model_dict(args),
-        dft_size=pmf.dft_size,
-        inversion_radius=pmf.inversion_radius,
-        raw_sum=pmf.raw_sum,
-        min_raw=pmf.min_raw,
         probs=[float(p) for p in pmf.probs],
+        tail_mass=pmf.tail_mass(),
     )
     if args.mc:
         res = montecarlo.run_load_simulation(net, _sim_config(args))
@@ -374,7 +341,7 @@ def cmd_rate(args):
     net = build_network(args)
     grid = _threshold_grid(args)
     cfg = _rate_config(args, grid)
-    pmf = analytic.invert_pgf(net, args.dft_size, args.inversion_radius)
+    pmf = analytic.load_pmf(net)
     coverage = [analytic.rate_coverage(net, cfg, pmf, rho) for rho in grid]
     report = RateReport(
         model=_model_dict(args),
@@ -435,7 +402,7 @@ def cmd_compare(args):
     report = CompareReport(model=_model_dict(args), realizations=args.realizations, seed=args.seed)
 
     moments = analytic.load_moments(net)
-    pmf = analytic.invert_pgf(net, args.dft_size, args.inversion_radius)
+    pmf = analytic.load_pmf(net)
 
     grid = _threshold_grid(args)
     cfg = _rate_config(args, grid)

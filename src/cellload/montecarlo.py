@@ -386,15 +386,7 @@ def empirical_pmf(source) -> LoadPmf:
     loads = np.asarray(getattr(source, "loads", source), dtype=np.int64)
     if loads.size == 0:
         raise ConfigurationError("empirical_pmf needs at least one realization")
-    counts = np.bincount(loads)
-    probs = counts / loads.size
-    return LoadPmf(
-        probs=probs,
-        inversion_radius=1.0,
-        dft_size=probs.size,
-        raw_sum=float(probs.sum()),
-        min_raw=float(probs.min()),
-    )
+    return LoadPmf(probs=np.bincount(loads) / loads.size)
 
 
 def empirical_ccdf(samples: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:

@@ -7,10 +7,10 @@ isotropic kernel.  Two kernels are supported:
 * Thomas: Gaussian displacement with standard deviation sigma,
 * Matern: uniform displacement in a disc of the given radius.
 
-This module holds the model value types plus the derived first- and
-second-order densities every analytic formula consumes: the conditional
-distance PDF/CDF of an offspring seen from the origin given its parent's
-distance, and the pair-correlation (second-order product) density.
+This module holds the model value types plus the two derived quantities the
+analytic formulas consume: the cluster CDF, the chance that an offspring
+lies within a distance of the origin given its parent's distance, and the
+clustering excess of the pair-correlation (second-order product) density.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _lens_area_arrays, bessel_i0_scaled, marcum_q1
+from .specfun import _lens_area_arrays, marcum_q1
 
 __all__ = [
     "Thomas",
@@ -31,9 +31,7 @@ __all__ = [
     "UserModel",
     "NetworkModel",
     "cluster_reach",
-    "conditional_distance_pdf",
     "cluster_cdf",
-    "pair_correlation_density",
 ]
 
 
@@ -129,38 +127,6 @@ def _check_nonneg(name, arr):
         raise DomainError(f"{name} must be finite and non-negative")
 
 
-def conditional_distance_pdf(model: UserModel, x, z):
-    """PDF f_d(x | z) of the origin distance of an offspring whose parent sits
-    at distance z.
-
-    Thomas kernel: Rician, written with the scaled Bessel so it stays finite
-    for x*z >> sigma^2.  Matern kernel: 2x/R^2 while the circle of radius x
-    lies inside the cluster disc, then the arccos wedge up to x = R + z.
-    """
-    x_arr, z_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
-    _check_nonneg("x", x_arr)
-    _check_nonneg("z", z_arr)
-
-    if isinstance(model.kind, Thomas):
-        s2 = model.kind.sigma**2
-        out = (x_arr / s2) * np.exp(-0.5 * (x_arr - z_arr) ** 2 / s2) * bessel_i0_scaled(
-            x_arr * z_arr / s2
-        )
-    else:
-        big_r = model.kind.radius
-        out = np.zeros(x_arr.shape)
-        inner = (z_arr <= big_r) & (x_arr <= big_r - z_arr)
-        out[inner] = 2.0 * x_arr[inner] / big_r**2
-        wedge = (x_arr > np.abs(big_r - z_arr)) & (x_arr <= big_r + z_arr) & (x_arr > 0) & (z_arr > 0)
-        if np.any(wedge):
-            xw, zw = x_arr[wedge], z_arr[wedge]
-            cosarg = np.clip((xw**2 + zw**2 - big_r**2) / (2.0 * xw * zw), -1.0, 1.0)
-            out[wedge] = 2.0 * xw / (math.pi * big_r**2) * np.arccos(cosarg)
-    if np.isscalar(x) and np.isscalar(z):
-        return float(out)
-    return out
-
-
 def cluster_cdf(model: UserModel, r, v):
     """P(offspring within distance r of the origin | parent at distance v).
 
@@ -180,22 +146,6 @@ def cluster_cdf(model: UserModel, r, v):
         big_r = model.kind.radius
         out = np.clip(_lens_area_arrays(r_arr, big_r, v_arr) / (math.pi * big_r**2), 0.0, 1.0)
     if np.isscalar(r) and np.isscalar(v):
-        return float(out)
-    return out
-
-
-def pair_correlation_density(model: UserModel, r):
-    """Second-order product density rho2(r) of the user process.
-
-    Equals lambda_u^2 plus a same-cluster excess: a Gaussian bump of total
-    pair mass lambda_p * m_bar^2 (Thomas) or the normalized disc-overlap
-    area, vanishing identically beyond 2R (Matern).
-    """
-    r_arr = np.asarray(r, dtype=float)
-    _check_nonneg("r", r_arr)
-    out = np.full(r_arr.shape, (model.lambda_p * model.m_bar) ** 2)
-    out += pair_correlation_excess(model, r_arr)
-    if np.isscalar(r):
         return float(out)
     return out
 

@@ -19,7 +19,6 @@ from scipy import special as _sp
 from .errors import DomainError
 
 __all__ = [
-    "bessel_i0_scaled",
     "marcum_q1",
     "cell_radius_pdf",
 ]
@@ -27,15 +26,6 @@ __all__ = [
 # Nakagami shape of the equal-area cell radius; the scale is fixed to 1.
 _NAKAGAMI_M = 3.5
 _NAKAGAMI_NORM = 2.0 * _NAKAGAMI_M**_NAKAGAMI_M / math.gamma(_NAKAGAMI_M)
-
-
-def bessel_i0_scaled(x):
-    """e^{-x} I0(x) for x >= 0; bounded in (0, 1] for all finite x."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise DomainError("bessel_i0_scaled requires finite x >= 0")
-    out = _sp.i0e(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def marcum_q1(a, b):

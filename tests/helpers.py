@@ -3,7 +3,10 @@
 import math
 
 import numpy as np
+from scipy import special
 
+from cellload.errors import DomainError
+from cellload.ppmodel import Thomas, UserModel, _check_nonneg, pair_correlation_excess
 from cellload.quadrature import IntegrationResult, QuadSpec, integrate_finite
 
 
@@ -102,10 +105,65 @@ def bessel_i0_scaled_asymptotic(x: float) -> float:
     return series / math.sqrt(2.0 * math.pi * x)
 
 
+def bessel_i0_scaled(x):
+    """e^{-x} I0(x) for x >= 0; bounded in (0, 1] for all finite x."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
+        raise DomainError("bessel_i0_scaled requires finite x >= 0")
+    out = special.i0e(arr)
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def conditional_distance_pdf(model: UserModel, x, z):
+    """PDF f_d(x | z) of the origin distance of an offspring whose parent sits
+    at distance z.
+
+    Thomas kernel: Rician, written with the scaled Bessel so it stays finite
+    for x*z >> sigma^2.  Matern kernel: 2x/R^2 while the circle of radius x
+    lies inside the cluster disc, then the arccos wedge up to x = R + z.
+    """
+    x_arr, z_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
+    _check_nonneg("x", x_arr)
+    _check_nonneg("z", z_arr)
+
+    if isinstance(model.kind, Thomas):
+        s2 = model.kind.sigma**2
+        out = (x_arr / s2) * np.exp(-0.5 * (x_arr - z_arr) ** 2 / s2) * bessel_i0_scaled(
+            x_arr * z_arr / s2
+        )
+    else:
+        big_r = model.kind.radius
+        out = np.zeros(x_arr.shape)
+        inner = (z_arr <= big_r) & (x_arr <= big_r - z_arr)
+        out[inner] = 2.0 * x_arr[inner] / big_r**2
+        wedge = (x_arr > np.abs(big_r - z_arr)) & (x_arr <= big_r + z_arr) & (x_arr > 0) & (z_arr > 0)
+        if np.any(wedge):
+            xw, zw = x_arr[wedge], z_arr[wedge]
+            cosarg = np.clip((xw**2 + zw**2 - big_r**2) / (2.0 * xw * zw), -1.0, 1.0)
+            out[wedge] = 2.0 * xw / (math.pi * big_r**2) * np.arccos(cosarg)
+    if np.isscalar(x) and np.isscalar(z):
+        return float(out)
+    return out
+
+
+def pair_correlation_density(model: UserModel, r):
+    """Second-order product density rho2(r) of the user process.
+
+    Equals lambda_u^2 plus a same-cluster excess: a Gaussian bump of total
+    pair mass lambda_p * m_bar^2 (Thomas) or the normalized disc-overlap
+    area, vanishing identically beyond 2R (Matern).
+    """
+    r_arr = np.asarray(r, dtype=float)
+    _check_nonneg("r", r_arr)
+    out = np.full(r_arr.shape, (model.lambda_p * model.m_bar) ** 2)
+    out += pair_correlation_excess(model, r_arr)
+    if np.isscalar(r):
+        return float(out)
+    return out
+
+
 def marcum_q1_quadrature(a: float, b: float) -> float:
     """Adaptive quadrature of the defining Marcum integral (independent engine)."""
-    from cellload.specfun import bessel_i0_scaled
-
     def integrand(y):
         return y * np.exp(-0.5 * (y - a) ** 2) * bessel_i0_scaled(a * y)
 
@@ -185,7 +243,7 @@ def pgf_by_nested_quadrature(net, theta: float) -> float:
 
 
 def pgf_grid(net, levels):
-    """The quadrature grid of analytic._pgf_on_grid, rebuilt independently.
+    """The quadrature grid of analytic._pgf_table, rebuilt independently.
 
     Returns (users, r_weights, vw, xi): the normalized user model, the outer
     weights folded with the cell-radius density, the inner weights folded
@@ -218,7 +276,7 @@ def pgf_on_grid_direct(net, levels, thetas):
 
     The direct reading of the double integral: for each node theta one
     complex exponential exp(-m_bar (1 - theta) xi) over the whole tabulated
-    grid.  Oracle for the Poisson-series evaluation of analytic._pgf_on_grid.
+    grid.  Oracle for the Poisson-series evaluation of analytic._pgf_from_table.
     """
     users, r_weights, vw, xi = pgf_grid(net, levels)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))

@@ -19,6 +19,7 @@ from cellload.analytic import (
     dft_invert_pgf,
     invert_pgf,
     load_moments,
+    load_pmf,
     mean_load,
     nb_fit,
     nb_pmf,
@@ -38,7 +39,13 @@ from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel, pair_corre
 from cellload.quadrature import QuadSpec, integrate_finite
 from cellload.specfun import _lens_area_arrays, _union_area_arrays, marcum_q1
 
-from helpers import CLOSED_FORM_SUITE, integrate_semi_infinite, quad_any, sir_ccdf_by_quadrature
+from helpers import (
+    CLOSED_FORM_SUITE,
+    conditional_distance_pdf,
+    integrate_semi_infinite,
+    quad_any,
+    sir_ccdf_by_quadrature,
+)
 
 SEED = 20240808
 N_FULL = 100_000
@@ -129,14 +136,22 @@ def test_criterion_2_variance_curves():
 )
 def test_criterion_3_pmf_fidelity(kind, size):
     net = network(kind, size)
+    emp = empirical_pmf(load_run(kind, size))
     pmf = invert_pgf(net, 128, 1.0)
     assert abs(pmf.raw_sum - 1.0) <= 1e-4
     assert pmf.min_raw >= -1e-6
-    emp = empirical_pmf(load_run(kind, size))
     tv = tv_distance(pmf, emp)
     assert tv <= 0.05
+    # the same three gates on the engine the CLI ships
+    exact = load_pmf(net)
+    exact_sum = float(exact.probs.sum())
+    assert abs(exact_sum - 1.0) <= 1e-4
+    assert exact.probs.min() >= -1e-6
+    exact_tv = tv_distance(exact, emp)
+    assert exact_tv <= 0.05
     report(f"criterion 3 (PMF fidelity, {kind})",
-           f"TV {tv:.4f} <= 0.05; sum {pmf.raw_sum:.6f}; min {pmf.min_raw:.2e}")
+           f"DFT TV {tv:.4f} <= 0.05, sum {pmf.raw_sum:.6f}, min {pmf.min_raw:.2e}; "
+           f"recursion TV {exact_tv:.4f}, sum {exact_sum:.12f}, min {exact.probs.min():.2e}")
 
 
 def test_criterion_4_inversion_oracle():
@@ -152,7 +167,7 @@ def test_criterion_5_void_probability_gap():
     emp_p0 = float(np.mean(load_run("tcp", FIG2_SIGMA) == 0))
     fit = nb_fit(load_moments(net))
     nb_p0 = float(nb_pmf(fit, 0))
-    pgf_p0 = float(invert_pgf(net, 128).probs[0])
+    pgf_p0 = float(load_pmf(net).probs[0])
     nb_gap = abs(nb_p0 - emp_p0)
     pgf_gap = abs(pgf_p0 - emp_p0)
     assert nb_gap > pgf_gap
@@ -160,7 +175,7 @@ def test_criterion_5_void_probability_gap():
     report(
         "criterion 5 (void probability)",
         f"empirical {emp_p0:.4f}; NB {nb_p0:.4f} (gap {nb_gap:.4f}) vs "
-        f"inverted {pgf_p0:.4f} (gap {pgf_gap:.4f})",
+        f"PGF {pgf_p0:.4f} (gap {pgf_gap:.4f})",
     )
 
 
@@ -187,7 +202,7 @@ def test_criterion_7_rate_coverage():
     worst = 0.0
     for m_bar in (3.0, 5.0):
         net = network("tcp", FIG2_SIGMA, m_bar)
-        pmf = invert_pgf(net, 128)
+        pmf = load_pmf(net)
         res = sir_run(m_bar)
         cond = res.loads > 0
         loads = res.loads[cond].astype(float)
@@ -212,7 +227,7 @@ def test_criterion_7_rate_coverage():
     cfg = RateConfig(alpha=ALPHA, bandwidth_w=BANDWIDTH)
     for sigma in (0.05, 0.2, 1.0):
         net = network("tcp", sigma, 5.0)
-        pmf = invert_pgf(net, 128)
+        pmf = load_pmf(net)
         sigma_curves.append([rate_coverage(net, cfg, pmf, rho) for rho in grid])
     spread = np.max(np.ptp(np.array(sigma_curves), axis=0))
     assert spread < 0.03  # rate coverage nearly invariant to the cluster size
@@ -244,7 +259,6 @@ def test_criterion_8_property_suites():
         assert marcum_q1(0.0, b) == pytest.approx(math.exp(-0.5 * b * b), abs=1e-12)
 
     # distance density and CDF normalizations to 1e-8
-    from cellload.ppmodel import conditional_distance_pdf
     from cellload.specfun import cell_radius_pdf
 
     tight = QuadSpec(rel_tol=1e-11, abs_tol=1e-13)

@@ -9,10 +9,12 @@ from cellload.analytic import (
     LoadPmf,
     NegBinParams,
     RateConfig,
+    DftPmf,
     dft_invert_pgf,
     invert_pgf,
     load_moments,
     load_pgf,
+    load_pmf,
     mean_load,
     nb_fit,
     nb_pmf,
@@ -247,7 +249,7 @@ class TestLoadPgf:
         net = NetworkModel(1.0, UserModel(5.0, m_bar, kernel))
         roots = np.exp(2j * np.pi * np.arange(64) / 64)
         thetas = np.concatenate([[0.0, 1.0, -1.0, 0.5 + 0.3j], roots, 0.9 * roots])
-        got = analytic._pgf_on_grid(net, analytic._BASE_LEVELS, thetas)
+        got = analytic._pgf_from_table(*analytic._pgf_table(net, analytic._BASE_LEVELS), thetas)
         want = pgf_on_grid_direct(net, analytic._BASE_LEVELS, thetas)
         assert np.max(np.abs(got - want)) <= 1e-13
         # 1 - theta^j vanishes at theta = 1: no cancellation in G(1)
@@ -266,7 +268,7 @@ class TestLoadPgf:
 
         monkeypatch.setattr(analytic, "cluster_cdf", with_nan)
         with pytest.raises(ConvergenceError):
-            analytic._pgf_on_grid(TCP_NET, analytic._BASE_LEVELS, [0.5])
+            analytic._pgf_table(TCP_NET, analytic._BASE_LEVELS)
 
     def test_conjugate_symmetry_and_modulus_bound(self):
         thetas = 0.8 * np.exp(2j * np.pi * np.linspace(0.07, 0.93, 7))
@@ -330,7 +332,6 @@ class TestInvertPgf:
         pmf = invert_pgf(TCP_NET, 128, moments=m)
         rel = abs(pmf.mean() - m.mean) / m.mean
         assert rel <= 0.10  # 5% empirically; 10% flags a bug
-        assert pmf.alias_bound is not None and pmf.alias_bound < 0.05
 
     def test_default_size_selection(self):
         m = load_moments(TCP_NET)
@@ -354,6 +355,45 @@ class TestInvertPgf:
             analytic._pgf_values(net, [0.5], tol=0.0, max_levels=1)
         assert len(calls) == 2
         assert err.value.best_estimate.shape == (1,)
+
+
+class TestLoadPmf:
+    @pytest.mark.parametrize("net", [TCP_NET, MCP_NET], ids=["tcp", "mcp"])
+    def test_matches_dft_at_large_size(self, net):
+        # the recursion and a 4096-point DFT of the same PGF, per term; the
+        # DFT's terms past the recursion's last one are its < 1e-12 tail
+        pmf = load_pmf(net)
+        ref = invert_pgf(net, 4096).probs
+        assert pmf.probs.size < ref.size
+        assert np.max(np.abs(pmf.probs - ref[: pmf.probs.size])) <= 1e-12
+        assert np.max(ref[pmf.probs.size :]) <= 1e-12
+
+    def test_exact_mean_and_tail(self):
+        # the cell-radius truncation (1e-10) is most of the missing mass
+        pmf = load_pmf(TCP_NET)
+        assert np.all(pmf.probs >= 0.0)
+        assert pmf.mean() == pytest.approx(25.0, abs=1e-6)
+        assert pmf.tail_mass() < 1e-9
+
+    def test_degenerate_model_collapses_to_zero(self):
+        net = NetworkModel(1.0, UserModel(5.0, 1e-9, Thomas(0.05)))
+        pmf = load_pmf(net)
+        assert pmf.probs[0] == pytest.approx(1.0, abs=1e-6)
+        assert pmf.probs[1:].max() < 1e-6
+
+    def test_unreachable_tolerance_stops(self, monkeypatch):
+        # a tail that rounding keeps above the tolerance ends once the terms
+        # underflow, with an error, not in an endless loop
+        monkeypatch.setattr(analytic, "_TAIL_TOL", -1.0)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            load_pmf(MCP_NET)
+
+    def test_void_probability_underflow_raises(self):
+        # exp(-sum_j c_j) underflows on the largest cells; zeros there
+        # would drop their mass, so the recursion refuses to start
+        net = NetworkModel(1.0, UserModel(150.0, 5.0, Thomas(0.05)))
+        with pytest.raises(ConvergenceError, match="underflows"):
+            load_pmf(net)
 
 
 class TestSirCcdf:
@@ -407,7 +447,7 @@ class TestSirCcdf:
 
 @pytest.fixture(scope="module")
 def tcp_pmf():
-    return invert_pgf(TCP_NET, 128)
+    return load_pmf(TCP_NET)
 
 
 class TestRateCoverage:
@@ -461,7 +501,7 @@ class TestRateCoverage:
 
     def test_decreasing_in_cluster_count(self, tcp_pmf):
         lighter = NetworkModel(1.0, UserModel(5.0, 3.0, Thomas(0.05)))
-        light_pmf = invert_pgf(lighter, 128)
+        light_pmf = load_pmf(lighter)
         cfg = RateConfig(alpha=4.0, bandwidth_w=1e6)
         for rho in (5e4, 2e5, 5e5):
             assert rate_coverage(lighter, cfg, light_pmf, rho) >= rate_coverage(
@@ -469,7 +509,7 @@ class TestRateCoverage:
             )
 
     def test_all_mass_at_zero_rejected(self):
-        pmf = LoadPmf(probs=np.array([1.0, 0.0]), inversion_radius=1.0, dft_size=2)
+        pmf = LoadPmf(probs=np.array([1.0, 0.0]))
         cfg = RateConfig(alpha=4.0, bandwidth_w=1e6)
         with pytest.raises(InfeasibleModelError):
             rate_coverage(TCP_NET, cfg, pmf, 1e5)
@@ -501,4 +541,5 @@ class TestValueTypes:
 
     def test_load_pmf_validation(self):
         with pytest.raises(DomainError):
-            LoadPmf(probs=np.array([1.0]), inversion_radius=0.0, dft_size=1)
+            DftPmf(probs=np.array([1.0]), inversion_radius=0.0, dft_size=1, raw_sum=1.0,
+                   min_raw=1.0)

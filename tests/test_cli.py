@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -73,12 +74,32 @@ class TestMoments:
 
 class TestPmf:
     def test_inversion_report(self, capsys):
-        code, out, _ = run_cli(["pmf"] + TCP_ARGS + ["--dft-size", "128"], capsys)
+        code, out, _ = run_cli(["pmf"] + TCP_ARGS, capsys)
         assert code == 0
         d = json.loads(out)
-        assert len(d["probs"]) == 128
-        assert abs(d["raw_sum"] - 1.0) <= 1e-4
-        assert d["min_raw"] >= -1e-6
+        assert min(d["probs"]) >= 0.0
+        assert 0.0 <= d["tail_mass"] < 1e-9
+        assert math.fsum(d["probs"]) == pytest.approx(1.0 - d["tail_mass"], abs=1e-15)
+        assert math.fsum(n * p for n, p in enumerate(d["probs"])) == pytest.approx(25.0, abs=1e-6)
+
+    def test_no_aliasing_under_heavy_load(self, capsys):
+        # a 128-point DFT folds this PMF's tail onto its head (mean 63.45)
+        argv = ["pmf", "--kind", "tcp", "--lambda-b", "1", "--lambda-p", "10", "--mbar", "20",
+                "--sigma", "0.1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        d = json.loads(out)
+        assert math.fsum(n * p for n, p in enumerate(d["probs"])) == pytest.approx(200.0, abs=2e-4)
+        assert d["tail_mass"] < 1e-9
+
+    def test_void_probability_underflow_exits_convergence(self, capsys):
+        argv = ["pmf", "--kind", "tcp", "--lambda-b", "1", "--lambda-p", "150", "--mbar", "5",
+                "--sigma", "0.05"]
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == cli.EXIT_CONVERGENCE and out == ""
+        assert "underflows" in err
 
     def test_nb_selftest_flag(self, capsys):
         code, out, _ = run_cli(["pmf"] + TCP_ARGS + ["--self-test-nb"], capsys)
@@ -113,10 +134,6 @@ class TestPmf:
         )
         d = json.loads(out)
         assert d["tv_distance"] is not None and d["tv_distance"] < 0.2
-
-    def test_non_power_of_two_rejected(self, capsys):
-        code, _, err = run_cli(["pmf"] + TCP_ARGS + ["--dft-size", "100"], capsys)
-        assert code == cli.EXIT_VALIDATION
 
 
 class TestRate:
@@ -207,11 +224,10 @@ class TestCompare:
 
 class TestReports:
     def test_json_round_trip(self, capsys):
-        argv = ["pmf"] + TCP_ARGS + ["--dft-size", "128"]
-        _, out, _ = run_cli(argv, capsys)
+        _, out, _ = run_cli(["pmf"] + TCP_ARGS, capsys)
         report = cli.parse_report(out)
         assert isinstance(report, cli.PmfReport)
-        assert report.dft_size == 128
+        assert report.tail_mass == json.loads(out)["tail_mass"]
         assert json.loads(cli.render_json(report)) == json.loads(out)
 
     def test_round_trip_all_types(self, capsys):

@@ -1,8 +1,10 @@
 """Every example under docs/examples/ regenerates from the command that
 docs/reports.md and README.md record for it."""
 
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ TCP = "--kind tcp --lambda-b 1 --lambda-p 5 --mbar 5 --sigma 0.05"
 EXAMPLES = {
     "moments.json": f"cellload moments {TCP} --mc --realizations 5000 --seed 7",
     "pmf.json": "cellload pmf --kind mcp --lambda-b 1 --lambda-p 5 --mbar 5 "
-    "--cluster-radius 0.1 --dft-size 128 --mc --realizations 20000 --seed 7",
+    "--cluster-radius 0.1 --mc --realizations 20000 --seed 7",
     "rate.json": f"cellload rate {TCP} "
     "--alpha 4 --bandwidth 1e6 --backhaul 2e6 --thresholds 5e4,1e5,2e5,5e5,1e6 "
     "--mc --realizations 5000 --seed 7",
@@ -92,3 +94,19 @@ def test_raw_samples_regenerate(capsys, monkeypatch, tmp_path):
     want = (EXAMPLE_DIR / "simulate_raw.csv").read_text().splitlines()
     assert len(want) == RAW_ROWS + 1
     assert got[: RAW_ROWS + 1] == want
+
+
+def _documented_fields(tag: str) -> set:
+    """Backquoted names in the first column of the field table of a report's
+    section in docs/reports.md."""
+    text = (ROOT / "docs" / "reports.md").read_text()
+    section = re.search(rf"^## {tag} .*?(?=^## |\Z)", text, re.M | re.S)
+    assert section, f"docs/reports.md has no section for {tag}"
+    rows = re.findall(r"^\| (.*?) \|", section.group(0), re.M)
+    return {name for cell in rows for name in re.findall(r"`(\w+)`", cell)}
+
+
+@pytest.mark.parametrize("tag", sorted(cli.REPORT_TYPES))
+def test_every_report_field_is_documented(tag):
+    fields = {f.name for f in dataclasses.fields(cli.REPORT_TYPES[tag])} - {"model"}
+    assert fields - _documented_fields(tag) == set()

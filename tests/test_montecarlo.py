@@ -29,7 +29,9 @@ from cellload.montecarlo import (
     _rng_for,
     _user_cutoff,
 )
-from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel, pair_correlation_density
+from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
+
+from helpers import pair_correlation_density
 
 TCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.05)))
 MCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Matern(0.1)))
@@ -310,7 +312,7 @@ class TestEstimators:
     def test_half_half(self):
         pmf = empirical_pmf(np.array([0, 0, 1, 1]))
         assert pmf.probs.tolist() == [0.5, 0.5]
-        assert pmf.raw_sum == 1.0
+        assert pmf.tail_mass() == 0.0
 
     def test_accepts_arrays_and_results(self):
         pmf = empirical_pmf(np.array([2, 2, 4]))

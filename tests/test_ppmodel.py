@@ -10,14 +10,17 @@ from cellload.ppmodel import (
     Thomas,
     UserModel,
     cluster_cdf,
-    conditional_distance_pdf,
-    pair_correlation_density,
     pair_correlation_excess,
 )
 from cellload.quadrature import QuadSpec, integrate_finite
 from cellload.specfun import marcum_q1
 
-from helpers import integrate_semi_infinite, matern_cdf_quadrature
+from helpers import (
+    conditional_distance_pdf,
+    integrate_semi_infinite,
+    matern_cdf_quadrature,
+    pair_correlation_density,
+)
 
 TCP = UserModel(5.0, 5.0, Thomas(0.05))
 MCP = UserModel(5.0, 5.0, Matern(0.1))

@@ -7,7 +7,6 @@ from cellload.errors import DomainError
 from cellload.specfun import (
     _lens_area_arrays,
     _union_area_arrays,
-    bessel_i0_scaled,
     cell_radius_pdf,
     cell_radius_quantile,
     marcum_q1,
@@ -15,6 +14,7 @@ from cellload.specfun import (
 from cellload.quadrature import QuadSpec
 
 from helpers import (
+    bessel_i0_scaled,
     bessel_i0_scaled_asymptotic,
     bessel_i0_scaled_series,
     disc_overlap_hit_or_miss,
