@@ -39,7 +39,7 @@ from .ppmodel import NetworkModel, cluster_cdf, cluster_reach, pair_correlation_
 from .quadrature import QuadSpec, _panel_nodes
 # Unused here; kept because perfbench/spans.py wraps analytic.integrate_finite.
 from .quadrature import integrate_finite  # noqa: F401
-from .specfun import _union_area_arrays, cell_radius_pdf, cell_radius_quantile
+from .specfun import _union_area_arrays, cell_radius_pdf
 
 __all__ = [
     "LoadMoments",
@@ -63,7 +63,9 @@ __all__ = [
     "E_V2",
 ]
 
-_NAKAGAMI_TAIL = 1e-10       # truncation mass of the cell-radius law
+# The cell-radius law leaves mass 1e-10 beyond this normalized radius:
+# sqrt(gammainccinv(3.5, 1e-10) / 3.5) (tests/test_specfun.py reruns it).
+_R_MAX = 2.949459886746101
 
 
 @dataclass(frozen=True)
@@ -121,18 +123,12 @@ class LoadPmf:
 
 @dataclass(frozen=True)
 class DftPmf(LoadPmf):
-    """PMF from an inverse DFT, with the inversion that produced it: circle
-    radius, DFT size, and the sum and minimum of the terms before clipping."""
+    """PMF from an inverse DFT, with the inversion that produced it: DFT
+    size, and the sum and minimum of the terms before clipping."""
 
-    inversion_radius: float
     dft_size: int
     raw_sum: float
     min_raw: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.inversion_radius <= 0:
-            raise DomainError("inversion_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -302,8 +298,7 @@ def _pgf_table(net: NetworkModel, levels):
     n_r, n_plateau, n_trans = levels
     users = net.normalized().users
     reach = cluster_reach(users)
-    r_max = cell_radius_quantile(_NAKAGAMI_TAIL)
-    r_nodes, r_weights = _panel_nodes(np.linspace(0.0, r_max, n_r + 1))
+    r_nodes, r_weights = _panel_nodes(np.linspace(0.0, _R_MAX, n_r + 1))
     r_weights = r_weights * cell_radius_pdf(r_nodes)
     r_phys = r_nodes / math.sqrt(math.pi)
 
@@ -409,8 +404,11 @@ def load_pgf(net: NetworkModel, theta) -> complex:
     """PGF G(theta) = E[theta^load] under the equal-area-circle approximation.
 
     G(1) = 1 up to the truncated cell-radius tail mass (1e-10); G(0) is the
-    void probability of the typical cell.
+    void probability of the typical cell.  theta is one real or complex
+    number.
     """
+    if np.ndim(theta) != 0:
+        raise DomainError("load_pgf takes one theta; evaluate an array point by point")
     return complex(_pgf_values(net, theta)[0])
 
 
@@ -426,21 +424,17 @@ def load_pmf(net: NetworkModel) -> LoadPmf:
     return LoadPmf(probs=_on_refined_grids(net, _compound_poisson_pmf))
 
 
-def dft_invert_pgf(pgf: Callable, n_points: int, radius: float = 1.0) -> DftPmf:
-    """Invert any PGF sampled on a circle of the given radius via inverse DFT.
+def dft_invert_pgf(pgf: Callable, n_points: int) -> DftPmf:
+    """Invert any PGF sampled on the unit circle via inverse DFT.
 
-    p_n = R^{-n}/N * sum_m G(R e^{2 pi i m / N}) e^{-2 pi i n m / N},
-    which recovers p_n exactly up to the aliasing terms sum_{l>=1} p_{n+lN} R^{lN}.
+    p_n = 1/N * sum_m G(e^{2 pi i m / N}) e^{-2 pi i n m / N},
+    which recovers p_n exactly up to the aliasing terms sum_{l>=1} p_{n+lN}.
     """
     if n_points < 2 or (n_points & (n_points - 1)) != 0:
         raise DomainError(f"n_points must be a power of two >= 2, got {n_points}")
-    if radius <= 0:
-        raise DomainError("inversion radius must be positive")
-    nodes = radius * np.exp(2j * math.pi * np.arange(n_points) / n_points)
+    nodes = np.exp(2j * math.pi * np.arange(n_points) / n_points)
     values = np.asarray(pgf(nodes), dtype=complex)
     coeff = np.fft.fft(values) / n_points
-    if radius != 1.0:
-        coeff *= radius ** (-np.arange(n_points, dtype=float))
     if not (np.isfinite(values).all() and np.isfinite(coeff).all()):
         raise InversionQualityError("PGF values or DFT coefficients are not finite")
     raw = coeff.real
@@ -455,7 +449,6 @@ def dft_invert_pgf(pgf: Callable, n_points: int, radius: float = 1.0) -> DftPmf:
         raise InversionQualityError(f"inverted PMF has imaginary residue {imag_max:.2e}")
     return DftPmf(
         probs=np.clip(raw, 0.0, None),
-        inversion_radius=radius,
         dft_size=n_points,
         raw_sum=raw_sum,
         min_raw=min_raw,
@@ -465,7 +458,6 @@ def dft_invert_pgf(pgf: Callable, n_points: int, radius: float = 1.0) -> DftPmf:
 def invert_pgf(
     net: NetworkModel,
     n_points: Optional[int] = None,
-    radius: float = 1.0,
     moments: Optional[LoadMoments] = None,
 ) -> DftPmf:
     """PMF of the typical-cell load by inverse DFT of the load PGF.
@@ -480,7 +472,7 @@ def invert_pgf(
         n_points = 128
         while n_points < reach:
             n_points *= 2
-    return dft_invert_pgf(lambda th: _pgf_values(net, th), n_points, radius)
+    return dft_invert_pgf(lambda th: _pgf_values(net, th), n_points)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,6 @@ class PmfReport(_Report):
     tail_mass: float
     empirical: Optional[list] = None
     tv_distance: Optional[float] = None
-    nb_selftest_max_error: Optional[float] = None
 
 
 @dataclass
@@ -153,7 +152,6 @@ def _mc_flags(p: argparse.ArgumentParser, realizations: int):
     p.add_argument("--realizations", type=int, default=realizations)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parallel-chunks", type=int, default=1)
-    p.add_argument("--window-radius", type=float, default=None, help="km; default sized from lambda-b")
 
 
 def _rate_flags(p: argparse.ArgumentParser):
@@ -184,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pmf", help="load PMF of the PGF approximation")
     _model_flags(p); _out_flags(p)
     p.add_argument("--mc", action="store_true", help="append the empirical PMF")
-    p.add_argument("--self-test-nb", action="store_true",
-                   help="also invert a synthetic NB(25, 0.5) PGF and report the max error")
     _mc_flags(p, 20_000)
 
     p = sub.add_parser("rate", help="downlink rate coverage over a threshold grid")
@@ -242,7 +238,6 @@ def _sim_config(args) -> SimConfig:
     return SimConfig(
         realizations=args.realizations,
         seed=args.seed,
-        window_radius=args.window_radius,
         parallel_chunks=args.parallel_chunks,
     )
 
@@ -327,13 +322,6 @@ def cmd_pmf(args):
         emp = montecarlo.empirical_pmf(res)
         report.empirical = [float(p) for p in emp.probs]
         report.tv_distance = montecarlo.tv_distance(pmf, emp)
-    if args.self_test_nb:
-        nb = analytic.NegBinParams(25, 0.5)
-        inv = analytic.dft_invert_pgf(
-            lambda th: ((1 - nb.t) / (1 - nb.t * th)) ** nb.r, 128
-        )
-        exact = analytic.nb_pmf(nb, np.arange(128))
-        report.nb_selftest_max_error = float(np.abs(inv.probs - exact).max())
     return report, EXIT_OK
 
 
@@ -361,20 +349,13 @@ def cmd_rate(args):
 def cmd_simulate(args):
     net = build_network(args)
     cfg = _sim_config(args)
-    raw_rows = None
     if args.with_sir:
-        rate_cfg = _rate_config(args)
-        res = montecarlo.run_sir_simulation(net, cfg, rate_cfg)
+        res = montecarlo.run_sir_simulation(net, cfg, _rate_config(args))
         taus = [0.1, 1.0, 10.0]
         sir_ccdf = [float(p) for p in montecarlo.empirical_ccdf(res.sir, taus)]
-        raw_rows = [
-            (i, int(l), "" if np.isnan(s) else repr(float(s)), "" if np.isnan(r) else repr(float(r)))
-            for i, (l, s, r) in enumerate(zip(res.loads, res.sir, res.rate))
-        ]
     else:
         res = montecarlo.run_load_simulation(net, cfg)
         taus = sir_ccdf = None
-        raw_rows = [(i, int(l), "", "") for i, l in enumerate(res.loads)]
     loads = res.loads.astype(float)
     emp = montecarlo.empirical_pmf(res)
     report = SimulateReport(
@@ -390,10 +371,15 @@ def cmd_simulate(args):
         sir_ccdf=sir_ccdf,
     )
     if args.raw_out:
+        blank = np.full(res.loads.size, np.nan)
+        sir, rate = (res.sir, res.rate) if args.with_sir else (blank, blank)
         with open(args.raw_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["realization_index", "load", "sir", "rate"])
-            writer.writerows(raw_rows)
+            writer.writerows(
+                (i, int(l), "" if np.isnan(s) else repr(float(s)), "" if np.isnan(r) else repr(float(r)))
+                for i, (l, s, r) in enumerate(zip(res.loads, sir, rate))
+            )
     return report, EXIT_OK
 
 

@@ -13,15 +13,20 @@ realization, and runs one two-stage power test for all of them.
 
 Window bookkeeping (all radii scale as 1/sqrt(lambda_b)):
 
-* window_radius W: the BS window.  The typical cell is contained in
-  b(o, W/2) except with probability ~ 13 exp(-pi lambda_b W^2 / 16) < 1e-6
-  at the enforced minimum (a void-disc bound: a cell reaching y requires an
-  empty disc of radius |y|/2 centered at y/2).  Users at distance <= W/2
-  are then decided exactly by in-window BSs, since any BS closer to u than
-  the origin lies within 2|u| <= W.
+* window_radius W: the BS window, 5% above the larger of two radii.  The
+  typical cell is contained in b(o, W/2) except with probability
+  ~ 13 exp(-pi lambda_b W^2 / 16) < 1e-6 beyond required_window_radius (a
+  void-disc bound: a cell reaching y requires an empty disc of radius |y|/2
+  centered at y/2).  Users at distance <= W/2 are then decided exactly by
+  in-window BSs, since any BS closer to u than the origin lies within
+  2|u| <= W.  A SIR run also needs W > r0 101^{1/(alpha-2)} with
+  r0 = 0.5 / sqrt(lambda_b): the mean interference from beyond W,
+  2 pi lambda_b W^{2-alpha} / (alpha-2), is then < 1% of the mean from the
+  annulus r0 < |x| < W.
 * user cutoff: users beyond r_u with lambda_u exp(-pi lambda_b r_u^2) < 1e-7
   contribute that many expected in-cell users and are not sampled; BSs
-  beyond 2 r_u cannot exclude a sampled user.  The BSs in b(o, 2 r_u) and
+  beyond 2 r_u cannot exclude a sampled user, and 2 r_u < W for any
+  lambda_u / lambda_b below 2e24.  The BSs in b(o, 2 r_u) and
   those in the annulus out to W are independent PPPs, so a load run draws
   only the former and a SIR run draws the annulus afterwards for the
   interference.
@@ -75,11 +80,18 @@ def required_window_radius(lambda_b: float) -> float:
     return 2.0 * math.sqrt(4.0 * math.log(13.0 / _CELL_MISS_PROB) / (math.pi * lambda_b))
 
 
+def _window(net: NetworkModel, alpha: Optional[float]) -> float:
+    """BS window radius of a load run (alpha None) or of a SIR run."""
+    needed = required_window_radius(net.lambda_b)
+    if alpha is not None:
+        needed = max(needed, 0.5 / math.sqrt(net.lambda_b) * 101.0 ** (1.0 / (alpha - 2.0)))
+    return 1.05 * needed
+
+
 @dataclass(frozen=True)
 class SimConfig:
     realizations: int
     seed: int = 0
-    window_radius: Optional[float] = None   # None: sized from lambda_b
     parallel_chunks: int = 1
 
     def __post_init__(self):
@@ -87,19 +99,6 @@ class SimConfig:
             raise ConfigurationError("realizations must be >= 1")
         if self.parallel_chunks < 1:
             raise ConfigurationError("parallel_chunks must be >= 1")
-        if self.window_radius is not None and self.window_radius <= 0:
-            raise ConfigurationError("window_radius must be positive")
-
-    def resolve_window(self, net: NetworkModel) -> float:
-        needed = required_window_radius(net.lambda_b)
-        if self.window_radius is None:
-            return 1.05 * needed
-        if self.window_radius < needed:
-            raise ConfigurationError(
-                f"window_radius {self.window_radius:.3f} violates the containment "
-                f"invariant; need >= {needed:.3f} for lambda_b = {net.lambda_b:g}"
-            )
-        return self.window_radius
 
 
 @dataclass(frozen=True)
@@ -261,11 +260,9 @@ def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
     return alive
 
 
-def _user_cutoff(net: NetworkModel, window: float) -> float:
-    lam_u = net.users.intensity
-    ratio = max(lam_u / net.lambda_b, 1.0) / _USER_TAIL
-    cut = math.sqrt(math.log(ratio) / (math.pi * net.lambda_b))
-    return min(cut, 0.5 * window)
+def _user_cutoff(net: NetworkModel) -> float:
+    ratio = max(net.users.intensity / net.lambda_b, 1.0) / _USER_TAIL
+    return math.sqrt(math.log(ratio) / (math.pi * net.lambda_b))
 
 
 def _batch(net, window, seed, batch, rate_cfg):
@@ -275,7 +272,7 @@ def _batch(net, window, seed, batch, rate_cfg):
     the stations in the annulus out to the window, the representative users
     and the fades."""
     rng = _rng_for(seed, batch)
-    cut = _user_cutoff(net, window)
+    cut = _user_cutoff(net)
     near, near_per = _disc_batch(rng, net.lambda_b, 0.0, 2.0 * cut, _BATCH)
     near_owner = _owners(near_per)
     users, owner = _pcp_batch(rng, net.users, cut, _BATCH)
@@ -306,22 +303,6 @@ def _batch(net, window, seed, batch, rate_cfg):
     rate[busy] = np.minimum(rate_cfg.bandwidth_w / load * np.log2(1.0 + s),
                             rate_cfg.backhaul_rb / load)
     return loads, sir, rate
-
-
-def _check_interference_window(net, window, alpha):
-    """Mean interference from beyond the window must be < 1% of the in-window
-    mean (shot-noise tail 2 pi lambda W^{2-a}/(a-2) against a serving-distance
-    reference r0 = 0.5 / sqrt(lambda_b))."""
-    if alpha < 3.0:
-        raise ConfigurationError("SIR simulation requires alpha >= 3 for window truncation")
-    r0 = 0.5 / math.sqrt(net.lambda_b)
-    tail = window ** (2.0 - alpha)
-    inside = r0 ** (2.0 - alpha) - tail
-    if tail / inside >= 0.01:
-        raise ConfigurationError(
-            f"window_radius {window:.3f} leaves {100 * tail / inside:.2f}% "
-            "of the mean interference outside the window"
-        )
 
 
 def _chunk_ranges(total: int, chunks: int):
@@ -367,15 +348,17 @@ def _simulate(net, cfg, window, rate_cfg):
 
 def run_load_simulation(net: NetworkModel, cfg: SimConfig) -> LoadSimResult:
     """Loads of cfg.realizations independent typical cells."""
-    window = cfg.resolve_window(net)
+    window = _window(net, None)
     loads, _, _ = _simulate(net, cfg, window, None)
     return LoadSimResult(loads, window, cfg.seed)
 
 
 def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) -> SirSimResult:
-    """Loads plus representative-user SIR and rate samples."""
-    window = cfg.resolve_window(net)
-    _check_interference_window(net, window, rate_cfg.alpha)
+    """Loads plus representative-user SIR and rate samples.  The window grows
+    as 101^{1/(alpha-2)}, so alpha < 3 is refused."""
+    if rate_cfg.alpha < 3.0:
+        raise ConfigurationError("SIR simulation requires alpha >= 3 for window truncation")
+    window = _window(net, rate_cfg.alpha)
     loads, sir, rate = _simulate(net, cfg, window, rate_cfg)
     return SirSimResult(loads, sir, rate, window, cfg.seed)
 

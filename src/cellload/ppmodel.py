@@ -77,10 +77,6 @@ class UserModel:
         """Stationary user intensity lambda_u = m_bar * lambda_p."""
         return self.m_bar * self.lambda_p
 
-    @property
-    def cluster_scale(self) -> float:
-        return self.kind.sigma if isinstance(self.kind, Thomas) else self.kind.radius
-
     def rescaled(self, length_factor: float) -> "UserModel":
         """Model after multiplying all lengths by length_factor."""
         if isinstance(self.kind, Thomas):

@@ -86,10 +86,3 @@ def cell_radius_pdf(r):
         raise DomainError("cell_radius_pdf requires finite r >= 0")
     out = _NAKAGAMI_NORM * arr**6 * np.exp(-_NAKAGAMI_M * arr**2)
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
-
-
-def cell_radius_quantile(tail_mass: float) -> float:
-    """Radius beyond which the normalized cell-radius law has `tail_mass`."""
-    if not 0 < tail_mass < 1:
-        raise DomainError("tail_mass must be in (0, 1)")
-    return float(np.sqrt(_sp.gammainccinv(_NAKAGAMI_M, tail_mass) / _NAKAGAMI_M))

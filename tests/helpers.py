@@ -5,6 +5,7 @@ import math
 import numpy as np
 from scipy import special
 
+from cellload.analytic import _R_MAX
 from cellload.errors import DomainError
 from cellload.ppmodel import Thomas, UserModel, _check_nonneg, pair_correlation_excess
 from cellload.quadrature import IntegrationResult, QuadSpec, integrate_finite
@@ -218,7 +219,7 @@ def pgf_by_nested_quadrature(net, theta: float) -> float:
     the generic adaptive rules and the cluster CDF evaluated directly.
     """
     from cellload.ppmodel import cluster_cdf, cluster_reach
-    from cellload.specfun import cell_radius_pdf, cell_radius_quantile
+    from cellload.specfun import cell_radius_pdf
 
     norm = net.normalized()
     users = norm.users
@@ -238,8 +239,7 @@ def pgf_by_nested_quadrature(net, theta: float) -> float:
             out[i] = math.exp(-2.0 * math.pi * users.lambda_p * val)
         return out * cell_radius_pdf(r_arr)
 
-    hi = cell_radius_quantile(1e-10)
-    return integrate_finite(outer_integrand, 0.0, hi, QuadSpec(rel_tol=1e-8, abs_tol=1e-12)).value
+    return integrate_finite(outer_integrand, 0.0, _R_MAX, QuadSpec(rel_tol=1e-8, abs_tol=1e-12)).value
 
 
 def pgf_grid(net, levels):
@@ -251,12 +251,12 @@ def pgf_grid(net, levels):
     """
     from cellload.ppmodel import cluster_cdf, cluster_reach
     from cellload.quadrature import _panel_nodes
-    from cellload.specfun import cell_radius_pdf, cell_radius_quantile
+    from cellload.specfun import cell_radius_pdf
 
     n_r, n_plateau, n_trans = levels
     users = net.normalized().users
     reach = cluster_reach(users)
-    r_nodes, r_weights = _panel_nodes(np.linspace(0.0, cell_radius_quantile(1e-10), n_r + 1))
+    r_nodes, r_weights = _panel_nodes(np.linspace(0.0, _R_MAX, n_r + 1))
     r_weights = r_weights * cell_radius_pdf(r_nodes)
     r_phys = r_nodes / math.sqrt(math.pi)
     lo = np.maximum(r_phys - reach, 0.0)

@@ -137,7 +137,7 @@ def test_criterion_2_variance_curves():
 def test_criterion_3_pmf_fidelity(kind, size):
     net = network(kind, size)
     emp = empirical_pmf(load_run(kind, size))
-    pmf = invert_pgf(net, 128, 1.0)
+    pmf = invert_pgf(net, 128)
     assert abs(pmf.raw_sum - 1.0) <= 1e-4
     assert pmf.min_raw >= -1e-6
     tv = tv_distance(pmf, emp)

@@ -101,11 +101,6 @@ class TestPmf:
         assert code == cli.EXIT_CONVERGENCE and out == ""
         assert "underflows" in err
 
-    def test_nb_selftest_flag(self, capsys):
-        code, out, _ = run_cli(["pmf"] + TCP_ARGS + ["--self-test-nb"], capsys)
-        d = json.loads(out)
-        assert d["nb_selftest_max_error"] < 1e-10
-
     def test_degenerate_model(self, capsys):
         code, out, _ = run_cli(["pmf"] + EMPTY_ARGS, capsys)
         d = json.loads(out)
@@ -182,6 +177,37 @@ class TestSimulate:
         assert sum(p * i for i, p in enumerate(d["empirical_pmf"])) == pytest.approx(
             np.mean(loaded)
         )
+
+    def test_load_only_raw_dump_has_blank_sir(self, capsys, tmp_path):
+        raw = tmp_path / "raw.csv"
+        argv = ["simulate"] + TCP_ARGS + ["--realizations", "70", "--seed", "9",
+                                          "--raw-out", str(raw)]
+        assert run_cli(argv, capsys)[0] == 0
+        with open(raw) as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 71
+        assert all(r[0] == str(i) and r[2:] == ["", ""] for i, r in enumerate(rows[1:]))
+
+    def test_sir_window_sized_from_alpha(self, capsys):
+        # at alpha = 3 the load-run window (9.59) would leave 5.5% of the mean
+        # interference outside
+        argv = ["simulate"] + TCP_ARGS + ["--with-sir", "--alpha", "3", "--realizations",
+                                          "200", "--seed", "7"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_OK
+        # mean interference beyond the window against r0 = 0.5 < |x| < window
+        tail = 1.0 / json.loads(out)["window_radius"]
+        assert tail / (1.0 / 0.5 - tail) < 0.01
+
+    @pytest.mark.parametrize("argv", [
+        ["pmf"] + TCP_ARGS + ["--self-test-nb"],
+        ["simulate"] + TCP_ARGS + ["--window-radius", "20"],
+    ], ids=["self-test-nb", "window-radius"])
+    def test_retired_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_byte_determinism(self, capsys):
         argv = ["simulate"] + MCP_ARGS + ["--realizations", "300", "--seed", "31"]

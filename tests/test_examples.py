@@ -1,6 +1,7 @@
 """Every example under docs/examples/ regenerates from the command that
 docs/reports.md and README.md record for it."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -110,3 +111,22 @@ def _documented_fields(tag: str) -> set:
 def test_every_report_field_is_documented(tag):
     fields = {f.name for f in dataclasses.fields(cli.REPORT_TYPES[tag])} - {"model"}
     assert fields - _documented_fields(tag) == set()
+
+
+def _options(parser: argparse.ArgumentParser) -> set:
+    """Every option string of the parser and of its subcommands, but help."""
+    opts = set()
+    for action in parser._actions:
+        opts.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                opts |= _options(sub)
+    return opts - {"-h", "--help"}
+
+
+def test_every_option_is_documented():
+    text = (ROOT / "README.md").read_text() + (ROOT / "docs" / "reports.md").read_text()
+    options = _options(cli.build_parser())
+    assert "--raw-out" in options and "--tv-tolerance" in options
+    missing = {o for o in options if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", text)}
+    assert missing == set()

@@ -28,6 +28,7 @@ from cellload.montecarlo import (
     _pcp_batch,
     _rng_for,
     _user_cutoff,
+    _window,
 )
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
 
@@ -207,8 +208,7 @@ class TestBatchedPowerTest:
     def test_matches_dense_test_on_engine_draws(self, net):
         # redraw the engine's batches and test every realization densely
         batches, seed = 3, 23
-        window = SimConfig(1).resolve_window(net)
-        cut = _user_cutoff(net, window)
+        cut = _user_cutoff(net)
         dense = []
         for b in range(batches):
             rng = _rng_for(seed, b)
@@ -245,19 +245,31 @@ class TestWindowInvariants:
     def test_required_window_scales(self):
         assert required_window_radius(4.0) == pytest.approx(required_window_radius(1.0) / 2.0)
 
-    def test_small_window_rejected(self):
-        cfg = SimConfig(realizations=10, seed=0, window_radius=3.0)
-        with pytest.raises(ConfigurationError):
-            run_load_simulation(TCP_NET, cfg)
+    @pytest.mark.parametrize("alpha", [3.0, 3.3, 3.56, 4.0, 6.0])
+    @pytest.mark.parametrize("lambda_b", [1.0, 4.0])
+    def test_sir_window_bounds_interference_tail(self, alpha, lambda_b):
+        # mean interference beyond W against the mean from r0 < |x| < W
+        net = NetworkModel(lambda_b, TCP_NET.users)
+        window = _window(net, alpha)
+        r0 = 0.5 / math.sqrt(lambda_b)
+        tail = window ** (2.0 - alpha)
+        assert tail / (r0 ** (2.0 - alpha) - tail) < 0.01
+        assert window >= _window(net, None)
 
-    def test_window_enlargement_unbiased(self):
-        n = 20_000
-        base = run_load_simulation(TCP_NET, SimConfig(realizations=n, seed=15))
-        wide = run_load_simulation(
-            TCP_NET, SimConfig(realizations=n, seed=16, window_radius=2.0 * base.window_radius)
-        )
-        se = math.sqrt(base.loads.var() / n + wide.loads.var() / n)
-        assert abs(base.loads.mean() - wide.loads.mean()) <= 3.0 * se
+    def test_sir_window_at_alpha_4_is_the_load_window(self):
+        # the window every seeded SIR output was produced with
+        expected = 1.05 * required_window_radius(1.0)
+        assert expected == pytest.approx(9.5904, abs=1e-4)
+        res = run_sir_simulation(TCP_NET, SimConfig(realizations=10, seed=0), RATE_CFG)
+        assert res.window_radius == expected
+        assert run_load_simulation(TCP_NET, SimConfig(realizations=10)).window_radius == expected
+
+    def test_sir_window_at_alpha_3_keeps_loads(self):
+        cfg = SimConfig(realizations=100, seed=18)
+        loads_only = run_load_simulation(TCP_NET, cfg)
+        with_sir = run_sir_simulation(TCP_NET, cfg, RateConfig(alpha=3.0, bandwidth_w=1e6))
+        assert with_sir.window_radius > 50.0
+        assert np.array_equal(loads_only.loads, with_sir.loads)
 
     def test_interference_window_guard(self):
         with pytest.raises(ConfigurationError):

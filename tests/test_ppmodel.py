@@ -54,10 +54,6 @@ class TestModelTypes:
             TCP.lambda_p * TCP.kind.sigma**2
         )
 
-    def test_cluster_scale(self):
-        assert TCP.cluster_scale == 0.05
-        assert MCP.cluster_scale == 0.1
-
 
 class TestConditionalDistancePdf:
     def test_tcp_center_is_rayleigh(self):
@@ -124,9 +120,8 @@ class TestClusterCdf:
         val = cluster_cdf(TCP, sigma, sigma)
         assert val == pytest.approx(1.0 - marcum_q1(1.0, 1.0), abs=1e-12)
 
-    @pytest.mark.parametrize("model", [TCP, MCP], ids=["tcp", "mcp"])
-    def test_matches_pdf_quadrature_grid(self, model):
-        scale = model.cluster_scale
+    @pytest.mark.parametrize("model,scale", [(TCP, 0.05), (MCP, 0.1)], ids=["tcp", "mcp"])
+    def test_matches_pdf_quadrature_grid(self, model, scale):
         rs = np.linspace(0.2, 2.4, 5) * scale
         vs = np.linspace(0.0, 2.8, 5) * scale
         for r in rs:

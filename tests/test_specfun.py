@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from cellload.analytic import _R_MAX
 from cellload.errors import DomainError
 from cellload.specfun import (
     _lens_area_arrays,
     _union_area_arrays,
     cell_radius_pdf,
-    cell_radius_quantile,
     marcum_q1,
 )
 from cellload.quadrature import QuadSpec
@@ -191,6 +192,7 @@ class TestCellRadiusPdf:
             cell_radius_pdf(-0.5)
 
     def test_quantile_inverts_tail(self):
-        r = cell_radius_quantile(1e-10)
-        tail = integrate_semi_infinite(cell_radius_pdf, r).value
+        # the PGF grid's radius cutoff is the literal 1e-10 quantile
+        assert _R_MAX == float(np.sqrt(special.gammainccinv(3.5, 1e-10) / 3.5))
+        tail = integrate_semi_infinite(cell_radius_pdf, _R_MAX).value
         assert tail == pytest.approx(1e-10, rel=1e-3)
