@@ -24,7 +24,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -55,7 +55,14 @@ class _Report:
 
     @classmethod
     def from_dict(cls, d: dict):
-        return cls(**{k: v for k, v in d.items() if k != "report"})
+        given = d.keys() - {"report"}
+        unknown = given - {f.name for f in fields(cls)}
+        missing = {f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING} - given
+        if unknown or missing:
+            raise ConfigurationError(f"{cls.report} report: unknown fields {sorted(unknown)}, "
+                                     f"missing fields {sorted(missing)}")
+        return cls(**{k: d[k] for k in given})
 
 
 @dataclass
@@ -115,10 +122,10 @@ class CompareReport(_Report):
     checks: list = field(default_factory=list)
     passed: bool = True
 
-    def add(self, name: str, value: Optional[float], tolerance: float, ok: bool):
-        self.checks.append(
-            {"check": name, "value": value, "tolerance": tolerance, "pass": bool(ok)}
-        )
+    def add(self, name: str, value: Optional[float], tolerance: float):
+        """Gate `value <= tolerance`; an undefined (None) value fails."""
+        ok = value is not None and bool(value <= tolerance)
+        self.checks.append({"check": name, "value": value, "tolerance": tolerance, "pass": ok})
         self.passed = self.passed and ok
 
 
@@ -131,7 +138,10 @@ REPORT_TYPES = {
 def parse_report(text: str):
     """Parse a JSON report back into its emitting record type."""
     d = json.loads(text)
-    return REPORT_TYPES[d["report"]].from_dict(d)
+    tag = d.get("report") if isinstance(d, dict) else None
+    if tag not in REPORT_TYPES:
+        raise ConfigurationError(f"unknown report type {tag!r}, expected one of {sorted(REPORT_TYPES)}")
+    return REPORT_TYPES[tag].from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +164,13 @@ def _mc_flags(p: argparse.ArgumentParser, realizations: int):
     p.add_argument("--parallel-chunks", type=int, default=1)
 
 
-def _rate_flags(p: argparse.ArgumentParser):
+def _rate_flags(p: argparse.ArgumentParser, thresholds: bool = True):
     p.add_argument("--alpha", type=float, default=4.0, help="pathloss exponent (> 2)")
     p.add_argument("--bandwidth", type=float, default=1e6, help="system bandwidth W, Hz")
     p.add_argument("--backhaul", type=float, default=math.inf, help="backhaul cap R_b, bps")
-    p.add_argument("--thresholds", type=str, default=None,
-                   help="comma-separated rate thresholds in bps (default: log grid)")
+    if thresholds:
+        p.add_argument("--thresholds", type=str, default=None,
+                       help="comma-separated rate thresholds in bps (default: log grid)")
 
 
 def _out_flags(p: argparse.ArgumentParser):
@@ -192,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo only")
     _model_flags(p); _out_flags(p)
     p.add_argument("--with-sir", action="store_true", help="also sample SIR and rate")
-    _rate_flags(p)
+    _rate_flags(p, thresholds=False)
     p.add_argument("--raw-out", type=str, default=None,
                    help="CSV dump of (realization_index, load, sir, rate)")
     _mc_flags(p, 10_000)
@@ -234,39 +245,97 @@ def _model_dict(args) -> dict:
     return d
 
 
-def _sim_config(args) -> SimConfig:
-    return SimConfig(
-        realizations=args.realizations,
-        seed=args.seed,
-        parallel_chunks=args.parallel_chunks,
-    )
-
-
-def _rate_config(args, thresholds=()) -> RateConfig:
-    return RateConfig(
-        alpha=args.alpha,
-        bandwidth_w=args.bandwidth,
-        backhaul_rb=args.backhaul,
-        thresholds=thresholds,
-    )
+def _rate_config(args) -> RateConfig:
+    return RateConfig(alpha=args.alpha, bandwidth_w=args.bandwidth, backhaul_rb=args.backhaul)
 
 
 def _threshold_grid(args) -> list:
-    if args.thresholds:
-        try:
-            return [float(t) for t in args.thresholds.split(",")]
-        except ValueError:
-            raise ConfigurationError(
-                f"--thresholds must be comma-separated numbers, got {args.thresholds!r}"
-            ) from None
-    lo, hi = 0.02 * args.bandwidth, 2.0 * args.bandwidth
-    return [float(t) for t in np.geomspace(lo, hi, 13)]
+    """The rate grid of `--thresholds`, else 13 log-spaced rates from 0.02 W to 2 W."""
+    if not args.thresholds:
+        return [float(t) for t in np.geomspace(0.02 * args.bandwidth, 2.0 * args.bandwidth, 13)]
+    try:
+        grid = [float(t) for t in args.thresholds.split(",")]
+    except ValueError:
+        grid = None
+    if grid is None or not all(t > 0 for t in grid):
+        raise ConfigurationError(
+            f"--thresholds must be comma-separated positive numbers, got {args.thresholds!r}"
+        )
+    return grid
 
 
-def _normalized_variance(loads: np.ndarray) -> Optional[float]:
-    """Sample variance / mean^2 of the loads; None when every cell was empty."""
-    mean = float(loads.mean())
-    return float(loads.var()) / mean**2 if mean > 0 else None
+def _simulate(args, net: NetworkModel, rate_cfg: Optional[RateConfig] = None):
+    """The command's Monte Carlo run: loads only, or SIR and rate under `rate_cfg`."""
+    cfg = SimConfig(realizations=args.realizations, seed=args.seed,
+                    parallel_chunks=args.parallel_chunks)
+    if rate_cfg is None:
+        return montecarlo.run_load_simulation(net, cfg)
+    return montecarlo.run_sir_simulation(net, cfg, rate_cfg)
+
+
+def _sample_stats(loads: np.ndarray) -> dict:
+    """Mean and variance of sampled loads with their standard errors, and
+    variance / mean^2 (None when every cell was empty)."""
+    loads = loads.astype(float)
+    mean, var = float(loads.mean()), float(loads.var())
+    return {
+        "mean": mean,
+        "mean_stderr": float(loads.std() / math.sqrt(loads.size)),
+        "variance": var,
+        "variance_stderr": math.sqrt(max(np.mean((loads - mean)**4) - var**2, 0.0) / loads.size),
+        "normalized_variance": var / mean**2 if mean > 0 else None,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Reports: each takes the analytic result and, for an MC check, a simulation
+# ---------------------------------------------------------------------------
+
+def _moments_report(args, m: analytic.LoadMoments, res=None) -> MomentsReport:
+    try:
+        nb = analytic.nb_fit(m)
+        nb_dict = {"r": nb.r, "t": nb.t}
+    except CellLoadError:
+        nb_dict = None
+    return MomentsReport(
+        model=_model_dict(args),
+        mean=m.mean,
+        second_moment=m.second_moment,
+        variance=m.variance,
+        normalized_variance=m.variance / m.mean**2,
+        nb_fit=nb_dict,
+        mc=None if res is None else {"realizations": args.realizations, "seed": args.seed,
+                                     **_sample_stats(res.loads)},
+    )
+
+
+def _pmf_report(args, pmf: analytic.LoadPmf, res=None) -> PmfReport:
+    report = PmfReport(
+        model=_model_dict(args),
+        probs=[float(p) for p in pmf.probs],
+        tail_mass=pmf.tail_mass(),
+    )
+    if res is not None:
+        emp = montecarlo.empirical_pmf(res)
+        report.empirical = [float(p) for p in emp.probs]
+        report.tv_distance = montecarlo.tv_distance(pmf, emp)
+    return report
+
+
+def _rate_report(args, net, cfg: RateConfig, grid: list, pmf, res=None) -> RateReport:
+    coverage = [analytic.rate_coverage(net, cfg, pmf, rho) for rho in grid]
+    report = RateReport(
+        model=_model_dict(args),
+        rate={"alpha": cfg.alpha, "bandwidth_w": cfg.bandwidth_w,
+              "backhaul_rb": cfg.backhaul_rb if math.isfinite(cfg.backhaul_rb) else "inf"},
+        thresholds=grid,
+        coverage=coverage,
+    )
+    if res is not None:
+        emp = montecarlo.empirical_ccdf(res.rate, grid)
+        report.empirical = [float(p) for p in emp]
+        report.max_abs_gap = float(np.max(np.abs(emp - np.array(coverage))))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -276,99 +345,39 @@ def _normalized_variance(loads: np.ndarray) -> Optional[float]:
 def cmd_moments(args):
     net = build_network(args)
     m = analytic.load_moments(net)
-    try:
-        nb = analytic.nb_fit(m)
-        nb_dict = {"r": nb.r, "t": nb.t}
-    except CellLoadError:
-        nb_dict = None
-    report = MomentsReport(
-        model=_model_dict(args),
-        mean=m.mean,
-        second_moment=m.second_moment,
-        variance=m.variance,
-        normalized_variance=m.variance / m.mean**2,
-        nb_fit=nb_dict,
-    )
-    if args.mc:
-        res = montecarlo.run_load_simulation(net, _sim_config(args))
-        loads = res.loads.astype(float)
-        mean = float(loads.mean())
-        var = float(loads.var())
-        dev = loads - mean
-        report.mc = {
-            "realizations": args.realizations,
-            "seed": args.seed,
-            "mean": mean,
-            "mean_stderr": float(loads.std() / math.sqrt(loads.size)),
-            "variance": var,
-            "variance_stderr": float(
-                math.sqrt(max(np.mean(dev**4) - var**2, 0.0) / loads.size)
-            ),
-            "normalized_variance": _normalized_variance(loads),
-        }
-    return report, EXIT_OK
+    return _moments_report(args, m, _simulate(args, net) if args.mc else None), EXIT_OK
 
 
 def cmd_pmf(args):
     net = build_network(args)
     pmf = analytic.load_pmf(net)
-    report = PmfReport(
-        model=_model_dict(args),
-        probs=[float(p) for p in pmf.probs],
-        tail_mass=pmf.tail_mass(),
-    )
-    if args.mc:
-        res = montecarlo.run_load_simulation(net, _sim_config(args))
-        emp = montecarlo.empirical_pmf(res)
-        report.empirical = [float(p) for p in emp.probs]
-        report.tv_distance = montecarlo.tv_distance(pmf, emp)
-    return report, EXIT_OK
+    return _pmf_report(args, pmf, _simulate(args, net) if args.mc else None), EXIT_OK
 
 
 def cmd_rate(args):
     net = build_network(args)
-    grid = _threshold_grid(args)
-    cfg = _rate_config(args, grid)
+    cfg, grid = _rate_config(args), _threshold_grid(args)
     pmf = analytic.load_pmf(net)
-    coverage = [analytic.rate_coverage(net, cfg, pmf, rho) for rho in grid]
-    report = RateReport(
-        model=_model_dict(args),
-        rate={"alpha": cfg.alpha, "bandwidth_w": cfg.bandwidth_w,
-              "backhaul_rb": cfg.backhaul_rb if math.isfinite(cfg.backhaul_rb) else "inf"},
-        thresholds=grid,
-        coverage=coverage,
-    )
-    if args.mc:
-        res = montecarlo.run_sir_simulation(net, _sim_config(args), cfg)
-        emp = montecarlo.empirical_ccdf(res.rate, grid)
-        report.empirical = [float(p) for p in emp]
-        report.max_abs_gap = float(np.max(np.abs(emp - np.array(coverage))))
-    return report, EXIT_OK
+    res = _simulate(args, net, cfg) if args.mc else None
+    return _rate_report(args, net, cfg, grid, pmf, res), EXIT_OK
 
 
 def cmd_simulate(args):
     net = build_network(args)
-    cfg = _sim_config(args)
-    if args.with_sir:
-        res = montecarlo.run_sir_simulation(net, cfg, _rate_config(args))
-        taus = [0.1, 1.0, 10.0]
-        sir_ccdf = [float(p) for p in montecarlo.empirical_ccdf(res.sir, taus)]
-    else:
-        res = montecarlo.run_load_simulation(net, cfg)
-        taus = sir_ccdf = None
-    loads = res.loads.astype(float)
-    emp = montecarlo.empirical_pmf(res)
+    res = _simulate(args, net, _rate_config(args) if args.with_sir else None)
+    taus = [0.1, 1.0, 10.0] if args.with_sir else None
+    stats = _sample_stats(res.loads)
     report = SimulateReport(
         model=_model_dict(args),
         realizations=args.realizations,
         seed=args.seed,
         window_radius=res.window_radius,
-        mean_load=float(loads.mean()),
-        variance_load=float(loads.var()),
-        normalized_variance=_normalized_variance(loads),
-        empirical_pmf=[float(p) for p in emp.probs],
+        mean_load=stats["mean"],
+        variance_load=stats["variance"],
+        normalized_variance=stats["normalized_variance"],
+        empirical_pmf=[float(p) for p in montecarlo.empirical_pmf(res).probs],
         sir_thresholds=taus,
-        sir_ccdf=sir_ccdf,
+        sir_ccdf=taus and [float(p) for p in montecarlo.empirical_ccdf(res.sir, taus)],
     )
     if args.raw_out:
         blank = np.full(res.loads.size, np.nan)
@@ -384,43 +393,23 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
+    """Gate the moments, pmf and (with --with-rate) rate reports built on one run."""
     net = build_network(args)
+    cfg, grid = _rate_config(args), _threshold_grid(args)
+    m, pmf = analytic.load_moments(net), analytic.load_pmf(net)
+    res = _simulate(args, net, cfg if args.with_rate else None)
+    moments, dist = _moments_report(args, m, res), _pmf_report(args, pmf, res)
+    mc = moments.mc
     report = CompareReport(model=_model_dict(args), realizations=args.realizations, seed=args.seed)
-
-    moments = analytic.load_moments(net)
-    pmf = analytic.load_pmf(net)
-
-    grid = _threshold_grid(args)
-    cfg = _rate_config(args, grid)
-    if args.with_rate:
-        res = montecarlo.run_sir_simulation(net, _sim_config(args), cfg)
-    else:
-        res = montecarlo.run_load_simulation(net, _sim_config(args))
-    loads = res.loads.astype(float)
-    emp = montecarlo.empirical_pmf(res)
-
-    mean_mc = float(loads.mean())
-    se = float(loads.std() / math.sqrt(loads.size))
-    report.add("mean_within_3_stderr", abs(moments.mean - mean_mc), 3.0 * se,
-               abs(moments.mean - mean_mc) <= 3.0 * se)
-
-    nv_ana = moments.variance / moments.mean**2
-    nv_mc = _normalized_variance(loads)
+    report.add("mean_within_3_stderr", abs(moments.mean - mc["mean"]), 3.0 * mc["mean_stderr"])
+    nv = mc["normalized_variance"]
     # undefined when the sample has no spread to compare against
-    rel = abs(nv_ana - nv_mc) / nv_mc if nv_mc else None
-    report.add("normalized_variance_rel_error", rel, args.variance_tolerance,
-               rel is not None and rel <= args.variance_tolerance)
-
-    tv = montecarlo.tv_distance(pmf, emp)
-    report.add("pmf_tv_distance", tv, args.tv_tolerance, tv <= args.tv_tolerance)
-
+    report.add("normalized_variance_rel_error",
+               abs(moments.normalized_variance - nv) / nv if nv else None, args.variance_tolerance)
+    report.add("pmf_tv_distance", dist.tv_distance, args.tv_tolerance)
     if args.with_rate:
-        coverage = np.array([analytic.rate_coverage(net, cfg, pmf, rho) for rho in grid])
-        emp_rate = montecarlo.empirical_ccdf(res.rate, grid)
-        gap = float(np.max(np.abs(coverage - emp_rate)))
-        report.add("rate_ccdf_max_abs_gap", gap, args.rate_tolerance,
-                   gap <= args.rate_tolerance)
-
+        report.add("rate_ccdf_max_abs_gap",
+                   _rate_report(args, net, cfg, grid, pmf, res).max_abs_gap, args.rate_tolerance)
     return report, (EXIT_OK if report.passed else EXIT_COMPARISON)
 
 
@@ -432,45 +421,31 @@ def render_json(report) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _csv_rows(report):
-    d = report.to_dict()
-    kind = d["report"]
-    if kind == "pmf":
-        header = ["n", "analytic"] + (["empirical"] if d.get("empirical") else [])
-        emp = d.get("empirical") or []
-        for n, p in enumerate(d["probs"]):
-            row = [n, repr(p)]
-            if emp:
-                row.append(repr(emp[n]) if n < len(emp) else "0.0")
-            yield header, row
-    elif kind == "rate":
-        header = ["threshold_bps", "coverage"] + (["empirical"] if d.get("empirical") else [])
-        for i, t in enumerate(d["thresholds"]):
-            row = [repr(t), repr(d["coverage"][i])]
-            if d.get("empirical"):
-                row.append(repr(d["empirical"][i]))
-            yield header, row
-    elif kind == "compare":
-        header = ["check", "value", "tolerance", "pass"]
-        for c in d["checks"]:
-            yield header, [c["check"], repr(c["value"]), repr(c["tolerance"]), c["pass"]]
+def _csv_table(d: dict):
+    """The header and the rows of a report dict's CSV rendering."""
+    if d["report"] == "compare":
+        return (["check", "value", "tolerance", "pass"],
+                [[c["check"], repr(c["value"]), repr(c["tolerance"]), c["pass"]] for c in d["checks"]])
+    if d["report"] == "pmf":
+        header, cols = ["n", "analytic"], [range(len(d["probs"])), d["probs"]]
+    elif d["report"] == "rate":
+        header, cols = ["threshold_bps", "coverage"], [d["thresholds"], d["coverage"]]
     else:
-        header = ["key", "value"]
-        for k, v in sorted(d.items()):
-            if k in ("report", "probs", "empirical_pmf", "checks"):
-                continue
-            yield header, [k, json.dumps(v, sort_keys=True)]
+        skip = ("report", "probs", "empirical_pmf", "checks")
+        return ["key", "value"], [[k, json.dumps(v, sort_keys=True)]
+                                  for k, v in sorted(d.items()) if k not in skip]
+    emp = d.get("empirical")
+    if emp:  # an empirical PMF shorter than the analytic one is padded with zeros
+        header, cols = header + ["empirical"], cols + [emp + [0.0] * (len(cols[0]) - len(emp))]
+    return header, [[repr(v) for v in row] for row in zip(*cols)]
 
 
 def render_csv(report) -> str:
+    header, rows = _csv_table(report.to_dict())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header_written = False
-    for header, row in _csv_rows(report):
-        if not header_written:
-            writer.writerow(header)
-            header_written = True
-        writer.writerow(row)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

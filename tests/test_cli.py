@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import io
 import json
@@ -11,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellload import analytic, cli
+from cellload import analytic, cli, montecarlo
+from cellload.errors import ConfigurationError
 
 from helpers import sir_ccdf_by_quadrature
 
@@ -22,6 +25,7 @@ MCP_ARGS = ["--kind", "mcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "5"
 # so few users that every sampled cell is empty
 EMPTY_ARGS = ["--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "1e-9",
               "--sigma", "0.05"]
+EXAMPLE_DIR = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def run_cli(argv, capsys):
@@ -151,6 +155,29 @@ class TestRate:
         assert code == cli.EXIT_VALIDATION
         assert "thresholds" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["rate"] + TCP_ARGS + ["--thresholds", "1e5,-1", "--mc", "--realizations", "10"],
+        ["rate"] + TCP_ARGS + ["--thresholds", "1e5,0"],
+        ["compare"] + TCP_ARGS + ["--thresholds", "-1", "--realizations", "10"],
+    ], ids=["rate-negative", "rate-zero", "compare-negative"])
+    def test_non_positive_thresholds_exit_before_any_work(self, argv, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no work may start on an invalid threshold grid")
+
+        for name in ("run_load_simulation", "run_sir_simulation"):
+            monkeypatch.setattr(montecarlo, name, forbidden)
+        for name in ("load_moments", "load_pmf"):
+            monkeypatch.setattr(analytic, name, forbidden)
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert "--thresholds" in err
+
+    def test_zero_bandwidth_exits_validation(self, capsys):
+        # the default grid spans 0.02 W to 2 W, so W is checked before it is built
+        code, out, err = run_cli(["rate"] + TCP_ARGS + ["--bandwidth", "0"], capsys)
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert "bandwidth" in err
+
     def test_mc_gap_reported(self, capsys):
         argv = ["rate"] + TCP_ARGS + ["--mc", "--realizations", "3000", "--seed", "5",
                 "--thresholds", "5e4,2e5,8e5"]
@@ -202,7 +229,9 @@ class TestSimulate:
     @pytest.mark.parametrize("argv", [
         ["pmf"] + TCP_ARGS + ["--self-test-nb"],
         ["simulate"] + TCP_ARGS + ["--window-radius", "20"],
-    ], ids=["self-test-nb", "window-radius"])
+        # simulate never reads a rate grid
+        ["simulate"] + TCP_ARGS + ["--thresholds", "1e5", "--realizations", "10"],
+    ], ids=["self-test-nb", "window-radius", "thresholds"])
     def test_retired_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -247,6 +276,41 @@ class TestCompare:
         assert not rate_check["pass"]
         assert code == cli.EXIT_COMPARISON
 
+    def test_gates_are_the_mc_fields_of_the_reports(self, capsys, monkeypatch):
+        run = ["--realizations", "3000", "--seed", "7"]
+        grid = ["--thresholds", "5e4,2e5,8e5"]
+        mc = {cmd: json.loads(run_cli([cmd] + TCP_ARGS + ["--mc"] + run + extra, capsys)[1])
+              for cmd, extra in (("moments", []), ("pmf", []), ("rate", grid))}
+
+        calls = {}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("run_load_simulation", "run_sir_simulation"):
+            counted(montecarlo, name)
+        for name in ("load_moments", "load_pmf"):
+            counted(analytic, name)
+        code, out, _ = run_cli(["compare"] + TCP_ARGS + ["--with-rate"] + run + grid, capsys)
+        assert code in (cli.EXIT_OK, cli.EXIT_COMPARISON)
+        assert calls == {"run_sir_simulation": 1, "load_moments": 1, "load_pmf": 1}
+
+        check = {c["check"]: c for c in json.loads(out)["checks"]}
+        moments = mc["moments"]
+        assert check["mean_within_3_stderr"]["value"] == abs(moments["mean"] - moments["mc"]["mean"])
+        assert check["mean_within_3_stderr"]["tolerance"] == 3.0 * moments["mc"]["mean_stderr"]
+        nv_mc = moments["mc"]["normalized_variance"]
+        assert check["normalized_variance_rel_error"]["value"] == (
+            abs(moments["normalized_variance"] - nv_mc) / nv_mc)
+        assert check["pmf_tv_distance"]["value"] == mc["pmf"]["tv_distance"]
+        assert check["rate_ccdf_max_abs_gap"]["value"] == mc["rate"]["max_abs_gap"]
+
 
 class TestReports:
     def test_json_round_trip(self, capsys):
@@ -280,6 +344,53 @@ class TestReports:
         assert float(rows[1][0]) == 1e5
         assert 0.0 <= float(rows[1][1]) <= 1.0
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in EXAMPLE_DIR.glob("*.json")))
+    def test_csv_of_every_example(self, name):
+        text = (EXAMPLE_DIR / name).read_text()
+        d = json.loads(text)
+        rows = list(csv.reader(io.StringIO(cli.render_csv(cli.parse_report(text)))))
+        header, body = rows[0], rows[1:]
+        kind = d["report"]
+        if kind == "pmf":
+            assert header == ["n", "analytic"] + ["empirical"] * bool(d.get("empirical"))
+            assert len(body) == len(d["probs"])
+        elif kind == "rate":
+            assert header == ["threshold_bps", "coverage"] + ["empirical"] * bool(d.get("empirical"))
+            assert len(body) == len(d["thresholds"])
+        elif kind == "compare":
+            assert header == ["check", "value", "tolerance", "pass"]
+            assert [r[0] for r in body] == [c["check"] for c in d["checks"]]
+        else:
+            assert header == ["key", "value"]
+            skipped = {"report", "probs", "empirical_pmf", "checks"}
+            assert [r[0] for r in body] == sorted(d.keys() - skipped)
+
+    def test_csv_pads_short_empirical_pmf(self):
+        report = cli.PmfReport(model={}, probs=[0.5, 0.25, 0.25], tail_mass=0.0,
+                               empirical=[0.75, 0.25], tv_distance=0.25)
+        rows = list(csv.reader(io.StringIO(cli.render_csv(report))))
+        assert rows == [["n", "analytic", "empirical"], ["0", "0.5", "0.75"],
+                        ["1", "0.25", "0.25"], ["2", "0.25", "0.0"]]
+
+    def test_parse_report_unknown_tag(self):
+        with pytest.raises(ConfigurationError, match="unknown report type 'histogram'"):
+            cli.parse_report(json.dumps({"report": "histogram", "model": {}}))
+
+    def test_parse_report_unknown_field(self):
+        # a pmf report written before the DFT self-test was retired
+        d = json.loads((EXAMPLE_DIR / "pmf.json").read_text())
+        d["nb_selftest_max_error"] = 1e-12
+        with pytest.raises(ConfigurationError, match=r"pmf report: unknown fields "
+                           r"\['nb_selftest_max_error'\], missing fields \[\]"):
+            cli.parse_report(json.dumps(d))
+
+    def test_parse_report_missing_field(self):
+        d = json.loads((EXAMPLE_DIR / "rate.json").read_text())
+        del d["coverage"], d["thresholds"]
+        with pytest.raises(ConfigurationError,
+                           match=r"missing fields \['coverage', 'thresholds'\]"):
+            cli.parse_report(json.dumps(d))
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         argv = ["moments"] + TCP_ARGS + ["--out", str(path)]
@@ -308,3 +419,40 @@ class TestProcess:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "False"
+
+
+def _module_functions(path: Path):
+    """Per top-level function of a module: the `args.<name>` attributes it
+    reads and the top-level functions it calls by name."""
+    tree = ast.parse(path.read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reads, calls = {}, {}
+    for name, fn in funcs.items():
+        nodes = list(ast.walk(fn))
+        reads[name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                       and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        calls[name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                       and isinstance(n.func, ast.Name) and n.func.id in funcs}
+    return reads, calls
+
+
+def test_every_option_is_read():
+    """An accepted option that no code path reads is a setting that silently
+    does nothing; every option of every subcommand must be read by its
+    command, `emit` or `main`, or by a function they call."""
+    reads, calls = _module_functions(Path(cli.__file__))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for command, sub in subparsers.choices.items():
+        todo, seen = [f"cmd_{command}", "emit", "main"], set()
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(calls[name])
+        read = set().union(*(reads[name] for name in seen))
+        dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        if dests - read:
+            unread[command] = sorted(dests - read)
+    assert unread == {}
