@@ -22,9 +22,7 @@ from .analytic import (
     nb_pmf,
     ppp_baseline_variance,
     rate_coverage,
-    second_moment_load,
     sir_ccdf,
-    variance_load,
 )
 from .errors import (
     CellLoadError,

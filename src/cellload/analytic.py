@@ -48,8 +48,6 @@ __all__ = [
     "DftPmf",
     "RateConfig",
     "mean_load",
-    "second_moment_load",
-    "variance_load",
     "load_moments",
     "ppp_baseline_variance",
     "nb_fit",
@@ -139,11 +137,11 @@ class RateConfig:
     thresholds: Sequence[float] = ()
 
     def __post_init__(self):
-        if not self.alpha > 2:
-            raise DomainError("pathloss exponent alpha must exceed 2")
-        if not self.bandwidth_w > 0:
-            raise DomainError("bandwidth must be positive")
-        if self.backhaul_rb < 0:
+        if not 2 < self.alpha < math.inf:
+            raise DomainError("pathloss exponent alpha must be finite and exceed 2")
+        if not 0 < self.bandwidth_w < math.inf:
+            raise DomainError("bandwidth must be finite and positive")
+        if not self.backhaul_rb >= 0:
             raise DomainError("backhaul cap must be non-negative (inf for unbounded)")
         if any(t <= 0 for t in self.thresholds):
             raise DomainError("rate thresholds must be positive")
@@ -201,14 +199,6 @@ def _pair_excess_integral(net: NetworkModel) -> quadrature.IntegrationResult:
     return quadrature.IntegrationResult(
         4.0 * math.pi * res.value, 4.0 * math.pi * res.error_estimate, res.evaluations
     )
-
-
-def second_moment_load(net: NetworkModel) -> float:
-    return load_moments(net).second_moment
-
-
-def variance_load(net: NetworkModel) -> float:
-    return load_moments(net).variance
 
 
 def load_moments(net: NetworkModel) -> LoadMoments:

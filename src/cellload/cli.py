@@ -257,9 +257,9 @@ def _threshold_grid(args) -> list:
         grid = [float(t) for t in args.thresholds.split(",")]
     except ValueError:
         grid = None
-    if grid is None or not all(t > 0 for t in grid):
+    if grid is None or not all(0 < t < math.inf for t in grid):
         raise ConfigurationError(
-            f"--thresholds must be comma-separated positive numbers, got {args.thresholds!r}"
+            f"--thresholds must be comma-separated finite positive numbers, got {args.thresholds!r}"
         )
     return grid
 
@@ -271,6 +271,13 @@ def _simulate(args, net: NetworkModel, rate_cfg: Optional[RateConfig] = None):
     if rate_cfg is None:
         return montecarlo.run_load_simulation(net, cfg)
     return montecarlo.run_sir_simulation(net, cfg, rate_cfg)
+
+
+def _ccdf(samples: np.ndarray, grid: list) -> Optional[list]:
+    """Empirical CCDF over the realizations with load > 0 (None when there are none)."""
+    if np.isnan(samples).all():
+        return None
+    return [float(p) for p in montecarlo.empirical_ccdf(samples, grid)]
 
 
 def _sample_stats(loads: np.ndarray) -> dict:
@@ -331,10 +338,9 @@ def _rate_report(args, net, cfg: RateConfig, grid: list, pmf, res=None) -> RateR
         thresholds=grid,
         coverage=coverage,
     )
-    if res is not None:
-        emp = montecarlo.empirical_ccdf(res.rate, grid)
-        report.empirical = [float(p) for p in emp]
-        report.max_abs_gap = float(np.max(np.abs(emp - np.array(coverage))))
+    report.empirical = None if res is None else _ccdf(res.rate, grid)
+    if report.empirical is not None:
+        report.max_abs_gap = float(np.max(np.abs(np.array(report.empirical) - coverage)))
     return report
 
 
@@ -364,7 +370,8 @@ def cmd_rate(args):
 
 def cmd_simulate(args):
     net = build_network(args)
-    res = _simulate(args, net, _rate_config(args) if args.with_sir else None)
+    cfg = _rate_config(args)
+    res = _simulate(args, net, cfg if args.with_sir else None)
     taus = [0.1, 1.0, 10.0] if args.with_sir else None
     stats = _sample_stats(res.loads)
     report = SimulateReport(
@@ -377,7 +384,7 @@ def cmd_simulate(args):
         normalized_variance=stats["normalized_variance"],
         empirical_pmf=[float(p) for p in montecarlo.empirical_pmf(res).probs],
         sir_thresholds=taus,
-        sir_ccdf=taus and [float(p) for p in montecarlo.empirical_ccdf(res.sir, taus)],
+        sir_ccdf=taus and _ccdf(res.sir, taus),
     )
     if args.raw_out:
         blank = np.full(res.loads.size, np.nan)
@@ -396,6 +403,9 @@ def cmd_compare(args):
     """Gate the moments, pmf and (with --with-rate) rate reports built on one run."""
     net = build_network(args)
     cfg, grid = _rate_config(args), _threshold_grid(args)
+    for name in ("tv", "variance", "rate"):
+        if not 0 <= getattr(args, f"{name}_tolerance") < math.inf:
+            raise ConfigurationError(f"--{name}-tolerance must be finite and >= 0")
     m, pmf = analytic.load_moments(net), analytic.load_pmf(net)
     res = _simulate(args, net, cfg if args.with_rate else None)
     moments, dist = _moments_report(args, m, res), _pmf_report(args, pmf, res)
@@ -450,12 +460,12 @@ def render_csv(report) -> str:
 
 
 def emit(report, args) -> None:
-    text = render_json(report) if args.format == "json" else render_csv(report)
+    text = render_json(report) + "\n" if args.format == "json" else render_csv(report)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 COMMANDS = {

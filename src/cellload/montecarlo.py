@@ -35,12 +35,14 @@ Determinism: realization k belongs to batch floor(k / _BATCH), whose draws
 come from a counter-based Philox stream keyed by (seed, batch).  Every batch
 is drawn in full and the last one is truncated, so realization k depends only
 on (seed, k): a run of n realizations is a prefix of any longer run with the
-same seed.  Chunks are whole batches and their outputs are concatenated in
-index order, so results are bitwise identical for any parallel_chunks.
+same seed.  parallel_chunks = K starts min(K, batches, CPUs) workers and
+gives each one contiguous run of batches; outputs are concatenated in batch
+order, so results are bitwise identical for any parallel_chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -105,7 +107,6 @@ class SimConfig:
 class LoadSimResult:
     loads: np.ndarray
     window_radius: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,6 @@ class SirSimResult:
     sir: np.ndarray          # NaN where load = 0
     rate: np.ndarray         # NaN where load = 0
     window_radius: float
-    seed: int
 
 
 def _rng_for(seed: int, batch: int) -> Generator:
@@ -168,10 +168,7 @@ def _pcp_batch(rng: Generator, model: UserModel, radius: float, size: int):
     if isinstance(model.kind, Thomas):
         users += model.kind.sigma * rng.standard_normal((total, 2))
     else:
-        rad = model.kind.radius * np.sqrt(rng.random(total))
-        ang = rng.random(total) * (2.0 * math.pi)
-        users[:, 0] += rad * np.cos(ang)
-        users[:, 1] += rad * np.sin(ang)
+        users += _annulus_points(rng, total, 0.0, model.kind.radius)
     keep = _norm2(users) <= radius * radius
     return np.compress(keep, users, axis=0), owner[keep]
 
@@ -305,44 +302,21 @@ def _batch(net, window, seed, batch, rate_cfg):
     return loads, sir, rate
 
 
-def _chunk_ranges(total: int, chunks: int):
-    """Split realizations [0, total) into at most `chunks` contiguous ranges
-    of whole batches (the last batch may be cut short)."""
-    batches = -(-total // _BATCH)
-    groups = min(chunks, batches)
-    base, extra = divmod(batches, groups)
-    out = []
-    start = 0
-    for i in range(groups):
-        stop = start + base + (1 if i < extra else 0)
-        out.append((start * _BATCH, min(stop * _BATCH, total)))
-        start = stop
-    return out
-
-
 def _stack(parts, size):
     """Concatenate the (loads, sir, rate) parts field by field and keep the
     first `size` realizations; load runs carry None for sir and rate."""
     return [None if f[0] is None else np.concatenate(f)[:size] for f in zip(*parts)]
 
 
-def _chunk(args):
-    net, window, seed, start, stop, rate_cfg = args
-    batches = range(start // _BATCH, -(-stop // _BATCH))
-    return _stack([_batch(net, window, seed, b, rate_cfg) for b in batches], stop - start)
-
-
 def _simulate(net, cfg, window, rate_cfg):
-    jobs = [
-        (net, window, cfg.seed, start, stop, rate_cfg)
-        for start, stop in _chunk_ranges(cfg.realizations, cfg.parallel_chunks)
-    ]
-    workers = min(cfg.parallel_chunks, len(jobs), os.cpu_count() or 1)
+    batches = -(-cfg.realizations // _BATCH)
+    job = functools.partial(_batch, net, window, cfg.seed, rate_cfg=rate_cfg)
+    workers = min(cfg.parallel_chunks, batches, os.cpu_count() or 1)
     if workers == 1:
-        parts = [_chunk(job) for job in jobs]
+        parts = list(map(job, range(batches)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk, jobs))
+            parts = list(pool.map(job, range(batches), chunksize=-(-batches // workers)))
     return _stack(parts, cfg.realizations)
 
 
@@ -350,7 +324,7 @@ def run_load_simulation(net: NetworkModel, cfg: SimConfig) -> LoadSimResult:
     """Loads of cfg.realizations independent typical cells."""
     window = _window(net, None)
     loads, _, _ = _simulate(net, cfg, window, None)
-    return LoadSimResult(loads, window, cfg.seed)
+    return LoadSimResult(loads, window)
 
 
 def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) -> SirSimResult:
@@ -360,7 +334,7 @@ def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) 
         raise ConfigurationError("SIR simulation requires alpha >= 3 for window truncation")
     window = _window(net, rate_cfg.alpha)
     loads, sir, rate = _simulate(net, cfg, window, rate_cfg)
-    return SirSimResult(loads, sir, rate, window, cfg.seed)
+    return SirSimResult(loads, sir, rate, window)
 
 
 def empirical_pmf(source) -> LoadPmf:

@@ -19,9 +19,7 @@ from cellload.analytic import (
     nb_pmf,
     ppp_baseline_variance,
     rate_coverage,
-    second_moment_load,
     sir_ccdf,
-    variance_load,
 )
 from cellload.analytic import E_V2, _KERNEL_REACH, _beta_factor, _pair_excess_integral
 from cellload.errors import (
@@ -151,13 +149,11 @@ class TestVariance:
 
     def test_variance_consistency(self):
         m = load_moments(TCP_NET)
-        assert variance_load(TCP_NET) == pytest.approx(m.variance)
-        assert second_moment_load(TCP_NET) == pytest.approx(m.second_moment)
         assert m.variance == pytest.approx(m.second_moment - m.mean**2, rel=1e-9)
 
     def test_exceeds_ppp_baseline_and_028_floor(self):
         for net in (TCP_NET, MCP_NET):
-            var = variance_load(net)
+            var = load_moments(net).variance
             mean = mean_load(net)
             assert var > ppp_baseline_variance(net)
             assert var >= 0.28 * mean**2
@@ -537,3 +533,14 @@ class TestValueTypes:
             RateConfig(alpha=4.0, bandwidth_w=1e6, thresholds=(0.0,))
         cfg = RateConfig(alpha=4.0, bandwidth_w=1e6, thresholds=(1e4, 1e5))
         assert cfg.thresholds == (1e4, 1e5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": math.inf}, {"alpha": math.nan},
+        {"bandwidth_w": math.inf}, {"bandwidth_w": math.nan},
+        {"backhaul_rb": math.nan},
+    ], ids=["alpha-inf", "alpha-nan", "bandwidth-inf", "bandwidth-nan", "backhaul-nan"])
+    def test_rate_config_rejects_non_finite(self, kwargs):
+        with pytest.raises(DomainError):
+            RateConfig(**{"alpha": 4.0, "bandwidth_w": 1e6, **kwargs})
+        # an unbounded backhaul is the default, not an error
+        assert RateConfig(alpha=4.0, bandwidth_w=1e6).backhaul_rb == math.inf

@@ -127,6 +127,25 @@ class TestPmf:
         assert check["normalized_variance_rel_error"]["value"] is None
         assert not check["normalized_variance_rel_error"]["pass"]
 
+    def test_empty_samples_give_null_ccdfs(self, capsys):
+        # no realization has a user to condition the SIR or rate on
+        run = ["--realizations", "50"]
+        code, out, _ = run_cli(["rate"] + EMPTY_ARGS + ["--mc"] + run, capsys)
+        assert code == 0
+        d = json.loads(out)
+        assert d["empirical"] is None and d["max_abs_gap"] is None
+
+        code, out, _ = run_cli(["simulate"] + EMPTY_ARGS + ["--with-sir"] + run, capsys)
+        assert code == 0
+        d = json.loads(out)
+        assert d["sir_thresholds"] == [0.1, 1.0, 10.0] and d["sir_ccdf"] is None
+
+        code, out, _ = run_cli(["compare"] + EMPTY_ARGS + ["--with-rate"] + run, capsys)
+        assert code == cli.EXIT_COMPARISON
+        check = {c["check"]: c for c in json.loads(out)["checks"]}
+        assert check["rate_ccdf_max_abs_gap"]["value"] is None
+        assert not check["rate_ccdf_max_abs_gap"]["pass"]
+
     def test_mc_tv_distance(self, capsys):
         code, out, _ = run_cli(
             ["pmf"] + TCP_ARGS + ["--mc", "--realizations", "3000", "--seed", "3"], capsys
@@ -171,6 +190,34 @@ class TestRate:
         code, out, err = run_cli(argv, capsys)
         assert code == cli.EXIT_VALIDATION and out == ""
         assert "--thresholds" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rate", "--thresholds", "inf"], "--thresholds"),
+        (["rate", "--thresholds", "1e5,1e400"], "--thresholds"),
+        (["rate", "--thresholds", "nan"], "--thresholds"),
+        (["rate", "--mc", "--backhaul", "nan"], "backhaul"),
+        (["rate", "--bandwidth", "inf"], "bandwidth"),
+        (["rate", "--alpha", "inf"], "alpha"),
+        (["simulate", "--backhaul", "nan"], "backhaul"),
+        (["compare", "--tv-tolerance", "inf"], "--tv-tolerance"),
+        (["compare", "--tv-tolerance", "nan"], "--tv-tolerance"),
+        (["compare", "--tv-tolerance", "-1"], "--tv-tolerance"),
+        (["compare", "--variance-tolerance", "inf"], "--variance-tolerance"),
+        (["compare", "--with-rate", "--rate-tolerance", "nan"], "--rate-tolerance"),
+    ], ids=["thresholds-inf", "thresholds-overflow", "thresholds-nan", "backhaul-nan",
+            "bandwidth-inf", "alpha-inf", "simulate-backhaul-nan", "tv-inf", "tv-nan",
+            "tv-negative", "variance-inf", "rate-nan"])
+    def test_non_finite_options_exit_before_any_work(self, argv, message, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no work may start on a non-finite option")
+
+        for name in ("run_load_simulation", "run_sir_simulation"):
+            monkeypatch.setattr(montecarlo, name, forbidden)
+        for name in ("load_moments", "load_pmf"):
+            monkeypatch.setattr(analytic, name, forbidden)
+        code, out, err = run_cli(argv[:1] + TCP_ARGS + argv[1:] + ["--realizations", "10"], capsys)
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert message in err
 
     def test_zero_bandwidth_exits_validation(self, capsys):
         # the default grid spans 0.02 W to 2 W, so W is checked before it is built
@@ -390,6 +437,16 @@ class TestReports:
         with pytest.raises(ConfigurationError,
                            match=r"missing fields \['coverage', 'thresholds'\]"):
             cli.parse_report(json.dumps(d))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_ends_in_one_newline(self, fmt, capsys, tmp_path):
+        argv = ["rate"] + TCP_ARGS + ["--thresholds", "1e5,2e5", "--format", fmt]
+        _, out, _ = run_cli(argv, capsys)
+        path = tmp_path / "report.txt"
+        run_cli(argv + ["--out", str(path)], capsys)
+        for text in (out, path.read_text()):
+            assert text.endswith("\n") and not text.endswith("\n\n")
+        assert out == path.read_text()
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

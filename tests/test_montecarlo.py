@@ -92,30 +92,54 @@ class TestSamplers:
 
     def test_pcp_pair_correlation_excess(self):
         # the short-range pair density of pooled samples should match the
-        # analytic rho2 well above the Poisson level
-        users = TCP_NET.users
-        w, r_bin = 2.0, 0.05
-        pairs, area_total = 0, 0.0
-        n_real = 400
-        for k in range(n_real):
-            pts = sample_pcp(users, w, _rng_for(7, k))
-            rad2 = np.einsum("ij,ij->i", pts, pts)
-            inner = pts[rad2 <= (w - r_bin) ** 2]
-            if inner.shape[0] == 0:
-                continue
-            d2 = np.sum((inner[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-            pairs += int(((d2 <= r_bin**2) & (d2 > 0)).sum())
-            area_total += math.pi * (w - r_bin) ** 2
-        # E[pairs] = area * int_0^{r_bin} rho2(r) 2 pi r dr
+        # analytic rho2 well above the Poisson level, for both cluster kernels
         from cellload.quadrature import integrate_finite
 
-        ring_mass = integrate_finite(
-            lambda r: 2.0 * math.pi * r * pair_correlation_density(users, r), 0.0, r_bin
-        ).value
-        expected = area_total * ring_mass
-        poisson_level = area_total * math.pi * r_bin**2 * users.intensity**2
-        assert pairs > 3.0 * poisson_level  # strong clustering excess, right sign
-        assert pairs == pytest.approx(expected, rel=0.15)
+        for users in (TCP_NET.users, MCP_NET.users):
+            w, r_bin = 2.0, 0.05
+            pairs, area_total = 0, 0.0
+            n_real = 400
+            for k in range(n_real):
+                pts = sample_pcp(users, w, _rng_for(7, k))
+                rad2 = np.einsum("ij,ij->i", pts, pts)
+                inner = pts[rad2 <= (w - r_bin) ** 2]
+                if inner.shape[0] == 0:
+                    continue
+                d2 = np.sum((inner[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+                pairs += int(((d2 <= r_bin**2) & (d2 > 0)).sum())
+                area_total += math.pi * (w - r_bin) ** 2
+            # E[pairs] = area * int_0^{r_bin} rho2(r) 2 pi r dr
+            ring_mass = integrate_finite(
+                lambda r: 2.0 * math.pi * r * pair_correlation_density(users, r), 0.0, r_bin
+            ).value
+            expected = area_total * ring_mass
+            poisson_level = area_total * math.pi * r_bin**2 * users.intensity**2
+            assert pairs > 3.0 * poisson_level, users  # strong clustering excess, right sign
+            assert pairs == pytest.approx(expected, rel=0.15), users
+
+
+def _record_pool(monkeypatch, cpus):
+    """Run pools in-process on `cpus` CPUs; returns the (max_workers,
+    chunksize) of every pool started."""
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            seen.append((self.max_workers, chunksize))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    return seen
 
 
 class TestDeterminism:
@@ -162,28 +186,22 @@ class TestDeterminism:
     @pytest.mark.parametrize("cpus, expected", [(8, 4), (2, 2)])
     def test_pool_size_capped(self, monkeypatch, cpus, expected):
         # 200 realizations are 4 batches, so a huge parallel_chunks must still
-        # start no more workers than there are batch groups or CPUs
-        seen = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        # start no more workers than there are batches or CPUs, and give each
+        # worker an equal run of batches
+        seen = _record_pool(monkeypatch, cpus)
         cfg = SimConfig(realizations=200, seed=9, parallel_chunks=5000)
         res = run_load_simulation(TCP_NET, cfg)
-        assert seen == [expected]
+        assert seen == [(expected, 4 // expected)]
         serial = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=9))
+        assert np.array_equal(res.loads, serial.loads)
+
+    def test_pool_chunks_balanced(self, monkeypatch):
+        # 4000 realizations are 63 batches; three chunks on two CPUs start two
+        # workers with 32 batches each, not three jobs of 21 on two workers
+        seen = _record_pool(monkeypatch, 2)
+        res = run_load_simulation(TCP_NET, SimConfig(realizations=4000, seed=9, parallel_chunks=3))
+        assert seen == [(2, 32)]
+        serial = run_load_simulation(TCP_NET, SimConfig(realizations=4000, seed=9))
         assert np.array_equal(res.loads, serial.loads)
 
     def test_distinct_seeds_differ(self):
@@ -329,7 +347,7 @@ class TestEstimators:
     def test_accepts_arrays_and_results(self):
         pmf = empirical_pmf(np.array([2, 2, 4]))
         assert pmf.probs.sum() == 1.0
-        res = LoadSimResult(np.array([1, 1, 3]), 9.6, 0)
+        res = LoadSimResult(np.array([1, 1, 3]), 9.6)
         assert empirical_pmf(res).probs[1] == pytest.approx(2.0 / 3.0)
 
     def test_empty_rejected(self):
