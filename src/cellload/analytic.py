@@ -5,15 +5,13 @@ in units of 1/sqrt(lambda_b)); cell loads are counts and therefore identical
 for the original and normalized models.  The normalization keeps every
 integrand O(1) and matches the normalized cell-radius law used by the PGF.
 
-Second moment of the typical-cell load (exact):
+Second moment of the typical-cell load (exact, normalized units):
 
-    E[L^2] = lam_u + 2*pi * I[rho2]          (normalized units)
-    I[rho2] = int_0^{2pi} int_0^inf int_0^inf exp(-A_u(x1, x2, d(x1,x2,th)))
-              * rho2(d) * x1 * x2  dx1 dx2 dth
+    E[L^2] = lam_u + lam_u^2 * E[V^2] + 2*pi * int_0^inf r * rho_exc(r) * gamma(r) dr
 
-split into the constant part lam_u^2 * E[V^2] (a universal constant, stored
-as a literal) and the clustering excess, which is evaluated in separation
-coordinates where the excess density provides a natural truncation radius.
+with E[V^2] and gamma(r) the second moment and the mean set covariance of the
+typical Poisson-Voronoi cell, both universal and stored, so the clustering
+term is a 1-D integral over the model's pair-correlation excess rho_exc.
 
 The PGF of the load under the equal-area-circle approximation is a double
 integral whose inner kernel exp(-m_bar xi (1 - theta)) is the PGF of a
@@ -31,15 +29,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from scipy import special as _sp
 
 from . import quadrature
 from .errors import ConvergenceError, DomainError, InfeasibleModelError, InversionQualityError
 from .ppmodel import NetworkModel, cluster_cdf, cluster_reach, pair_correlation_excess
-from .quadrature import QuadSpec, _panel_nodes
-# Unused here; kept because perfbench/spans.py wraps analytic.integrate_finite.
-from .quadrature import integrate_finite  # noqa: F401
-from .specfun import _union_area_arrays, cell_radius_pdf
+# integrate_finite is unused here; kept because perfbench/spans.py wraps analytic.integrate_finite.
+from .quadrature import _panel_nodes, integrate_finite  # noqa: F401
+from .specfun import cell_radius_pdf
 
 __all__ = [
     "LoadMoments",
@@ -157,48 +155,55 @@ def mean_load(net: NetworkModel) -> float:
     return net.users.intensity / net.lambda_b
 
 
-# Second moment of the area of the typical Poisson-Voronoi cell at unit BS
-# density, a universal constant (Gilbert 1962: ~1.28018):
+# Two universal functionals of the typical Poisson-Voronoi cell V at unit BS
+# density, with A_u the union area of the two association discs: the second
+# moment of its area (Gilbert 1962: ~1.28018)
 #     E[V^2] = 2*pi * int_0^{2pi} int_0^inf int_0^inf exp(-A_u(x1, x2, d)) x1 x2,
-# with A_u the union area of the two association discs.  The literal is the
-# double the panel-doubled tensor Gauss-Legendre rule returns on the truncated
-# box [0, pi] x [0, _KERNEL_REACH]^2 (tests/test_analytic.py reruns it), and
-# _E_V2_ERROR is that rule's last refinement change.
+# and its mean set covariance gamma(r) = E|V cap (V + r e)| (Matheron 1975)
+#     gamma(r) = 2 * int_0^inf x int_0^pi exp(-A_u(x, |x + r e^{i th}|, r)) dth dx.
+# E_V2 is the double the panel-doubled tensor Gauss-Legendre rule returns on
+# [0, pi] x [0, 4.2]^2, and _E_V2_ERROR its last refinement change.  _GAMMA_CHEB
+# is gamma's degree-40 Chebyshev interpolant on [0, _GAMMA_SPAN] from the tensor
+# rule on [0, 4.2] x [0, pi] in 80 x 48 panels; _GAMMA_FIT_ERROR bounds its gap
+# to a 240 x 144-panel rule (3.8e-11 at r = 0.15), and gamma(7) ~ 2e-34 is taken
+# as 0 beyond.  tests/test_analytic.py reruns both rules and checks gamma(0) = 1,
+# gamma'(0) = -4/pi and 2 pi int r gamma = E_V2.
 E_V2 = 1.2801762065782523
 _E_V2_ERROR = 1.1614207704150463e-06
-
-# exp(-pi x^2) < 1e-24 beyond this radius; the union area of the two
-# association discs is at least pi * max(x1, x2)^2, so truncating the
-# semi-infinite axes here stays far below every tolerance in use.
-_KERNEL_REACH = 4.2
+_GAMMA_SPAN = 7.0
+_GAMMA_CHEB = np.array([
+    0.16154689104367248, -0.30201687358271095, 0.24541718798940337, -0.1702231569084254,
+    0.09640506981312366, -0.0392923937997919, 0.0051548654190039745, 0.008504599476802434,
+    -0.0091772945448897, 0.004779535648412648, -0.0006098290842073424, -0.0013475121814241757,
+    0.0014062100955789282, -0.0006787722237331779, 3.218071450059915e-05, 0.00023080644438971005,
+    -0.0002020765709121775, 7.992837866439399e-05, 7.81177105150704e-06, -3.351600598407269e-05,
+    2.2985307985769437e-05, -6.344852042774679e-06, -2.5663294616983545e-06, 3.7661503807741267e-06,
+    -1.8806197312001365e-06, 2.1171448242778982e-07, 3.797805290142663e-07, -3.068838527417258e-07,
+    9.902188398786388e-08, 1.466693690077028e-08, -3.312880568789189e-08, 1.664622489172811e-08,
+    -2.413390950498829e-09, -2.21551867908531e-09, 1.789551964609528e-09, -5.864473351380184e-10,
+    -9.8608384330585e-13, 1.0227251024383715e-10, -5.7881027883900616e-11, 1.903744370817948e-11,
+    -4.2855637737724595e-12,
+])
+_GAMMA_FIT_ERROR = 5e-11
 
 
 def _pair_excess_integral(net: NetworkModel) -> quadrature.IntegrationResult:
-    """Clustering contribution to E[L^2] in separation coordinates.
-
-    4*pi * int_0^inf dx int_0^pi dth int_0^rmax dr
-        x * r * rho_excess(r) * exp(-A_u(x, |x + r e^{i th}|, r)),
-    with rmax the excess support (2R for Matern, 12 sigma for Thomas).
-    """
-    norm = net.normalized()
-    users = norm.users
-    rmax = 2.0 * cluster_reach(users)
-    spec = QuadSpec(rel_tol=1e-6, abs_tol=1e-12)
-
-    def f(x, theta, r):
-        x2 = np.sqrt(x**2 + r**2 + 2.0 * x * r * np.cos(theta))
-        a_u = _union_area_arrays(x, x2, r)
-        return x * r * pair_correlation_excess(users, r) * np.exp(-a_u)
-
-    res = quadrature.tensor_triple(
-        f,
-        [(0.0, _KERNEL_REACH), (0.0, math.pi), (0.0, rmax)],
-        spec,
-        start_panels=(5, 4, 5),
-    )
-    return quadrature.IntegrationResult(
-        4.0 * math.pi * res.value, 4.0 * math.pi * res.error_estimate, res.evaluations
-    )
+    """Clustering contribution to E[L^2], 2*pi * int_0^rmax r rho_excess(r) gamma(r) dr with
+    rmax the excess support (2R, or 12 sigma) capped at _GAMMA_SPAN, on Gauss-Legendre panels
+    doubled from 32 until two values agree; the error adds the fit error times lambda_p m_bar^2."""
+    users = net.normalized().users
+    rmax = min(2.0 * cluster_reach(users), _GAMMA_SPAN)
+    fit = users.lambda_p * users.m_bar**2 * _GAMMA_FIT_ERROR
+    value, evals = None, 0
+    for panels in (32, 64, 128, 256):
+        r, w = _panel_nodes(np.linspace(0.0, rmax, panels + 1))
+        gamma = chebval(r * (2.0 / _GAMMA_SPAN) - 1.0, _GAMMA_CHEB)
+        refined = 2.0 * math.pi * float(w @ (r * pair_correlation_excess(users, r) * gamma))
+        evals += r.size
+        if value is not None and abs(refined - value) <= max(1e-12, 1e-6 * abs(refined)):
+            return quadrature.IntegrationResult(refined, abs(refined - value) + fit, evals)
+        value = refined
+    raise ConvergenceError("pair-excess rule did not stabilize", best_estimate=value)
 
 
 def load_moments(net: NetworkModel) -> LoadMoments:

@@ -264,13 +264,15 @@ def _threshold_grid(args) -> list:
     return grid
 
 
-def _simulate(args, net: NetworkModel, rate_cfg: Optional[RateConfig] = None):
-    """The command's Monte Carlo run: loads only, or SIR and rate under `rate_cfg`."""
+def _simulation(args, net: NetworkModel, rate_cfg: Optional[RateConfig] = None):
+    """The command's Monte Carlo run (loads, or SIR and rate under `rate_cfg`), its
+    options checked now, before any analytic work; calling the result runs it."""
     cfg = SimConfig(realizations=args.realizations, seed=args.seed,
                     parallel_chunks=args.parallel_chunks)
     if rate_cfg is None:
-        return montecarlo.run_load_simulation(net, cfg)
-    return montecarlo.run_sir_simulation(net, cfg, rate_cfg)
+        return lambda: montecarlo.run_load_simulation(net, cfg)
+    montecarlo.check_sir_alpha(rate_cfg.alpha)
+    return lambda: montecarlo.run_sir_simulation(net, cfg, rate_cfg)
 
 
 def _ccdf(samples: np.ndarray, grid: list) -> Optional[list]:
@@ -350,28 +352,30 @@ def _rate_report(args, net, cfg: RateConfig, grid: list, pmf, res=None) -> RateR
 
 def cmd_moments(args):
     net = build_network(args)
+    run = _simulation(args, net) if args.mc else None
     m = analytic.load_moments(net)
-    return _moments_report(args, m, _simulate(args, net) if args.mc else None), EXIT_OK
+    return _moments_report(args, m, run() if run else None), EXIT_OK
 
 
 def cmd_pmf(args):
     net = build_network(args)
+    run = _simulation(args, net) if args.mc else None
     pmf = analytic.load_pmf(net)
-    return _pmf_report(args, pmf, _simulate(args, net) if args.mc else None), EXIT_OK
+    return _pmf_report(args, pmf, run() if run else None), EXIT_OK
 
 
 def cmd_rate(args):
     net = build_network(args)
     cfg, grid = _rate_config(args), _threshold_grid(args)
+    run = _simulation(args, net, cfg) if args.mc else None
     pmf = analytic.load_pmf(net)
-    res = _simulate(args, net, cfg) if args.mc else None
-    return _rate_report(args, net, cfg, grid, pmf, res), EXIT_OK
+    return _rate_report(args, net, cfg, grid, pmf, run() if run else None), EXIT_OK
 
 
 def cmd_simulate(args):
     net = build_network(args)
     cfg = _rate_config(args)
-    res = _simulate(args, net, cfg if args.with_sir else None)
+    res = _simulation(args, net, cfg if args.with_sir else None)()
     taus = [0.1, 1.0, 10.0] if args.with_sir else None
     stats = _sample_stats(res.loads)
     report = SimulateReport(
@@ -406,8 +410,8 @@ def cmd_compare(args):
     for name in ("tv", "variance", "rate"):
         if not 0 <= getattr(args, f"{name}_tolerance") < math.inf:
             raise ConfigurationError(f"--{name}-tolerance must be finite and >= 0")
-    m, pmf = analytic.load_moments(net), analytic.load_pmf(net)
-    res = _simulate(args, net, cfg if args.with_rate else None)
+    run = _simulation(args, net, cfg if args.with_rate else None)
+    m, pmf, res = analytic.load_moments(net), analytic.load_pmf(net), run()
     moments, dist = _moments_report(args, m, res), _pmf_report(args, pmf, res)
     mc = moments.mc
     report = CompareReport(model=_model_dict(args), realizations=args.realizations, seed=args.seed)

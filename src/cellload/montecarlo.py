@@ -65,6 +65,7 @@ __all__ = [
     "sample_pcp",
     "run_load_simulation",
     "run_sir_simulation",
+    "check_sir_alpha",
     "empirical_pmf",
     "empirical_ccdf",
     "tv_distance",
@@ -327,11 +328,15 @@ def run_load_simulation(net: NetworkModel, cfg: SimConfig) -> LoadSimResult:
     return LoadSimResult(loads, window)
 
 
-def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) -> SirSimResult:
-    """Loads plus representative-user SIR and rate samples.  The window grows
-    as 101^{1/(alpha-2)}, so alpha < 3 is refused."""
-    if rate_cfg.alpha < 3.0:
+def check_sir_alpha(alpha: float) -> None:
+    """Refuse alpha < 3 for a SIR run, whose window grows as 101^{1/(alpha-2)}."""
+    if alpha < 3.0:
         raise ConfigurationError("SIR simulation requires alpha >= 3 for window truncation")
+
+
+def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) -> SirSimResult:
+    """Loads plus representative-user SIR and rate samples (alpha >= 3)."""
+    check_sir_alpha(rate_cfg.alpha)
     window = _window(net, rate_cfg.alpha)
     loads, sir, rate = _simulate(net, cfg, window, rate_cfg)
     return SirSimResult(loads, sir, rate, window)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebval
 
-from cellload import analytic
+from cellload import analytic, quadrature
 from cellload.analytic import (
     LoadMoments,
     LoadPmf,
@@ -21,7 +22,15 @@ from cellload.analytic import (
     rate_coverage,
     sir_ccdf,
 )
-from cellload.analytic import E_V2, _KERNEL_REACH, _beta_factor, _pair_excess_integral
+from cellload.analytic import (
+    E_V2,
+    _E_V2_ERROR,
+    _GAMMA_CHEB,
+    _GAMMA_FIT_ERROR,
+    _GAMMA_SPAN,
+    _beta_factor,
+    _pair_excess_integral,
+)
 from cellload.errors import (
     ConvergenceError,
     DomainError,
@@ -30,10 +39,12 @@ from cellload.errors import (
 )
 from cellload.montecarlo import points_in_typical_cell, sample_ppp, _rng_for
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
-from cellload.quadrature import QuadSpec, tensor_triple
+from cellload.quadrature import QuadSpec, _panel_nodes, tensor_triple
 from cellload.specfun import _union_area_arrays
 
 from helpers import (
+    _KERNEL_REACH,
+    cell_covariogram,
     integrate_nested,
     integrate_semi_infinite,
     pgf_by_nested_quadrature,
@@ -124,6 +135,66 @@ class TestSecondMoment:
             d = lambda a, b, t: math.sqrt(a**2 + b**2 - 2 * a * b * math.cos(t))
             assert d(x1, x2, th) == pytest.approx(d(x2, x1, th))
             assert d(x1, x2, 2 * math.pi - th) == pytest.approx(d(x1, x2, th))
+
+
+def stored_covariogram(r):
+    return chebval(np.asarray(r, dtype=float) * (2.0 / _GAMMA_SPAN) - 1.0, _GAMMA_CHEB)
+
+
+class TestCovariogram:
+    """The stored Chebyshev series of the typical cell's mean set covariance."""
+
+    def test_series_rebuilt_from_tensor_rule(self):
+        rebuilt = chebinterpolate(
+            lambda u: cell_covariogram(0.5 * _GAMMA_SPAN * (u + 1.0)), _GAMMA_CHEB.size - 1
+        )
+        u = np.random.default_rng(11).uniform(0.0, _GAMMA_SPAN, 50) * (2.0 / _GAMMA_SPAN) - 1.0
+        assert np.max(np.abs(chebval(u, rebuilt) - chebval(u, _GAMMA_CHEB))) <= 1e-10
+
+    def test_fit_error_bounds_gap_to_finer_rule(self):
+        # the gap peaks at small r, where the theta = pi slice kinks at x = r
+        r = np.random.default_rng(12).uniform(0.0, 1.0, 8)
+        gap = np.abs(stored_covariogram(r) - cell_covariogram(r, 160, 96))
+        assert gap.max() <= _GAMMA_FIT_ERROR
+
+    def test_unit_area_at_zero(self):
+        # gamma(0) = E|V| = 1 at unit density
+        assert stored_covariogram(0.0) == pytest.approx(1.0, abs=1e-9)
+
+    def test_slope_at_zero_is_mean_perimeter_over_pi(self):
+        # gamma'(0) = -E[perimeter] / pi, with E[perimeter] = 4 at unit density
+        slope = chebval(-1.0, chebder(_GAMMA_CHEB)) * (2.0 / _GAMMA_SPAN)
+        assert slope == pytest.approx(-4.0 / math.pi, rel=1e-6)
+
+    def test_integral_is_cell_area_second_moment(self):
+        # 2 pi int_0^inf r gamma(r) dr = E[V^2] (Gilbert 1962)
+        r, w = _panel_nodes(np.linspace(0.0, _GAMMA_SPAN, 65))
+        assert abs(2.0 * math.pi * float(w @ (r * stored_covariogram(r))) - E_V2) <= _E_V2_ERROR
+
+
+class TestClusteringTermLimits:
+    """Closed-form cluster-size limits of 2 pi int r rho_excess gamma dr (lambda_b = 1)."""
+
+    @pytest.mark.parametrize("kind", [Thomas(1e-6), Matern(1e-6)], ids=["tcp", "mcp"])
+    def test_small_clusters_see_every_pair(self, kind):
+        # offspring pairs at separation ~0 count gamma(0) = 1 each
+        net = NetworkModel(1.0, UserModel(5.0, 5.0, kind))
+        assert _pair_excess_integral(net).value == pytest.approx(5.0 * 5.0**2, rel=1e-5)
+
+    def test_large_thomas_clusters_see_the_cell_area_moment(self):
+        # rho_excess ~ lambda_p m_bar^2 / (4 pi sigma^2) across the support of gamma
+        sigma = 30.0
+        net = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(sigma)))
+        ratio = _pair_excess_integral(net).value * 4.0 * math.pi * sigma**2 / (5.0 * 5.0**2 * E_V2)
+        assert ratio == pytest.approx(1.0, rel=1e-3)
+
+    def test_no_tensor_rule_at_runtime(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load_moments must not run the 3-D tensor rule")
+
+        monkeypatch.setattr(quadrature, "tensor_triple", forbidden)
+        for net in (TCP_NET, MCP_NET):
+            assert load_moments(net).variance > ppp_baseline_variance(net)
 
 
 class TestVariance:

@@ -28,6 +28,18 @@ EMPTY_ARGS = ["--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "
 EXAMPLE_DIR = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if any simulation run or analytic call starts."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no work may start on an invalid option")
+
+    for name in ("run_load_simulation", "run_sir_simulation"):
+        monkeypatch.setattr(montecarlo, name, forbidden)
+    for name in ("load_moments", "load_pmf"):
+        monkeypatch.setattr(analytic, name, forbidden)
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -66,6 +78,14 @@ class TestMoments:
         )
         assert code == cli.EXIT_VALIDATION
         assert "sigma" in err
+
+    def test_large_clusters_exit_ok(self, capsys):
+        # 12 sigma far beyond the stored covariogram's span [0, 7]
+        argv = ["moments", "--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "5",
+                "--sigma", "10"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["variance"] > 0
 
     def test_missing_kernel_parameter(self, capsys):
         code, _, err = run_cli(
@@ -179,14 +199,7 @@ class TestRate:
         ["rate"] + TCP_ARGS + ["--thresholds", "1e5,0"],
         ["compare"] + TCP_ARGS + ["--thresholds", "-1", "--realizations", "10"],
     ], ids=["rate-negative", "rate-zero", "compare-negative"])
-    def test_non_positive_thresholds_exit_before_any_work(self, argv, capsys, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("no work may start on an invalid threshold grid")
-
-        for name in ("run_load_simulation", "run_sir_simulation"):
-            monkeypatch.setattr(montecarlo, name, forbidden)
-        for name in ("load_moments", "load_pmf"):
-            monkeypatch.setattr(analytic, name, forbidden)
+    def test_non_positive_thresholds_exit_before_any_work(self, argv, capsys, no_work):
         code, out, err = run_cli(argv, capsys)
         assert code == cli.EXIT_VALIDATION and out == ""
         assert "--thresholds" in err
@@ -204,20 +217,27 @@ class TestRate:
         (["compare", "--tv-tolerance", "-1"], "--tv-tolerance"),
         (["compare", "--variance-tolerance", "inf"], "--variance-tolerance"),
         (["compare", "--with-rate", "--rate-tolerance", "nan"], "--rate-tolerance"),
+        (["moments", "--mc", "--parallel-chunks", "0"], "parallel_chunks"),
+        (["pmf", "--mc", "--parallel-chunks", "0"], "parallel_chunks"),
+        (["rate", "--mc", "--parallel-chunks", "0"], "parallel_chunks"),
+        (["compare", "--parallel-chunks", "0"], "parallel_chunks"),
+        (["rate", "--mc", "--alpha", "2.5"], "alpha >= 3"),
+        (["compare", "--with-rate", "--alpha", "2.5"], "alpha >= 3"),
     ], ids=["thresholds-inf", "thresholds-overflow", "thresholds-nan", "backhaul-nan",
             "bandwidth-inf", "alpha-inf", "simulate-backhaul-nan", "tv-inf", "tv-nan",
-            "tv-negative", "variance-inf", "rate-nan"])
-    def test_non_finite_options_exit_before_any_work(self, argv, message, capsys, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("no work may start on a non-finite option")
-
-        for name in ("run_load_simulation", "run_sir_simulation"):
-            monkeypatch.setattr(montecarlo, name, forbidden)
-        for name in ("load_moments", "load_pmf"):
-            monkeypatch.setattr(analytic, name, forbidden)
+            "tv-negative", "variance-inf", "rate-nan", "moments-mc-chunks", "pmf-mc-chunks",
+            "rate-mc-chunks", "compare-chunks", "rate-mc-alpha", "compare-rate-alpha"])
+    def test_non_finite_options_exit_before_any_work(self, argv, message, capsys, no_work):
         code, out, err = run_cli(argv[:1] + TCP_ARGS + argv[1:] + ["--realizations", "10"], capsys)
         assert code == cli.EXIT_VALIDATION and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("argv", [["moments", "--mc"], ["pmf", "--mc"], ["rate", "--mc"],
+                                      ["compare"]], ids=["moments", "pmf", "rate", "compare"])
+    def test_zero_realizations_exit_before_any_work(self, argv, capsys, no_work):
+        code, out, err = run_cli(argv[:1] + TCP_ARGS + argv[1:] + ["--realizations", "0"], capsys)
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert "realizations" in err
 
     def test_zero_bandwidth_exits_validation(self, capsys):
         # the default grid spans 0.02 W to 2 W, so W is checked before it is built
