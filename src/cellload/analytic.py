@@ -268,7 +268,7 @@ def nb_pmf(params: NegBinParams, n) -> np.ndarray:
 # PGF of the load and its DFT inversion
 # ---------------------------------------------------------------------------
 
-_BASE_LEVELS = (12, 3, 6)    # panels of the coarsest grid: r, v plateau, v transition
+_BASE_LEVELS = (12, 6)       # panels of the coarsest grid: r, v transition band
 _TAIL_TOL = 1e-12            # probability load_pmf may leave beyond its last term
 
 
@@ -278,47 +278,46 @@ def _pgf_table(net: NetworkModel, levels):
 
         G(theta) = sum_r w_r exp(-sum_j c_j(r) (1 - theta^j)).
 
-    levels = (n_r, n_plateau, n_trans) panel counts.  The outer integral runs
-    over the normalized cell radius r; for each r node the inner one runs over
-    the parent distance v, on a plateau up to r - reach and the transition
-    band [r - reach, r + reach] where the cluster CDF xi moves.  With
-    mu = m_bar xi, 1 - exp(-mu (1 - theta)) is one minus the PGF of a
-    Poisson(mu) count, so the inner integral is sum_j A_j(r) (1 - theta^j),
-    A_j(r) = sum_v w_v v pi_j(mu(r, v)), and c_j = 2 pi lambda_p A_j.
-    pi_j = exp(j log mu - mu - log j!) is taken in log space (exp(-mu)
-    underflows for mu > 745).  The series stops at the first j with
-    j + 1 > max mu and max pi_j / (1 - max mu / (j + 1)) < 1e-17, which bounds
-    the truncated tail sum_{k>j} pi_k on the whole grid.
+    levels = (n_r, n_trans) panel counts.  The outer integral runs over the
+    normalized cell radius r; for each r node the inner one runs over the
+    parent distance v.  With mu = m_bar xi, 1 - exp(-mu (1 - theta)) is one
+    minus the PGF of a Poisson(mu) count, so the inner integral is
+    sum_j A_j(r) (1 - theta^j) with A_j(r) = int v pi_j(mu(r, v)) dv, and
+    c_j = 2 pi lambda_p A_j.  On the plateau v <= lo = max(r - reach, 0) the
+    whole cluster lies within r, so xi = 1 (exactly for Matern, up to the
+    e^-18 tail the reach truncates for Thomas) and that part of A_j is
+    lo^2 / 2 * pi_j(m_bar) in closed form; quadrature runs only on the
+    transition band [lo, r + reach] where xi moves.  pi_j = exp(j log mu -
+    mu - log j!) is taken in log space (exp(-mu) underflows for mu > 745).
+    Since mu <= m_bar, the series stops at the first j with j + 1 > m_bar and
+    max pi_j / (1 - m_bar / (j + 1)) < 1e-17, which bounds the truncated tail
+    sum_{k>j} pi_k on the whole grid.
     """
-    n_r, n_plateau, n_trans = levels
+    n_r, n_trans = levels
     users = net.normalized().users
+    m_bar = users.m_bar
     reach = cluster_reach(users)
     r_nodes, r_weights = _panel_nodes(np.linspace(0.0, _R_MAX, n_r + 1))
     r_weights = r_weights * cell_radius_pdf(r_nodes)
     r_phys = r_nodes / math.sqrt(math.pi)
 
     lo = np.maximum(r_phys - reach, 0.0)
-    edges = np.concatenate(
-        [
-            np.linspace(0.0, lo, n_plateau + 1, axis=-1)[:, :-1],
-            np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1),
-        ],
-        axis=1,
-    )
-    v_nodes, v_weights = _panel_nodes(edges)
+    v_nodes, v_weights = _panel_nodes(np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1))
     vw = v_weights * v_nodes          # weights folded with the v dv measure
-    mu = users.m_bar * cluster_cdf(users, r_phys[:, None], v_nodes)
-    mu_max = float(mu.max())
-    if not math.isfinite(mu_max):     # the stopping rule below needs a finite bound
+    mu = m_bar * cluster_cdf(users, r_phys[:, None], v_nodes)
+    if not np.isfinite(mu).all():     # a NaN pi_j would never meet the stopping rule
         raise ConvergenceError("cluster CDF is not finite on the PGF grid")
+    plateau = 0.5 * lo * lo
     with np.errstate(divide="ignore"):
         log_mu = np.log(mu)
     coeffs, j = [], 0
     while True:
         j += 1
-        pi_j = np.exp(j * log_mu - mu - _sp.gammaln(j + 1))
-        coeffs.append((pi_j * vw).sum(axis=1))
-        if j + 1 > mu_max and pi_j.max() < 1e-17 * (1.0 - mu_max / (j + 1)):
+        log_fact = _sp.gammaln(j + 1)
+        pi_j = np.exp(j * log_mu - mu - log_fact)
+        pi_bar = math.exp(j * math.log(m_bar) - m_bar - log_fact)
+        coeffs.append((pi_j * vw).sum(axis=1) + plateau * pi_bar)
+        if j + 1 > m_bar and max(pi_j.max(), pi_bar) < 1e-17 * (1.0 - m_bar / (j + 1)):
             break
     return r_weights, 2.0 * math.pi * users.lambda_p * np.array(coeffs).T
 

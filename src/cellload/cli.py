@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import ClassVar, Optional
@@ -472,6 +473,17 @@ def emit(report, args) -> None:
         sys.stdout.write(text)
 
 
+def _check_writable(args) -> None:
+    """Refuse an --out or --raw-out path that cannot be written, before any work."""
+    for flag, path in (("--out", args.out), ("--raw-out", getattr(args, "raw_out", None))):
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        target = path if os.path.exists(path) else folder
+        if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+            raise ConfigurationError(f"{flag} {path!r} is not a writable file path")
+
+
 COMMANDS = {
     "moments": cmd_moments,
     "pmf": cmd_pmf,
@@ -485,6 +497,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_writable(args)
         report, code = COMMANDS[args.command](args)
     except ConvergenceError as err:
         print(f"convergence error: {err}", file=sys.stderr)

@@ -13,23 +13,18 @@ realization, and runs one two-stage power test for all of them.
 
 Window bookkeeping (all radii scale as 1/sqrt(lambda_b)):
 
-* window_radius W: the BS window, 5% above the larger of two radii.  The
-  typical cell is contained in b(o, W/2) except with probability
-  ~ 13 exp(-pi lambda_b W^2 / 16) < 1e-6 beyond required_window_radius (a
-  void-disc bound: a cell reaching y requires an empty disc of radius |y|/2
-  centered at y/2).  Users at distance <= W/2 are then decided exactly by
-  in-window BSs, since any BS closer to u than the origin lies within
-  2|u| <= W.  A SIR run also needs W > r0 101^{1/(alpha-2)} with
+* user cutoff r_u: users beyond r_u with lambda_u exp(-pi lambda_b r_u^2)
+  < 1e-7 contribute that many expected in-cell users and are not sampled.
+  A sampled user u is decided exactly by the BSs in b(o, 2 r_u), since any BS
+  closer to u than the origin lies within 2|u|, so a load run draws only
+  those: its window_radius is 2 r_u.
+* SIR window W: a SIR run also needs W > r0 101^{1/(alpha-2)} with
   r0 = 0.5 / sqrt(lambda_b): the mean interference from beyond W,
   2 pi lambda_b W^{2-alpha} / (alpha-2), is then < 1% of the mean from the
-  annulus r0 < |x| < W.
-* user cutoff: users beyond r_u with lambda_u exp(-pi lambda_b r_u^2) < 1e-7
-  contribute that many expected in-cell users and are not sampled; BSs
-  beyond 2 r_u cannot exclude a sampled user, and 2 r_u < W for any
-  lambda_u / lambda_b below 2e24.  The BSs in b(o, 2 r_u) and
-  those in the annulus out to W are independent PPPs, so a load run draws
-  only the former and a SIR run draws the annulus afterwards for the
-  interference.
+  annulus r0 < |x| < W.  W is the larger of 2 r_u and 1.05 times that
+  radius.  The BSs in b(o, 2 r_u) and those in the annulus out to W are
+  independent PPPs, so a SIR run draws the annulus after the loads, for the
+  interference only.
 
 Determinism: realization k belongs to batch floor(k / _BATCH), whose draws
 come from a counter-based Philox stream keyed by (seed, batch).  Every batch
@@ -60,7 +55,6 @@ __all__ = [
     "SimConfig",
     "LoadSimResult",
     "SirSimResult",
-    "required_window_radius",
     "sample_ppp",
     "sample_pcp",
     "run_load_simulation",
@@ -72,23 +66,23 @@ __all__ = [
     "points_in_typical_cell",
 ]
 
-_CELL_MISS_PROB = 1e-6     # bound on P(typical cell not contained in b(o, W/2))
 _USER_TAIL = 1e-7          # bound on expected in-cell users beyond the cutoff
 _BATCH = 64                # realizations per Philox stream
 _STAGE1 = 8                # nearest stations tested against every user
 
 
-def required_window_radius(lambda_b: float) -> float:
-    """Smallest window satisfying the cell-containment invariant."""
-    return 2.0 * math.sqrt(4.0 * math.log(13.0 / _CELL_MISS_PROB) / (math.pi * lambda_b))
+def _user_cutoff(net: NetworkModel) -> float:
+    ratio = max(net.users.intensity / net.lambda_b, 1.0) / _USER_TAIL
+    return math.sqrt(math.log(ratio) / (math.pi * net.lambda_b))
 
 
 def _window(net: NetworkModel, alpha: Optional[float]) -> float:
     """BS window radius of a load run (alpha None) or of a SIR run."""
-    needed = required_window_radius(net.lambda_b)
+    window = 2.0 * _user_cutoff(net)
     if alpha is not None:
-        needed = max(needed, 0.5 / math.sqrt(net.lambda_b) * 101.0 ** (1.0 / (alpha - 2.0)))
-    return 1.05 * needed
+        sir = 1.05 * 0.5 / math.sqrt(net.lambda_b) * 101.0 ** (1.0 / (alpha - 2.0))
+        window = max(window, sir)
+    return window
 
 
 @dataclass(frozen=True)
@@ -102,6 +96,8 @@ class SimConfig:
             raise ConfigurationError("realizations must be >= 1")
         if self.parallel_chunks < 1:
             raise ConfigurationError("parallel_chunks must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError("seed must be in [0, 2^64)")
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ class SirSimResult:
 
 def _rng_for(seed: int, batch: int) -> Generator:
     """The Philox stream of realization batch `batch` under `seed`."""
-    return Generator(Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF), counter=batch << 128))
+    return Generator(Philox(key=np.uint64(seed), counter=batch << 128))
 
 
 def _norm2(pts: np.ndarray) -> np.ndarray:
@@ -256,11 +252,6 @@ def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
                           cols[:, _STAGE1:])
         alive = alive[peak < 0.0]
     return alive
-
-
-def _user_cutoff(net: NetworkModel) -> float:
-    ratio = max(net.users.intensity / net.lambda_b, 1.0) / _USER_TAIL
-    return math.sqrt(math.log(ratio) / (math.pi * net.lambda_b))
 
 
 def _batch(net, window, seed, batch, rate_cfg):

@@ -70,11 +70,6 @@ def _lens_area_arrays(r1, r2, d):
     return out
 
 
-def _union_area_arrays(r1, r2, d):
-    """Vectorized union area of the same two discs: pi r1^2 + pi r2^2 - lens."""
-    return np.pi * (np.asarray(r1, dtype=float) ** 2 + np.asarray(r2, dtype=float) ** 2) - _lens_area_arrays(r1, r2, d)
-
-
 def cell_radius_pdf(r):
     """PDF of the normalized equal-area radius of the typical cell.
 

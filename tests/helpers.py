@@ -9,7 +9,7 @@ from cellload.analytic import _R_MAX
 from cellload.errors import DomainError
 from cellload.ppmodel import Thomas, UserModel, _check_nonneg, pair_correlation_excess
 from cellload.quadrature import IntegrationResult, QuadSpec, _panel_nodes, integrate_finite
-from cellload.specfun import _union_area_arrays
+from cellload.specfun import _lens_area_arrays
 
 # exp(-pi x^2) < 1e-24 beyond this radius; the union area of the two
 # association discs is at least pi * max(x1, x2)^2, so truncating the
@@ -91,6 +91,12 @@ def integrate_nested(f, bounds, spec: QuadSpec = QuadSpec()) -> IntegrationResul
     res = level(0, ())
     pad = abs(res.value) * inner_spec.rel_tol * 10.0 + spec.abs_tol
     return IntegrationResult(res.value, res.error_estimate + pad, evaluations[0])
+
+
+def _union_area_arrays(r1, r2, d):
+    """Vectorized union area of two discs (r1 at the origin, r2 at distance d):
+    pi r1^2 + pi r2^2 - lens."""
+    return np.pi * (np.asarray(r1, dtype=float) ** 2 + np.asarray(r2, dtype=float) ** 2) - _lens_area_arrays(r1, r2, d)
 
 
 def cell_covariogram(r, x_panels: int = 80, theta_panels: int = 48) -> np.ndarray:
@@ -267,45 +273,42 @@ def pgf_by_nested_quadrature(net, theta: float) -> float:
 def pgf_grid(net, levels):
     """The quadrature grid of analytic._pgf_table, rebuilt independently.
 
-    Returns (users, r_weights, vw, xi): the normalized user model, the outer
-    weights folded with the cell-radius density, the inner weights folded
-    with the v dv measure, and the cluster CDF tabulated on the (r, v) grid.
+    Returns (users, r_weights, lo, vw, xi): the normalized user model, the
+    outer weights folded with the cell-radius density, the plateau end
+    lo = max(r - reach, 0) per radius node, the inner weights of the
+    transition band [lo, r + reach] folded with the v dv measure, and the
+    cluster CDF tabulated on the (r, v) band grid.
     """
     from cellload.ppmodel import cluster_cdf, cluster_reach
     from cellload.quadrature import _panel_nodes
     from cellload.specfun import cell_radius_pdf
 
-    n_r, n_plateau, n_trans = levels
+    n_r, n_trans = levels
     users = net.normalized().users
     reach = cluster_reach(users)
     r_nodes, r_weights = _panel_nodes(np.linspace(0.0, _R_MAX, n_r + 1))
     r_weights = r_weights * cell_radius_pdf(r_nodes)
     r_phys = r_nodes / math.sqrt(math.pi)
     lo = np.maximum(r_phys - reach, 0.0)
-    edges = np.concatenate(
-        [
-            np.linspace(0.0, lo, n_plateau + 1, axis=-1)[:, :-1],
-            np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1),
-        ],
-        axis=1,
-    )
-    v_nodes, v_weights = _panel_nodes(edges)
-    return users, r_weights, v_weights * v_nodes, cluster_cdf(users, r_phys[:, None], v_nodes)
+    v_nodes, v_weights = _panel_nodes(np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1))
+    xi = cluster_cdf(users, r_phys[:, None], v_nodes)
+    return users, r_weights, lo, v_weights * v_nodes, xi
 
 
 def pgf_on_grid_direct(net, levels, thetas):
     """Load PGF on one grid of the circle approximation, node by node.
 
     The direct reading of the double integral: for each node theta one
-    complex exponential exp(-m_bar (1 - theta) xi) over the whole tabulated
-    grid.  Oracle for the Poisson-series evaluation of analytic._pgf_from_table.
+    complex exponential exp(-m_bar (1 - theta) xi) over the band grid, plus
+    the plateau v <= lo where xi = 1, lo^2 / 2 (1 - exp(-m_bar (1 - theta))).
+    Oracle for the Poisson-series evaluation of analytic._pgf_from_table.
     """
-    users, r_weights, vw, xi = pgf_grid(net, levels)
+    users, r_weights, lo, vw, xi = pgf_grid(net, levels)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
     out = np.empty(thetas.shape, dtype=complex)
     for k, theta in enumerate(thetas):
         c = users.m_bar * (1.0 - theta)
-        inner = ((1.0 - np.exp(-c * xi)) * vw).sum(axis=1)
+        inner = ((1.0 - np.exp(-c * xi)) * vw).sum(axis=1) + 0.5 * lo * lo * (1.0 - np.exp(-c))
         out[k] = np.dot(r_weights, np.exp(-2.0 * math.pi * users.lambda_p * inner))
     return out
 

@@ -37,10 +37,11 @@ from cellload.montecarlo import (
 )
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel, pair_correlation_excess
 from cellload.quadrature import QuadSpec, integrate_finite
-from cellload.specfun import _lens_area_arrays, _union_area_arrays, marcum_q1
+from cellload.specfun import _lens_area_arrays, marcum_q1
 
 from helpers import (
     CLOSED_FORM_SUITE,
+    _union_area_arrays,
     conditional_distance_pdf,
     integrate_semi_infinite,
     quad_any,

@@ -40,10 +40,10 @@ from cellload.errors import (
 from cellload.montecarlo import points_in_typical_cell, sample_ppp, _rng_for
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
 from cellload.quadrature import QuadSpec, _panel_nodes, tensor_triple
-from cellload.specfun import _union_area_arrays
 
 from helpers import (
     _KERNEL_REACH,
+    _union_area_arrays,
     cell_covariogram,
     integrate_nested,
     integrate_semi_infinite,
@@ -323,8 +323,8 @@ class TestLoadPgf:
         assert got[1] == got[4] == r_weights.sum()
 
     def test_non_finite_cluster_cdf_raises(self, monkeypatch):
-        # the series stops on a bound from max(m_bar xi); a NaN there would
-        # leave it without one
+        # the series stops once max pi_j is small; a NaN xi makes a NaN pi_j,
+        # which never is
         real = analytic.cluster_cdf
 
         def with_nan(*args):
@@ -446,6 +446,24 @@ class TestLoadPmf:
         pmf = load_pmf(net)
         assert pmf.probs[0] == pytest.approx(1.0, abs=1e-6)
         assert pmf.probs[1:].max() < 1e-6
+
+    def test_cluster_cdf_only_on_the_transition_band(self, monkeypatch):
+        # the plateau is closed form: each grid evaluates xi on its
+        # 12 n_r x 12 n_trans band nodes only, 51,840 points over the two
+        # grids the paper model builds
+        sizes = []
+        real = analytic.cluster_cdf
+
+        def counting(*args):
+            xi = real(*args)
+            sizes.append(xi.size)
+            return xi
+
+        monkeypatch.setattr(analytic, "cluster_cdf", counting)
+        load_pmf(TCP_NET)
+        n_r, n_trans = analytic._BASE_LEVELS
+        assert sizes == [144 * n_r * n_trans * 4**k for k in range(len(sizes))]
+        assert sum(sizes) == 51_840
 
     def test_unreachable_tolerance_stops(self, monkeypatch):
         # a tail that rounding keeps above the tolerance ends once the terms

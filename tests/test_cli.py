@@ -223,14 +223,26 @@ class TestRate:
         (["compare", "--parallel-chunks", "0"], "parallel_chunks"),
         (["rate", "--mc", "--alpha", "2.5"], "alpha >= 3"),
         (["compare", "--with-rate", "--alpha", "2.5"], "alpha >= 3"),
+        (["simulate", "--seed", "-1"], "seed"),
+        (["compare", "--seed", "18446744073709551616"], "seed"),
     ], ids=["thresholds-inf", "thresholds-overflow", "thresholds-nan", "backhaul-nan",
             "bandwidth-inf", "alpha-inf", "simulate-backhaul-nan", "tv-inf", "tv-nan",
             "tv-negative", "variance-inf", "rate-nan", "moments-mc-chunks", "pmf-mc-chunks",
-            "rate-mc-chunks", "compare-chunks", "rate-mc-alpha", "compare-rate-alpha"])
+            "rate-mc-chunks", "compare-chunks", "rate-mc-alpha", "compare-rate-alpha",
+            "simulate-seed-negative", "compare-seed-2-64"])
     def test_non_finite_options_exit_before_any_work(self, argv, message, capsys, no_work):
         code, out, err = run_cli(argv[:1] + TCP_ARGS + argv[1:] + ["--realizations", "10"], capsys)
         assert code == cli.EXIT_VALIDATION and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("command, flag", [("moments", "--out"), ("simulate", "--raw-out")])
+    @pytest.mark.parametrize("where", ["missing-folder", "folder"])
+    def test_unwritable_output_exits_before_any_work(self, command, flag, where, capsys,
+                                                     no_work, tmp_path):
+        path = tmp_path / "missing" / "report.out" if where == "missing-folder" else tmp_path
+        code, out, err = run_cli([command] + TCP_ARGS + [flag, str(path)], capsys)
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err.startswith("validation error:") and err.count("\n") == 1 and flag in err
 
     @pytest.mark.parametrize("argv", [["moments", "--mc"], ["pmf", "--mc"], ["rate", "--mc"],
                                       ["compare"]], ids=["moments", "pmf", "rate", "compare"])
@@ -283,7 +295,7 @@ class TestSimulate:
         assert all(r[0] == str(i) and r[2:] == ["", ""] for i, r in enumerate(rows[1:]))
 
     def test_sir_window_sized_from_alpha(self, capsys):
-        # at alpha = 3 the load-run window (9.59) would leave 5.5% of the mean
+        # at alpha = 3 the load-run window (4.96) would leave 11% of the mean
         # interference outside
         argv = ["simulate"] + TCP_ARGS + ["--with-sir", "--alpha", "3", "--realizations",
                                           "200", "--seed", "7"]

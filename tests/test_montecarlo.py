@@ -11,7 +11,6 @@ from cellload.montecarlo import (
     empirical_ccdf,
     empirical_pmf,
     points_in_typical_cell,
-    required_window_radius,
     run_load_simulation,
     run_sir_simulation,
     sample_pcp,
@@ -209,6 +208,13 @@ class TestDeterminism:
         b = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=2))
         assert not np.array_equal(a.loads, b.loads)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_philox_key_rejected(self, seed):
+        # a 64-bit key would alias 2^64 + 1 to seed 1 and -1 to 2^64 - 1
+        with pytest.raises(ConfigurationError, match="seed"):
+            SimConfig(realizations=10, seed=seed)
+        SimConfig(realizations=10, seed=2**64 - 1)
+
 
 def _dense_loads(users, owner, stations, st_owner, size):
     return np.array([
@@ -260,8 +266,11 @@ class TestBatchedPowerTest:
 
 
 class TestWindowInvariants:
-    def test_required_window_scales(self):
-        assert required_window_radius(4.0) == pytest.approx(required_window_radius(1.0) / 2.0)
+    @pytest.mark.parametrize("alpha", [None, 3.0, 4.0])
+    def test_window_scales(self, alpha):
+        # same lambda_u / lambda_b, four times the BS density: half the window
+        dense = NetworkModel(4.0, UserModel(20.0, 5.0, Thomas(0.025)))
+        assert _window(dense, alpha) == pytest.approx(_window(TCP_NET, alpha) / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [3.0, 3.3, 3.56, 4.0, 6.0])
     @pytest.mark.parametrize("lambda_b", [1.0, 4.0])
@@ -274,13 +283,27 @@ class TestWindowInvariants:
         assert tail / (r0 ** (2.0 - alpha) - tail) < 0.01
         assert window >= _window(net, None)
 
-    def test_sir_window_at_alpha_4_is_the_load_window(self):
-        # the window every seeded SIR output was produced with
-        expected = 1.05 * required_window_radius(1.0)
-        assert expected == pytest.approx(9.5904, abs=1e-4)
+    def test_windows_at_alpha_4(self):
+        # a load run reports the radius it draws stations to, 2 cutoffs; a
+        # SIR run at alpha = 4 needs the interference radius just beyond it
+        load = run_load_simulation(TCP_NET, SimConfig(realizations=10)).window_radius
+        assert load == 2.0 * _user_cutoff(TCP_NET)
+        assert load == pytest.approx(4.9619, abs=1e-4)
         res = run_sir_simulation(TCP_NET, SimConfig(realizations=10, seed=0), RATE_CFG)
-        assert res.window_radius == expected
-        assert run_load_simulation(TCP_NET, SimConfig(realizations=10)).window_radius == expected
+        assert res.window_radius == pytest.approx(1.05 * 0.5 * math.sqrt(101.0), rel=1e-15)
+        assert res.window_radius == pytest.approx(5.2762, abs=1e-4)
+
+    def test_load_run_draws_no_station_beyond_window(self, monkeypatch):
+        outer = []
+        real = montecarlo._disc_batch
+
+        def recording(rng, intensity, inner, radius, size):
+            outer.append(radius)
+            return real(rng, intensity, inner, radius, size)
+
+        monkeypatch.setattr(montecarlo, "_disc_batch", recording)
+        res = run_load_simulation(TCP_NET, SimConfig(realizations=3 * _BATCH, seed=4))
+        assert len(outer) == 3 and max(outer) <= res.window_radius
 
     def test_sir_window_at_alpha_3_keeps_loads(self):
         cfg = SimConfig(realizations=100, seed=18)

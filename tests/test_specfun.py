@@ -8,13 +8,13 @@ from cellload.analytic import _R_MAX
 from cellload.errors import DomainError
 from cellload.specfun import (
     _lens_area_arrays,
-    _union_area_arrays,
     cell_radius_pdf,
     marcum_q1,
 )
 from cellload.quadrature import QuadSpec
 
 from helpers import (
+    _union_area_arrays,
     bessel_i0_scaled,
     bessel_i0_scaled_asymptotic,
     bessel_i0_scaled_series,
