@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy import special as _sp
 
 from . import quadrature
 from .errors import ConvergenceError, DomainError, InfeasibleModelError, InversionQualityError
@@ -269,6 +268,8 @@ def nb_pmf(params: NegBinParams, n) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _BASE_LEVELS = (12, 6)       # panels of the coarsest grid: r, v transition band
+_GRID_TOL = 1e-8             # largest change between two grids' outputs that ends the refinement
+_GRID_REFINEMENTS = 3        # panel doublings after the base grid before refinement gives up
 _TAIL_TOL = 1e-12            # probability load_pmf may leave beyond its last term
 
 
@@ -289,9 +290,9 @@ def _pgf_table(net: NetworkModel, levels):
     lo^2 / 2 * pi_j(m_bar) in closed form; quadrature runs only on the
     transition band [lo, r + reach] where xi moves.  pi_j = exp(j log mu -
     mu - log j!) is taken in log space (exp(-mu) underflows for mu > 745).
-    Since mu <= m_bar, the series stops at the first j with j + 1 > m_bar and
-    max pi_j / (1 - m_bar / (j + 1)) < 1e-17, which bounds the truncated tail
-    sum_{k>j} pi_k on the whole grid.
+    The series stops on m_bar alone, at the first j with j + 1 > m_bar and
+    pi_j(m_bar) / (1 - m_bar / (j + 1)) < 1e-17; pi_j(mu) increases in mu below
+    j, so that bounds the truncated tail sum_{k>j} pi_k(mu) at every mu <= m_bar.
     """
     n_r, n_trans = levels
     users = net.normalized().users
@@ -305,7 +306,7 @@ def _pgf_table(net: NetworkModel, levels):
     v_nodes, v_weights = _panel_nodes(np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1))
     vw = v_weights * v_nodes          # weights folded with the v dv measure
     mu = m_bar * cluster_cdf(users, r_phys[:, None], v_nodes)
-    if not np.isfinite(mu).all():     # a NaN pi_j would never meet the stopping rule
+    if not np.isfinite(mu).all():     # a NaN would run silently into every coefficient
         raise ConvergenceError("cluster CDF is not finite on the PGF grid")
     plateau = 0.5 * lo * lo
     with np.errstate(divide="ignore"):
@@ -313,30 +314,30 @@ def _pgf_table(net: NetworkModel, levels):
     coeffs, j = [], 0
     while True:
         j += 1
-        log_fact = _sp.gammaln(j + 1)
+        log_fact = math.lgamma(j + 1)
         pi_j = np.exp(j * log_mu - mu - log_fact)
         pi_bar = math.exp(j * math.log(m_bar) - m_bar - log_fact)
         coeffs.append((pi_j * vw).sum(axis=1) + plateau * pi_bar)
-        if j + 1 > m_bar and max(pi_j.max(), pi_bar) < 1e-17 * (1.0 - m_bar / (j + 1)):
+        if j + 1 > m_bar and pi_bar < 1e-17 * (1.0 - m_bar / (j + 1)):
             break
     return r_weights, 2.0 * math.pi * users.lambda_p * np.array(coeffs).T
 
 
-def _on_refined_grids(net: NetworkModel, output, tol: float = 1e-8, max_levels: int = 3):
+def _on_refined_grids(net: NetworkModel, output):
     """output(r_weights, c) on grids of doubling panel counts, until two
-    successive grids agree within tol; at most max_levels + 1 grids are built.
-    Outputs of different lengths are compared zero-padded."""
+    successive grids agree within _GRID_TOL; at most _GRID_REFINEMENTS + 1
+    grids are built.  Outputs of different lengths are compared zero-padded."""
     levels = _BASE_LEVELS
     vals = output(*_pgf_table(net, levels))
-    for _ in range(max_levels):
+    for _ in range(_GRID_REFINEMENTS):
         levels = tuple(2 * n for n in levels)
         fine_vals = output(*_pgf_table(net, levels))
         size = max(vals.size, fine_vals.size)
         gap = np.pad(fine_vals, (0, size - fine_vals.size)) - np.pad(vals, (0, size - vals.size))
-        if float(np.max(np.abs(gap))) <= tol:
+        if float(np.max(np.abs(gap))) <= _GRID_TOL:
             return fine_vals
         vals = fine_vals
-    raise ConvergenceError(f"PGF grid did not stabilize to {tol:g}", best_estimate=vals)
+    raise ConvergenceError(f"PGF grid did not stabilize to {_GRID_TOL:g}", best_estimate=vals)
 
 
 def _pgf_from_table(r_weights, c, thetas) -> np.ndarray:
@@ -347,9 +348,9 @@ def _pgf_from_table(r_weights, c, thetas) -> np.ndarray:
     return (np.exp(-inner) * r_weights).sum(axis=1)
 
 
-def _pgf_values(net: NetworkModel, thetas, tol: float = 1e-8, max_levels: int = 3) -> np.ndarray:
+def _pgf_values(net: NetworkModel, thetas) -> np.ndarray:
     """PGF values at complex nodes on the first grid that agrees with the one before."""
-    return _on_refined_grids(net, lambda w, c: _pgf_from_table(w, c, thetas), tol, max_levels)
+    return _on_refined_grids(net, lambda w, c: _pgf_from_table(w, c, thetas))
 
 
 def _compound_poisson_pmf(r_weights, c) -> np.ndarray:
@@ -359,22 +360,22 @@ def _compound_poisson_pmf(r_weights, c) -> np.ndarray:
     recursion (Panjer 1981) gives its PMF exactly:
         p_0 = exp(-sum_j c_j),  p_n = (1/n) sum_{j <= min(n, J)} j c_j p_{n-j}.
     Every term is non-negative and the recursion is forward-stable (Panjer &
-    Wang 1993).  It stops once the mass it has not yet placed,
-    sum_r w_r - sum_n p_n, is at most _TAIL_TOL.
+    Wang 1993).  Each row runs on p_n / p_0 from 1 with weight w_r p_0 kept as
+    its log, log w_r - sum_j c_j, so p_0 may underflow: a row that passes 1e250
+    has its last J terms divided by that value and its log added to the weight,
+    which the linear recursion leaves exact.  It stops once the mass it has not
+    yet placed, sum_r w_r - sum_n p_n, is at most _TAIL_TOL.
     """
     n_r, n_j = c.shape
-    p0 = np.exp(-c.sum(axis=1))
-    if p0.min() < np.finfo(float).tiny:
-        raise ConvergenceError(
-            "p_0 = exp(-sum_j c_j) underflows on the PGF grid: the cell sees too many clusters"
-        )
+    log_weight = np.log(r_weights) - c.sum(axis=1)
+    weight = np.exp(log_weight)
     jc = (np.arange(1, n_j + 1) * c).T[::-1].copy()    # row k holds j c_j for j = J - k
-    # p_n sits in row `top`, after the J rows that hold p_(n-J) .. p_(n-1)
-    # (zeros before p_0); when the buffer is full its last J rows move to the front
+    # row `top` holds p_n / p_0 after the J rows of p_(n-J) .. p_(n-1) (zeros
+    # before p_0); when the buffer is full its last J rows move to the front
     window = np.zeros((n_j + 512, n_r))
     top = n_j
-    window[top] = p0
-    probs = [float(r_weights @ p0)]
+    window[top] = 1.0
+    probs = [float(weight.sum())]
     mass = float(r_weights.sum()) - probs[0]
     n = 0
     while mass > _TAIL_TOL:
@@ -384,7 +385,12 @@ def _compound_poisson_pmf(r_weights, c) -> np.ndarray:
             top = n_j - 1
         top += 1
         window[top] = np.einsum("jr,jr->r", jc, window[top - n_j : top]) / n
-        q = float(r_weights @ window[top])
+        big = window[top] > 1e250
+        if big.any():
+            log_weight[big] += np.log(window[top, big])
+            window[top + 1 - n_j : top + 1, big] /= window[top, big]
+            weight = np.exp(log_weight)
+        q = float(weight @ window[top])
         if q == 0.0:
             raise ConvergenceError(
                 f"load PMF recursion stalled with {mass:.3g} of its mass unplaced"
@@ -412,8 +418,6 @@ def load_pmf(net: NetworkModel) -> LoadPmf:
     Exact on each quadrature grid of the PGF (compound Poisson recursion on
     its series coefficients), with no DFT size, radius or aliasing; the terms
     run until at most 1e-12 of the grid's mass lies beyond the last one.
-    Raises ConvergenceError when the void probability of some cell radius
-    underflows (many more clusters per cell than the paper's models).
     """
     return LoadPmf(probs=_on_refined_grids(net, _compound_poisson_pmf))
 
@@ -475,6 +479,7 @@ def invert_pgf(
 
 def _power_tail(x, m: float):
     """int_x^inf du / (1 + u^m) for x >= 0 and m > 1, via hypergeometric branches."""
+    from scipy import special as _sp  # here, not at import: it doubles `import cellload`
     x = np.asarray(x, dtype=float)
     total = (math.pi / m) / math.sin(math.pi / m)
     out = np.empty(x.shape)

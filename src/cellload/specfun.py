@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError
 
@@ -35,6 +34,7 @@ def marcum_q1(a, b):
     b^2 of the non-central chi-square law with 2 degrees of freedom and
     non-centrality a^2 (Marcum 1950; Nuttall 1975).
     """
+    from scipy import special as _sp  # here, not at import: it doubles `import cellload`
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.any(~np.isfinite(a_arr)) or np.any(~np.isfinite(b_arr)):
         raise DomainError("marcum_q1 requires finite arguments")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebval
+from scipy.stats import poisson
 
 from cellload import analytic, quadrature
 from cellload.analytic import (
@@ -322,9 +323,20 @@ class TestLoadPgf:
         r_weights = pgf_grid(net, analytic._BASE_LEVELS)[1]
         assert got[1] == got[4] == r_weights.sum()
 
+    @pytest.mark.parametrize("m_bar", [0.5, 5.0, 20.0])
+    def test_series_length_set_by_m_bar_alone(self, m_bar):
+        # the Poisson(m_bar) tail rule on its own; pi_j(mu) increases in mu
+        # below j, so no grid value mu = m_bar xi <= m_bar asks for more terms
+        j = 1
+        while not (j + 1 > m_bar and poisson.pmf(j, m_bar) < 1e-17 * (1.0 - m_bar / (j + 1))):
+            j += 1
+        for kernel in (Thomas(0.01), Thomas(0.5), Matern(0.1), Matern(1.0)):
+            net = NetworkModel(1.0, UserModel(5.0, m_bar, kernel))
+            assert analytic._pgf_table(net, analytic._BASE_LEVELS)[1].shape[1] == j
+
     def test_non_finite_cluster_cdf_raises(self, monkeypatch):
-        # the series stops once max pi_j is small; a NaN xi makes a NaN pi_j,
-        # which never is
+        # a NaN xi would run into every series coefficient and from there
+        # into the PGF and the PMF
         real = analytic.cluster_cdf
 
         def with_nan(*args):
@@ -406,8 +418,8 @@ class TestInvertPgf:
         assert pmf.dft_size >= m.mean + 10.0 * math.sqrt(m.variance)
 
     def test_failed_refinement_builds_no_extra_grid(self, monkeypatch):
-        # max_levels = 1 compares the base grid with one refinement and then
-        # gives up: two cluster-CDF tables, no third grid built and discarded
+        # one refinement compares the base grid with the next and then gives
+        # up: two cluster-CDF tables, no third grid built and discarded
         calls = []
         real = analytic.cluster_cdf
 
@@ -416,9 +428,11 @@ class TestInvertPgf:
             return real(*args)
 
         monkeypatch.setattr(analytic, "cluster_cdf", counting)
+        monkeypatch.setattr(analytic, "_GRID_TOL", 0.0)
+        monkeypatch.setattr(analytic, "_GRID_REFINEMENTS", 1)
         net = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.07)))
         with pytest.raises(ConvergenceError) as err:
-            analytic._pgf_values(net, [0.5], tol=0.0, max_levels=1)
+            analytic._pgf_values(net, [0.5])
         assert len(calls) == 2
         assert err.value.best_estimate.shape == (1,)
 
@@ -472,12 +486,14 @@ class TestLoadPmf:
         with pytest.raises(ConvergenceError, match="stalled"):
             load_pmf(MCP_NET)
 
-    def test_void_probability_underflow_raises(self):
-        # exp(-sum_j c_j) underflows on the largest cells; zeros there
-        # would drop their mass, so the recursion refuses to start
+    def test_heavy_load_scales_rows(self):
+        # mean 750: p_0 = exp(-sum_j c_j) underflows on the largest cells,
+        # whose rows run on p_n / p_0 and are scaled down as they grow
         net = NetworkModel(1.0, UserModel(150.0, 5.0, Thomas(0.05)))
-        with pytest.raises(ConvergenceError, match="underflows"):
-            load_pmf(net)
+        pmf = load_pmf(net)
+        assert np.all(pmf.probs >= 0.0)
+        assert pmf.mean() == pytest.approx(750.0, rel=1e-6)
+        assert pmf.tail_mass() <= 1e-9
 
 
 class TestSirCcdf:

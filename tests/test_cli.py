@@ -116,14 +116,25 @@ class TestPmf:
         assert math.fsum(n * p for n, p in enumerate(d["probs"])) == pytest.approx(200.0, abs=2e-4)
         assert d["tail_mass"] < 1e-9
 
-    def test_void_probability_underflow_exits_convergence(self, capsys):
+    def test_heavy_load_exits_zero(self, capsys):
+        # mean 750, where the void probability of the largest cells underflows
         argv = ["pmf", "--kind", "tcp", "--lambda-b", "1", "--lambda-p", "150", "--mbar", "5",
                 "--sigma", "0.05"]
         start = time.perf_counter()
-        code, out, err = run_cli(argv, capsys)
+        code, out, _ = run_cli(argv, capsys)
         assert time.perf_counter() - start < 5.0
+        assert code == 0
+        d = json.loads(out)
+        assert math.fsum(n * p for n, p in enumerate(d["probs"])) == pytest.approx(750.0, rel=1e-6)
+        assert d["tail_mass"] < 1e-9
+
+    def test_unstable_grid_exits_convergence(self, capsys, monkeypatch):
+        # no two grids can agree to 0: the ladder gives up after one doubling
+        monkeypatch.setattr(analytic, "_GRID_TOL", 0.0)
+        monkeypatch.setattr(analytic, "_GRID_REFINEMENTS", 1)
+        code, out, err = run_cli(["pmf"] + MCP_ARGS, capsys)
         assert code == cli.EXIT_CONVERGENCE and out == ""
-        assert "underflows" in err
+        assert "did not stabilize" in err
 
     def test_degenerate_model(self, capsys):
         code, out, _ = run_cli(["pmf"] + EMPTY_ARGS, capsys)

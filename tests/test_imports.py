@@ -1,0 +1,46 @@
+"""scipy loads only where it is used: on the first Thomas cluster CDF
+(Marcum Q) or SIR CCDF, not on `import cellload`.  Each case runs in a fresh
+interpreter, since this test process has long imported scipy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+TCP = "--kind tcp --lambda-b 1 --lambda-p 5 --mbar 5 --sigma 0.05"
+MCP = "--kind mcp --lambda-b 1 --lambda-p 5 --mbar 5 --cluster-radius 0.1"
+CHILD = """
+import contextlib, io, json, sys
+import cellload, cellload.cli
+argv = {argv!r}.split()
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cellload.cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules(argv: str) -> list:
+    """The scipy modules a fresh interpreter holds after `import cellload,
+    cellload.cli` and, unless argv is empty, `cellload.cli.main(argv)`."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", CHILD.format(argv=argv)],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", ["", f"moments {TCP}", f"pmf {MCP}"],
+                         ids=["import", "moments", "matern-pmf"])
+def test_no_scipy(argv):
+    assert scipy_modules(argv) == []
+
+
+def test_thomas_pmf_loads_scipy_special():
+    # the import is deferred to the Marcum Q call, not dropped
+    assert "scipy.special" in scipy_modules(f"pmf {TCP}")
