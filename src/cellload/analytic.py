@@ -477,65 +477,44 @@ def invert_pgf(
 # SIR distribution and rate coverage
 # ---------------------------------------------------------------------------
 
-def _power_tail(x, m: float):
-    """int_x^inf du / (1 + u^m) for x >= 0 and m > 1, via hypergeometric branches."""
-    from scipy import special as _sp  # here, not at import: it doubles `import cellload`
-    x = np.asarray(x, dtype=float)
-    total = (math.pi / m) / math.sin(math.pi / m)
-    out = np.empty(x.shape)
-    low = x < 1.0
-    if np.any(low):
-        xl = x[low]
-        out[low] = total - xl * _sp.hyp2f1(1.0, 1.0 / m, 1.0 + 1.0 / m, -(xl**m))
-    if np.any(~low):
-        xh = x[~low]
-        out[~low] = (
-            xh ** (1.0 - m) / (m - 1.0)
-            * _sp.hyp2f1(1.0, 1.0 - 1.0 / m, 2.0 - 1.0 / m, -(xh ** (-m)))
-        )
-    return out
-
-
-def _beta_factor(t, m: float):
-    """beta(t) = t * int_{1/t}^inf du / (1 + u^m) for t > 0 (infinite at t = inf)."""
-    t = np.asarray(t, dtype=float)
-    return t * _power_tail(1.0 / t, m)
-
-
 def sir_ccdf(alpha: float, tau):
-    """CCDF of the SIR of a uniformly random user of the typical cell.
+    """CCDF of the SIR of a uniformly random user of the typical cell,
 
-    P_c(tau) = tau^{-2/alpha} int_0^{tau^{2/alpha}} (1 + beta(t))^{-2} / (1 + t^{alpha/2}) dt
-             = 1 / (1 + beta(tau^{2/alpha})),
-    beta(t)  = t int_{1/t}^inf du / (1 + u^{alpha/2}),
+    P_c(tau) = tau^{-d} int_0^{tau^d} (1 + beta(t))^{-2} / (1 + t^{1/d}) dt = 1 / (1 + beta(tau^d)),
 
-    because the integrand is d/dt [t / (1 + beta(t))].  tau may be a scalar
-    (returns a float) or an array (returns an array); tau = inf gives 0.
+    with d = 2/alpha and beta(t) = t int_{1/t}^inf du / (1 + u^{1/d}), since the integrand is
+    d/dt [t / (1 + beta(t))]; beta(tau^d) = 2 tau / (alpha - 2) 2F1(1, 1 - d; 2 - d; -tau) for
+    every tau > 0 (Andrews, Baccelli & Ganti 2011).  tau may be a scalar (returns a float) or an
+    array (returns an array); tau = inf gives 0.
     """
+    from scipy import special as _sp  # here, not at import: it doubles `import cellload`
     if not alpha > 2:
         raise DomainError("alpha must exceed 2")
     tau_arr = np.asarray(tau, dtype=float)
     if not np.all(tau_arr > 0):
         raise DomainError("tau must be positive")
-    out = 1.0 / (1.0 + _beta_factor(tau_arr ** (2.0 / alpha), alpha / 2.0))
+    with np.errstate(invalid="ignore"):  # inf * 2F1(-inf) = inf * 0 at tau = inf
+        beta = 2 * tau_arr / (alpha - 2) * _sp.hyp2f1(1, 1 - 2 / alpha, 2 - 2 / alpha, -tau_arr)
+    out = np.where(tau_arr == math.inf, 0.0, 1.0 / (1.0 + beta))
     return float(out) if out.ndim == 0 else out
 
 
 def rate_coverage(net: NetworkModel, cfg: RateConfig, pmf: LoadPmf, rho: float) -> float:
-    """P(rate > rho | load > 0) with equal bandwidth sharing and backhaul cap.
+    """P(rate > rho | load > 0) with equal bandwidth sharing and backhaul cap,
 
-    P_r(rho) = sum_{n=1}^{floor(R_b/rho)} P_c(2^{n rho / W} - 1) p_n / (1 - p_0).
+    P_r(rho) = sum_{n >= 1: R_b / n > rho} P_c(2^{n rho / W} - 1) p_n / (1 - p_0),
+
+    the simulator's event min(W/n log2(1 + SIR), R_b/n) > rho; R_b / n falls, so n runs up to a cap.
     """
     if not rho > 0:
         raise DomainError("rho must be positive")
     weights = pmf.conditional_tail()
-    n_cap = weights.size
-    if math.isfinite(cfg.backhaul_rb):
-        n_cap = min(n_cap, math.floor(cfg.backhaul_rb / rho))
-    exponent = np.arange(1, n_cap + 1) * rho / cfg.bandwidth_w
+    loads = np.arange(1, weights.size + 1)
+    loads = loads[cfg.backhaul_rb / loads > rho]
+    exponent = loads * rho / cfg.bandwidth_w
     # expm1 keeps tau > 0 for thresholds far below one bit; past 2^1024 the
     # SIR threshold overflows to inf, whose coverage is 0
     with np.errstate(over="ignore"):
         tau = np.expm1(exponent * math.log(2.0))
-    total = float(np.dot(weights[:n_cap], sir_ccdf(cfg.alpha, tau)))
+    total = float(np.dot(weights[:loads.size], sir_ccdf(cfg.alpha, tau)))
     return min(max(total, 0.0), 1.0)

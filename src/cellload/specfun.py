@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "marcum_q1",
@@ -30,9 +30,9 @@ _NAKAGAMI_NORM = 2.0 * _NAKAGAMI_M**_NAKAGAMI_M / math.gamma(_NAKAGAMI_M)
 def marcum_q1(a, b):
     """First-order Marcum Q function Q1(a, b) for a, b >= 0.
 
-    Accepts scalars or broadcastable arrays.  Q1(a, b) is the upper tail at
-    b^2 of the non-central chi-square law with 2 degrees of freedom and
-    non-centrality a^2 (Marcum 1950; Nuttall 1975).
+    Accepts scalars or broadcastable arrays.  Q1(a, b) is the upper tail at b^2 of the non-central
+    chi-square law with 2 degrees of freedom and non-centrality a^2 (Marcum 1950; Nuttall 1975).
+    chndtr is verified up to a = 3000 and costs O(a) per point, so a > 3000 raises ConvergenceError.
     """
     from scipy import special as _sp  # here, not at import: it doubles `import cellload`
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -40,6 +40,9 @@ def marcum_q1(a, b):
         raise DomainError("marcum_q1 requires finite arguments")
     if np.any(a_arr < 0) or np.any(b_arr < 0):
         raise DomainError("marcum_q1 requires a >= 0 and b >= 0")
+    if np.any(a_arr > 3000.0):
+        raise ConvergenceError(f"marcum_q1: a = {a_arr.max():.4g} exceeds 3000, the verified range "
+                               "of chndtr (a Thomas sigma below about 5.6e-4 / sqrt(lambda_b))")
     out = np.clip(1.0 - _sp.chndtr(b_arr**2, 2.0, a_arr**2), 0.0, 1.0)
     if np.isscalar(a) and np.isscalar(b):
         return float(out)

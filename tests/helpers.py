@@ -330,6 +330,36 @@ def matern_cdf_quadrature(big_r, r, v, spec=None):
     return (head + 2.0 / math.pi * tail) / big_r**2
 
 
+def power_tail(x, m: float):
+    """int_x^inf du / (1 + u^m) for x >= 0 and m > 1, from two hypergeometric
+    branches split at x = 1 (each series argument stays in [-1, 0]).
+
+    An independent reference for the library's single-call SIR closed form.
+    """
+    x = np.asarray(x, dtype=float)
+    # sin(pi / m) = sin(pi (m - 1) / m): near m = 1 the first form rounds pi / m
+    # next to pi and loses digits
+    total = (math.pi / m) / math.sin(math.pi * (m - 1.0) / m)
+    out = np.empty(x.shape)
+    low = x < 1.0
+    if np.any(low):
+        xl = x[low]
+        out[low] = total - xl * special.hyp2f1(1.0, 1.0 / m, 1.0 + 1.0 / m, -(xl**m))
+    if np.any(~low):
+        xh = x[~low]
+        out[~low] = (
+            xh ** (1.0 - m) / (m - 1.0)
+            * special.hyp2f1(1.0, 1.0 - 1.0 / m, 2.0 - 1.0 / m, -(xh ** (-m)))
+        )
+    return out
+
+
+def beta_factor(t, m: float):
+    """beta(t) = t * int_{1/t}^inf du / (1 + u^m) for t > 0, from power_tail."""
+    t = np.asarray(t, dtype=float)
+    return t * power_tail(1.0 / t, m)
+
+
 def sir_ccdf_by_quadrature(alpha: float, tau, delta: float):
     """SIR CCDF with the coverage kernel shifted by delta, by adaptive quadrature:
 
@@ -340,8 +370,6 @@ def sir_ccdf_by_quadrature(alpha: float, tau, delta: float):
     values are perturbed readings (9/7 is the Gamma(3.5) area-weighted
     constant).  Accepts a scalar or an array of tau, like sir_ccdf.
     """
-    from cellload.analytic import _beta_factor
-
     m = alpha / 2.0
     spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=3000)
 
@@ -351,7 +379,7 @@ def sir_ccdf_by_quadrature(alpha: float, tau, delta: float):
         t_hi = t ** (2.0 / alpha)
 
         def integrand(x):
-            return (delta + _beta_factor(x, m)) ** (-2.0) / (1.0 + x**m)
+            return (delta + beta_factor(x, m)) ** (-2.0) / (1.0 + x**m)
 
         value = delta**2 * t ** (-2.0 / alpha) * integrate_finite(integrand, 0.0, t_hi, spec).value
         return min(max(value, 0.0), 1.0)

@@ -29,7 +29,6 @@ from cellload.analytic import (
     _GAMMA_CHEB,
     _GAMMA_FIT_ERROR,
     _GAMMA_SPAN,
-    _beta_factor,
     _pair_excess_integral,
 )
 from cellload.errors import (
@@ -45,6 +44,7 @@ from cellload.quadrature import QuadSpec, _panel_nodes, tensor_triple
 from helpers import (
     _KERNEL_REACH,
     _union_area_arrays,
+    beta_factor,
     cell_covariogram,
     integrate_nested,
     integrate_semi_infinite,
@@ -517,6 +517,15 @@ class TestSirCcdf:
         # beta(1) = arctan(1) = pi/4 at alpha = 4
         assert sir_ccdf(4.0, 1.0) == pytest.approx(1.0 / (1.0 + math.pi / 4.0), abs=1e-9)
 
+    def test_single_call_matches_two_branch_reference(self):
+        # the one-call 2F1 form against the power tail split at x = 1
+        taus = np.geomspace(1e-12, 1e12, 97)
+        for alpha in (2.001, 2.01, 2.5, 3.0, 4.0, 6.0, 8.0, 20.0, 100.0):
+            ref = 1.0 / (1.0 + beta_factor(taus ** (2.0 / alpha), alpha / 2.0))
+            np.testing.assert_allclose(sir_ccdf(alpha, taus), ref, rtol=1e-13, atol=0.0)
+            assert sir_ccdf(alpha, math.inf) == 0.0
+        assert sir_ccdf(4.0, 1.0) == pytest.approx(1.0 / (1.0 + math.pi / 4.0), rel=0, abs=1e-15)
+
     def test_monotone_in_tau(self):
         vals = [sir_ccdf(4.0, t) for t in (0.1, 1.0, 10.0, 100.0)]
         assert vals == sorted(vals, reverse=True)
@@ -532,7 +541,7 @@ class TestSirCcdf:
         for alpha in (3.0, 4.0, 6.0):
             m = alpha / 2.0
             for t in (0.05, 0.7, 1.0, 3.0, 40.0):
-                direct = float(_beta_factor(np.array(t), m))
+                direct = float(beta_factor(np.array(t), m))
                 tail = integrate_semi_infinite(lambda u: 1.0 / (1.0 + u**m), 1.0 / t, spec).value
                 assert direct == pytest.approx(t * tail, rel=1e-7)
 
@@ -557,10 +566,10 @@ class TestRateCoverage:
         cfg = RateConfig(alpha=4.0, bandwidth_w=1e6, backhaul_rb=backhaul)
         weights = tcp_pmf.conditional_tail()
         for rho in (2e4, 3e5):
-            n_cap = int(min(weights.size, backhaul / rho))
             ref = sum(
                 weights[n - 1] * sir_ccdf_by_quadrature(4.0, 2.0 ** (n * rho / 1e6) - 1.0, 1.0)
-                for n in range(1, n_cap + 1)
+                for n in range(1, weights.size + 1)
+                if backhaul / n > rho
             )
             assert rate_coverage(TCP_NET, cfg, tcp_pmf, rho) == pytest.approx(ref, abs=1e-7)
 
@@ -578,6 +587,17 @@ class TestRateCoverage:
     def test_zero_beyond_backhaul(self, tcp_pmf):
         cfg = RateConfig(alpha=4.0, bandwidth_w=1e6, backhaul_rb=1e6)
         assert rate_coverage(TCP_NET, cfg, tcp_pmf, 1.5e6) == 0.0
+
+    def test_threshold_at_backhaul_is_zero(self, tcp_pmf):
+        # a single user gets R_b exactly, which is not above rho = R_b
+        cfg = RateConfig(alpha=4.0, bandwidth_w=1e6, backhaul_rb=2e6)
+        assert rate_coverage(TCP_NET, cfg, tcp_pmf, 2e6) == 0.0
+
+    def test_half_backhaul_keeps_only_one_user(self, tcp_pmf):
+        # two users get R_b / 2 = rho exactly, so only n = 1 counts
+        cfg = RateConfig(alpha=4.0, bandwidth_w=1e6, backhaul_rb=2e6)
+        one = tcp_pmf.conditional_tail()[0] * sir_ccdf(4.0, 1.0)
+        assert rate_coverage(TCP_NET, cfg, tcp_pmf, 1e6) == pytest.approx(one, rel=1e-15)
 
     def test_zero_backhaul(self, tcp_pmf):
         cfg = RateConfig(alpha=4.0, bandwidth_w=1e6, backhaul_rb=0.0)

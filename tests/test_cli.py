@@ -22,6 +22,8 @@ TCP_ARGS = ["--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "5"
             "--sigma", "0.05"]
 MCP_ARGS = ["--kind", "mcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "5",
             "--cluster-radius", "0.1"]
+# clusters so small that the PGF grid needs Marcum Q past its verified range
+TINY_TCP_ARGS = TCP_ARGS[:-1] + ["1e-6"]
 # so few users that every sampled cell is empty
 EMPTY_ARGS = ["--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "1e-9",
               "--sigma", "0.05"]
@@ -87,6 +89,12 @@ class TestMoments:
         assert code == 0
         assert json.loads(out)["variance"] > 0
 
+    def test_tiny_clusters_exit_ok(self, capsys):
+        # moments need no Marcum Q, so the limit on its argument does not apply
+        code, out, _ = run_cli(["moments"] + TINY_TCP_ARGS, capsys)
+        assert code == 0
+        assert json.loads(out)["mean"] == 25.0
+
     def test_missing_kernel_parameter(self, capsys):
         code, _, err = run_cli(
             ["moments", "--kind", "mcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "5"],
@@ -135,6 +143,15 @@ class TestPmf:
         code, out, err = run_cli(["pmf"] + MCP_ARGS, capsys)
         assert code == cli.EXIT_CONVERGENCE and out == ""
         assert "did not stabilize" in err
+
+    @pytest.mark.parametrize("command", ["pmf", "rate"])
+    def test_tiny_clusters_exit_convergence_fast(self, command, capsys):
+        # a = v / sigma on the PGF grid is far past the Marcum Q limit of 3000
+        start = time.perf_counter()
+        code, out, err = run_cli([command] + TINY_TCP_ARGS, capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == cli.EXIT_CONVERGENCE and out == ""
+        assert "3000" in err
 
     def test_degenerate_model(self, capsys):
         code, out, _ = run_cli(["pmf"] + EMPTY_ARGS, capsys)
@@ -199,6 +216,15 @@ class TestRate:
         code, out, _ = run_cli(argv, capsys)
         d = json.loads(out)
         assert d["coverage"][1] == 0.0  # threshold above the backhaul cap
+
+    def test_threshold_at_backhaul_matches_simulator(self, capsys):
+        # one user gets exactly R_b, which is not a rate above rho = R_b
+        argv = ["rate"] + TCP_ARGS + ["--backhaul", "2e6", "--thresholds", "2e6", "--mc",
+                                      "--realizations", "2000", "--seed", "7"]
+        code, out, _ = run_cli(argv, capsys)
+        d = json.loads(out)
+        assert code == 0
+        assert d["coverage"] == d["empirical"] == [0.0]
 
     def test_unparsable_thresholds_exit_validation(self, capsys):
         code, _, err = run_cli(["rate"] + TCP_ARGS + ["--thresholds", "1e5,abc"], capsys)

@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 from cellload.analytic import _R_MAX
-from cellload.errors import DomainError
+from cellload.errors import ConvergenceError, DomainError
 from cellload.specfun import (
     _lens_area_arrays,
     cell_radius_pdf,
@@ -105,6 +105,12 @@ class TestMarcumQ1:
             marcum_q1(-0.1, 1.0)
         with pytest.raises(DomainError):
             marcum_q1(1.0, math.inf)
+
+    def test_argument_limit(self):
+        # chndtr is verified up to a = 3000; past it marcum_q1 refuses to run
+        assert 0.0 <= marcum_q1(3000.0, 3000.0) <= 1.0
+        with pytest.raises(ConvergenceError, match="3000"):
+            marcum_q1(3000.5, 1.0)
 
     def test_broadcasting(self):
         out = marcum_q1(np.array([[0.0], [1.0]]), np.array([0.5, 1.5]))
