@@ -1,37 +1,23 @@
 """Ground-truth simulator of the spatial model under the BS Palm distribution.
 
 Each realization places the typical BS at the origin, draws the other BSs as
-a PPP in a disc window, draws the clustered users, and counts the users whose
-nearest BS is the origin.  A user u belongs to the typical cell iff no other
-BS lies strictly inside b(u, |u|); with stations x this is the power test
+a PPP and the clustered users, and counts the users u in the typical cell,
+max_x (2 u.x - |x|^2) < 0 over the stations x.  Realizations run in batches
+of _BATCH, every point tagged with its realization.
 
-    max_x (2 u.x - |x|^2) < 0.
+Windows.  A cell point y between the unit directions e_k and e_{k+1} has
+|y| min(x.e_k, x.e_{k+1}) <= y.x <= |x|^2 / 2, so the circumradius is at most
+rho = max_k min_x |x|^2 / (2 min(x.e_k, x.e_{k+1})), over the stations x with
+a positive min, and more stations only shrink the cell.  Stations are drawn
+out to _FIRST_STATIONS expected ones, then, while 2 rho exceeds the drawn
+radius, out to min(2 rho, twice that radius).  Users are drawn in b(o, rho)
+and tested against the stations within 2 rho, which decide them exactly.
+window_radius is the largest radius any realization drew stations to.
 
-Realizations are simulated in batches of _BATCH: each batch draws its
-stations and users in a few bulk calls, each point tagged with its
-realization, and runs one two-stage power test for all of them.
-
-Window bookkeeping (all radii scale as 1/sqrt(lambda_b)):
-
-* user cutoff r_u: users beyond r_u with lambda_u exp(-pi lambda_b r_u^2)
-  < 1e-7 contribute that many expected in-cell users and are not sampled.
-  A sampled user u is decided exactly by the BSs in b(o, 2 r_u), since any BS
-  closer to u than the origin lies within 2|u|, so a load run draws only
-  those: its window_radius is 2 r_u.
-* SIR window W: a SIR run also needs W > r0 101^{1/(alpha-2)} with
-  r0 = 0.5 / sqrt(lambda_b): the mean interference from beyond W,
-  2 pi lambda_b W^{2-alpha} / (alpha-2), is then < 1% of the mean from the
-  annulus r0 < |x| < W.  W is the larger of 2 r_u and 1.05 times that
-  radius.  The BSs in b(o, 2 r_u) and those in the annulus out to W are
-  independent PPPs, so a SIR run draws the annulus after the loads, for the
-  interference only.
-
-Determinism: realization k belongs to batch floor(k / _BATCH), whose draws
-come from a counter-based Philox stream keyed by (seed, batch).  Every batch
-is drawn in full and the last one is truncated, so realization k depends only
-on (seed, k): a run of n realizations is a prefix of any longer run with the
-same seed.  parallel_chunks = K starts min(K, batches, CPUs) workers and
-gives each one contiguous run of batches; outputs are concatenated in batch
+Determinism: batch b draws from a Philox stream keyed by (seed, b), drawn in
+full, the last one truncated, so realization k depends only on (seed, k)
+and a run of n is a prefix of any longer run with the same seed.  Workers
+take contiguous runs of batches and outputs are concatenated in batch
 order, so results are bitwise identical for any parallel_chunks.
 """
 
@@ -42,7 +28,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -52,37 +38,24 @@ from .errors import ConfigurationError
 from .ppmodel import NetworkModel, Thomas, UserModel, cluster_reach
 
 __all__ = [
-    "SimConfig",
-    "LoadSimResult",
-    "SirSimResult",
-    "sample_ppp",
-    "sample_pcp",
-    "run_load_simulation",
-    "run_sir_simulation",
-    "check_sir_alpha",
-    "empirical_pmf",
-    "empirical_ccdf",
-    "tv_distance",
-    "points_in_typical_cell",
+    "SimConfig", "LoadSimResult", "SirSimResult", "sample_ppp", "sample_pcp",
+    "run_load_simulation", "run_sir_simulation", "check_sir_alpha", "empirical_pmf",
+    "empirical_ccdf", "tv_distance", "points_in_typical_cell",
 ]
 
-_USER_TAIL = 1e-7          # bound on expected in-cell users beyond the cutoff
 _BATCH = 64                # realizations per Philox stream
+_FIRST_STATIONS = 9.0      # mean station count of the first disc
+_DIRECTIONS = 32           # wedges of the circumradius bound
 _STAGE1 = 8                # nearest stations tested against every user
 
+# the wedge edges e_0 .. e_{K-1} and e_0 again, as (K + 1, 2)
+_EDGES = 2.0 * math.pi / _DIRECTIONS * (np.arange(_DIRECTIONS + 1) % _DIRECTIONS)
+_EDGES = np.stack([np.cos(_EDGES), np.sin(_EDGES)], axis=1)
 
-def _user_cutoff(net: NetworkModel) -> float:
-    ratio = max(net.users.intensity / net.lambda_b, 1.0) / _USER_TAIL
-    return math.sqrt(math.log(ratio) / (math.pi * net.lambda_b))
 
-
-def _window(net: NetworkModel, alpha: Optional[float]) -> float:
-    """BS window radius of a load run (alpha None) or of a SIR run."""
-    window = 2.0 * _user_cutoff(net)
-    if alpha is not None:
-        sir = 1.05 * 0.5 / math.sqrt(net.lambda_b) * 101.0 ** (1.0 / (alpha - 2.0))
-        window = max(window, sir)
-    return window
+def _sir_window(net: NetworkModel, alpha: float) -> float:
+    """Radius beyond which less than 1% of the mean interference lies."""
+    return 1.05 * 0.5 / math.sqrt(net.lambda_b) * 101.0 ** (1.0 / (alpha - 2.0))
 
 
 @dataclass(frozen=True)
@@ -128,8 +101,9 @@ def _owners(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(counts.size), counts)
 
 
-def _annulus_points(rng: Generator, n: int, inner: float, outer: float) -> np.ndarray:
-    """n points uniform in the annulus inner < |x| <= outer, as (n, 2)."""
+def _annulus_points(rng: Generator, n: int, inner, outer) -> np.ndarray:
+    """n points uniform in the annulus inner < |x| <= outer, as (n, 2); the
+    radii are scalars or one per point."""
     area = outer * outer - inner * inner
     r = np.sqrt(inner * inner + area * rng.random(n))
     phi = rng.random(n) * (2.0 * math.pi)
@@ -140,33 +114,33 @@ def _annulus_points(rng: Generator, n: int, inner: float, outer: float) -> np.nd
     return pts
 
 
-def _disc_batch(rng: Generator, intensity: float, inner: float, outer: float, size: int):
+def _disc_batch(rng: Generator, intensity: float, inner, outer, size: int):
     """PPP in the annulus inner < |x| <= outer for `size` independent
-    realizations: (n, 2) points grouped by realization, and the per-realization
-    counts."""
+    realizations, the radii scalars or one per realization: (n, 2) points
+    grouped by realization, and the per-realization counts."""
     counts = rng.poisson(intensity * math.pi * (outer * outer - inner * inner), size)
+    inner, outer = (np.repeat(np.broadcast_to(r, size), counts) for r in (inner, outer))
     return _annulus_points(rng, int(counts.sum()), inner, outer), counts
 
 
-def _pcp_batch(rng: Generator, model: UserModel, radius: float, size: int):
-    """Clustered users in b(o, radius) for `size` independent realizations:
-    (n, 2) points grouped by realization, and each point's realization.
-
-    Offspring counts are drawn before parent positions, and only parents with
-    offspring get a position: positions are independent of the counts, so
-    this is exact, and sparse clusters (small m_bar) skip most parents."""
+def _pcp_batch(rng: Generator, model: UserModel, radius, size: int):
+    """Clustered users in b(o, radius), the radius a scalar or one per
+    realization: (n, 2) points grouped by realization, and each point's
+    realization.  Only parents with offspring get a position (positions are
+    independent of the counts), so sparse clusters skip most parents."""
+    radius = np.broadcast_to(radius, size)
     outer = radius + cluster_reach(model)
     per_real = rng.poisson(model.lambda_p * math.pi * outer * outer, size)
     kids = rng.poisson(model.m_bar, int(per_real.sum()))
-    owner = np.repeat(_owners(per_real), kids)
+    parent = _owners(per_real)[kids > 0]
     kids = kids[kids > 0]
-    users = np.repeat(_annulus_points(rng, kids.size, 0.0, outer), kids, axis=0)
-    total = owner.size
+    owner = np.repeat(parent, kids)
+    users = np.repeat(_annulus_points(rng, kids.size, 0.0, outer[parent]), kids, axis=0)
     if isinstance(model.kind, Thomas):
-        users += model.kind.sigma * rng.standard_normal((total, 2))
+        users += model.kind.sigma * rng.standard_normal((owner.size, 2))
     else:
-        users += _annulus_points(rng, total, 0.0, model.kind.radius)
-    keep = _norm2(users) <= radius * radius
+        users += _annulus_points(rng, owner.size, 0.0, model.kind.radius)
+    keep = _norm2(users) <= (radius * radius)[owner]
     return np.compress(keep, users, axis=0), owner[keep]
 
 
@@ -206,6 +180,41 @@ def points_in_typical_cell(points: np.ndarray, stations: np.ndarray) -> np.ndarr
     return power.max(axis=1) < 0.0
 
 
+def _wedge_reach(stations, counts) -> np.ndarray:
+    """Per wedge k and realization, the max over its stations (grouped, with
+    these counts) of min(x.e_k, x.e_{k+1}) / |x|^2, as (_DIRECTIONS,
+    realizations); 0 for none.  1 / (2 rho) is the min over k."""
+    if stations.shape[0] == 0:
+        return np.zeros((_DIRECTIONS, counts.size))
+    dots = _EDGES @ (stations / _norm2(stations)[:, None]).T
+    reach = np.minimum(dots[:-1], dots[1:])
+    first = np.minimum(np.cumsum(counts) - counts, stations.shape[0] - 1)
+    reach = np.maximum.reduceat(reach, first, axis=1)
+    reach[:, counts == 0] = 0.0
+    return reach
+
+
+def _stations(rng: Generator, lambda_b: float, size: int):
+    """Stations of `size` realizations, their owners, each one's drawn radius
+    and its span 2 rho <= drawn; a round grows the realizations in `grow`."""
+    rings, owners = [], []
+    reach = np.zeros((_DIRECTIONS, size))
+    drawn = np.zeros(size)
+    grow = np.arange(size)
+    outer = np.full(size, math.sqrt(_FIRST_STATIONS / (math.pi * lambda_b)))
+    while grow.size:
+        ring, per = _disc_batch(rng, lambda_b, drawn[grow], outer, grow.size)
+        rings.append(ring)
+        owners.append(grow[_owners(per)])
+        drawn[grow] = outer
+        reach[:, grow] = np.maximum(reach[:, grow], _wedge_reach(ring, per))
+        worst = reach.min(axis=0)
+        span = np.divide(1.0, worst, out=np.full(size, np.inf), where=worst > 0.0)
+        grow = grow[span[grow] > drawn[grow]]
+        outer = np.minimum(span[grow], 2.0 * drawn[grow])
+    return np.concatenate(rings), np.concatenate(owners), drawn, span
+
+
 def _max_power(ux, uy, per_real, cols):
     """Running max over station columns of 2 u.x - |x|^2, with cols holding
     (2x, 2y, |x|^2) as (3, columns, realizations).  Each column is repeated
@@ -222,26 +231,20 @@ def _max_power(ux, uy, per_real, cols):
 
 def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
     """Indices of the users in their realization's typical cell: the power
-    test of `points_in_typical_cell` for a whole batch, users and stations
-    grouped by realization.
-
-    Stations are sorted by |x| within each realization and padded with
-    x = 0, |x|^2 = +inf into columns that hold one station per realization.
-    Stage 1 tests every user against the _STAGE1 nearest columns and drops
-    those with a non-negative power, which fail the full test too; stage 2
-    tests the survivors against the remaining columns.  Both stages are
-    exact.
-    """
+    test of `points_in_typical_cell` for a batch grouped by realization.
+    Stations go, in their order, into columns of one station per
+    realization, padded with x = 0, |x|^2 = +inf.  Stage 1 tests every user
+    against the first _STAGE1 columns and drops those with a non-negative
+    power; stage 2 tests the rest.  Exact for any order; near stations first
+    make stage 1 drop the most."""
     per_st = np.bincount(st_owner, minlength=size)
     width = int(per_st.max(initial=0))
     slot = np.arange(st_owner.size) - np.repeat(np.cumsum(per_st) - per_st, per_st)
-    rows = np.zeros((3, size, width))
-    rows[2] = np.inf
-    rows[0, st_owner, slot] = 2.0 * stations[:, 0]
-    rows[1, st_owner, slot] = 2.0 * stations[:, 1]
-    rows[2, st_owner, slot] = _norm2(stations)
-    order = np.argsort(rows[2], axis=1)
-    cols = np.take_along_axis(rows, order[None], axis=2).transpose(0, 2, 1).copy()
+    cols = np.zeros((3, width, size))
+    cols[2] = np.inf
+    cols[0, slot, st_owner] = 2.0 * stations[:, 0]
+    cols[1, slot, st_owner] = 2.0 * stations[:, 1]
+    cols[2, slot, st_owner] = _norm2(stations)
 
     ux = np.ascontiguousarray(users[:, 0])
     uy = np.ascontiguousarray(users[:, 1])
@@ -254,25 +257,24 @@ def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
     return alive
 
 
-def _batch(net, window, seed, batch, rate_cfg):
-    """Loads, and with rate_cfg also SIR and rate, of the _BATCH realizations
-    of one stream.  The draw order is fixed so that load-only and SIR runs see
-    identical loads: near stations in b(o, 2 cutoff), users, then (SIR only)
-    the stations in the annulus out to the window, the representative users
-    and the fades."""
+def _batch(net, seed, batch, rate_cfg):
+    """Loads, SIR and rate (None for a load run) and drawn radii of the
+    _BATCH realizations of one stream.  SIR runs draw their extra stations,
+    representative users and fades after the loads, so the loads match."""
     rng = _rng_for(seed, batch)
-    cut = _user_cutoff(net)
-    near, near_per = _disc_batch(rng, net.lambda_b, 0.0, 2.0 * cut, _BATCH)
-    near_owner = _owners(near_per)
-    users, owner = _pcp_batch(rng, net.users, cut, _BATCH)
-    cell = _in_cell(users, owner, near, near_owner, _BATCH)
+    stations, st_owner, drawn, span = _stations(rng, net.lambda_b, _BATCH)
+    users, owner = _pcp_batch(rng, net.users, 0.5 * span, _BATCH)
+    near = np.flatnonzero(_norm2(stations) < (span * span)[st_owner])
+    near = near[np.argsort(st_owner[near], kind="stable")]   # rings stay nearest first
+    cell = _in_cell(users, owner, stations[near], st_owner[near], _BATCH)
     loads = np.bincount(owner[cell], minlength=_BATCH)
     if rate_cfg is None:
-        return loads, None, None
+        return loads, None, None, drawn
 
-    far, far_per = _disc_batch(rng, net.lambda_b, 2.0 * cut, window, _BATCH)
-    stations = np.concatenate([near, far])
-    st_owner = np.concatenate([near_owner, _owners(far_per)])
+    window = _sir_window(net, rate_cfg.alpha)
+    far, far_per = _disc_batch(rng, net.lambda_b, np.minimum(drawn, window), window, _BATCH)
+    stations = np.concatenate([stations, far])
+    st_owner = np.concatenate([st_owner, _owners(far_per)])
     busy = np.flatnonzero(loads)
     first = np.cumsum(loads) - loads
     rep = np.zeros((_BATCH, 2))
@@ -291,18 +293,18 @@ def _batch(net, window, seed, batch, rate_cfg):
     load = loads[busy]
     rate[busy] = np.minimum(rate_cfg.bandwidth_w / load * np.log2(1.0 + s),
                             rate_cfg.backhaul_rb / load)
-    return loads, sir, rate
+    return loads, sir, rate, np.maximum(drawn, window)
 
 
 def _stack(parts, size):
-    """Concatenate the (loads, sir, rate) parts field by field and keep the
-    first `size` realizations; load runs carry None for sir and rate."""
+    """Concatenate the (loads, sir, rate, drawn) parts field by field and keep
+    the first `size` realizations; load runs carry None for sir and rate."""
     return [None if f[0] is None else np.concatenate(f)[:size] for f in zip(*parts)]
 
 
-def _simulate(net, cfg, window, rate_cfg):
+def _simulate(net, cfg, rate_cfg):
     batches = -(-cfg.realizations // _BATCH)
-    job = functools.partial(_batch, net, window, cfg.seed, rate_cfg=rate_cfg)
+    job = functools.partial(_batch, net, cfg.seed, rate_cfg=rate_cfg)
     workers = min(cfg.parallel_chunks, batches, os.cpu_count() or 1)
     if workers == 1:
         parts = list(map(job, range(batches)))
@@ -314,9 +316,8 @@ def _simulate(net, cfg, window, rate_cfg):
 
 def run_load_simulation(net: NetworkModel, cfg: SimConfig) -> LoadSimResult:
     """Loads of cfg.realizations independent typical cells."""
-    window = _window(net, None)
-    loads, _, _ = _simulate(net, cfg, window, None)
-    return LoadSimResult(loads, window)
+    loads, _, _, drawn = _simulate(net, cfg, None)
+    return LoadSimResult(loads, float(drawn.max()))
 
 
 def check_sir_alpha(alpha: float) -> None:
@@ -328,9 +329,8 @@ def check_sir_alpha(alpha: float) -> None:
 def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) -> SirSimResult:
     """Loads plus representative-user SIR and rate samples (alpha >= 3)."""
     check_sir_alpha(rate_cfg.alpha)
-    window = _window(net, rate_cfg.alpha)
-    loads, sir, rate = _simulate(net, cfg, window, rate_cfg)
-    return SirSimResult(loads, sir, rate, window)
+    loads, sir, rate, drawn = _simulate(net, cfg, rate_cfg)
+    return SirSimResult(loads, sir, rate, float(drawn.max()))
 
 
 def empirical_pmf(source) -> LoadPmf:

@@ -26,8 +26,9 @@ from cellload.montecarlo import (
     _owners,
     _pcp_batch,
     _rng_for,
-    _user_cutoff,
-    _window,
+    _sir_window,
+    _stations,
+    _wedge_reach,
 )
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
 
@@ -216,6 +217,77 @@ class TestDeterminism:
         SimConfig(realizations=10, seed=2**64 - 1)
 
 
+def _norm2(pts):
+    return np.einsum("ij,ij->i", pts, pts)
+
+
+def _grouped(stations, owner):
+    order = np.argsort(owner, kind="stable")
+    return stations[order], np.bincount(owner, minlength=_BATCH)
+
+
+def _span(reach):
+    """2 rho per realization from its `_wedge_reach`, +inf when unbounded."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.maximum(reach.min(axis=0), 0.0)
+
+
+def _circumradius(stations, directions=4096):
+    """Largest extent of the cell over `directions` rays: along the unit ray
+    u the cell ends at min |x|^2 / (2 u.x) over the stations with u.x > 0."""
+    phi = np.arange(directions) * (2.0 * math.pi / directions)
+    dots = stations @ np.stack([np.cos(phi), np.sin(phi)])
+    with np.errstate(divide="ignore"):
+        ends = np.where(dots > 0.0, np.einsum("ij,ij->i", stations, stations)[:, None]
+                        / (2.0 * dots), np.inf)
+    return ends.min(axis=0, initial=np.inf).max()
+
+
+class TestCircumradiusBound:
+    def test_bounds_the_cell_on_random_station_sets(self):
+        # 1,024 PPP station sets of 0 to ~60 stations; the bound rho = span / 2
+        # is never below the cell's extent over 4,096 rays
+        rho, exact = [], []
+        for b in range(16):
+            rng = _rng_for(31, b)
+            stations, per = _disc_batch(rng, 1.0, 0.0, rng.uniform(0.3, 4.5, _BATCH), _BATCH)
+            reach = _wedge_reach(stations, per)
+            rho.append(0.5 * _span(reach))
+            owner = _owners(per)
+            # empty realizations sit between others and must not borrow their stations
+            alone = [_wedge_reach(stations[owner == k], per[k:k + 1]) for k in range(_BATCH)]
+            np.testing.assert_allclose(reach, np.hstack(alone), rtol=1e-12, atol=0.0)
+            exact.append([_circumradius(stations[owner == k]) for k in range(_BATCH)])
+        rho, exact = np.concatenate(rho), np.array(exact).ravel()
+        assert np.all(rho >= exact)
+        finite = np.isfinite(exact)
+        assert 0.5 < finite.mean() < 1.0
+        assert np.median(rho[finite] / exact[finite]) < 1.1
+
+    def test_half_plane_and_close_wide_station(self):
+        rng = _rng_for(32, 0)
+        ring = _disc_batch(rng, 1.0, 0.0, 3.0, 1)[0]
+        half = ring[ring[:, 0] > 0.0]     # every station in a half-plane: unbounded
+        # one station very close to the origin, at a wide angle from most rays,
+        # with the others beyond it
+        close = np.vstack([[1e-3, 2e-4], 1.0 + ring])
+        sets = [half, close, np.vstack([close, half])]
+        per = np.array([len(x) for x in sets])
+        rho = 0.5 * _span(_wedge_reach(np.vstack(sets), per))
+        assert rho[0] == np.inf
+        assert np.all(np.isfinite(rho[1:]))
+        assert np.all(rho >= [_circumradius(x) for x in sets])
+
+    def test_growth_covers_twice_the_bound(self):
+        for lambda_b in (0.25, 1.0, 4.0):
+            rng = _rng_for(33, 0)
+            stations, owner, drawn, span = _stations(rng, lambda_b, _BATCH)
+            assert np.all(drawn >= span) and np.all(np.isfinite(span))
+            assert np.all(_norm2(stations) <= drawn[owner] ** 2 * (1.0 + 1e-12))
+            again = _span(_wedge_reach(*_grouped(stations, owner)))
+            np.testing.assert_allclose(again, span, rtol=1e-12)
+
+
 def _dense_loads(users, owner, stations, st_owner, size):
     return np.array([
         np.count_nonzero(points_in_typical_cell(users[owner == k], stations[st_owner == k]))
@@ -230,15 +302,23 @@ class TestBatchedPowerTest:
         ids=["tcp", "mcp", "light"],
     )
     def test_matches_dense_test_on_engine_draws(self, net):
-        # redraw the engine's batches and test every realization densely
+        # redraw the engine's batches, add stations in the annulus beyond each
+        # realization's drawn radius and users in the annulus beyond its bound
+        # rho, and test every realization densely: the extras change no load
         batches, seed = 3, 23
-        cut = _user_cutoff(net)
         dense = []
         for b in range(batches):
             rng = _rng_for(seed, b)
-            near, per = _disc_batch(rng, net.lambda_b, 0.0, 2.0 * cut, _BATCH)
-            users, owner = _pcp_batch(rng, net.users, cut, _BATCH)
-            dense.append(_dense_loads(users, owner, near, _owners(per), _BATCH))
+            stations, st_owner, drawn, span = _stations(rng, net.lambda_b, _BATCH)
+            users, owner = _pcp_batch(rng, net.users, 0.5 * span, _BATCH)
+            extra = _rng_for(seed + 1, b)
+            far, per = _disc_batch(extra, net.lambda_b, drawn, drawn + 2.0, _BATCH)
+            out, per_u = _disc_batch(extra, 200.0, 0.5 * span, 0.5 * span + 0.5, _BATCH)
+            assert np.all(_norm2(out) > (0.25 * span * span)[_owners(per_u)])
+            dense.append(_dense_loads(np.vstack([users, out]),
+                                      np.concatenate([owner, _owners(per_u)]),
+                                      np.vstack([stations, far]),
+                                      np.concatenate([st_owner, _owners(per)]), _BATCH))
         dense = np.concatenate(dense)
         res = run_load_simulation(net, SimConfig(realizations=batches * _BATCH, seed=seed))
         assert np.array_equal(res.loads, dense)
@@ -265,31 +345,43 @@ class TestBatchedPowerTest:
         assert _in_cell(none, empty_owner, users, np.array([0, 1]), 3).size == 0
 
 
+def _run(net, alpha, cfg):
+    if alpha is None:
+        return run_load_simulation(net, cfg)
+    return run_sir_simulation(net, cfg, RateConfig(alpha=alpha, bandwidth_w=1e6))
+
+
 class TestWindowInvariants:
     @pytest.mark.parametrize("alpha", [None, 3.0, 4.0])
     def test_window_scales(self, alpha):
-        # same lambda_u / lambda_b, four times the BS density: half the window
+        # same lambda_u / lambda_b, four times the BS density: every draw of
+        # a seeded run shrinks by half, so its loads stay and its window halves
         dense = NetworkModel(4.0, UserModel(20.0, 5.0, Thomas(0.025)))
-        assert _window(dense, alpha) == pytest.approx(_window(TCP_NET, alpha) / 2.0, rel=1e-12)
+        cfg = SimConfig(realizations=100, seed=3)
+        small, large = _run(dense, alpha, cfg), _run(TCP_NET, alpha, cfg)
+        assert np.array_equal(small.loads, large.loads)
+        assert small.window_radius == pytest.approx(large.window_radius / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [3.0, 3.3, 3.56, 4.0, 6.0])
     @pytest.mark.parametrize("lambda_b", [1.0, 4.0])
     def test_sir_window_bounds_interference_tail(self, alpha, lambda_b):
         # mean interference beyond W against the mean from r0 < |x| < W
         net = NetworkModel(lambda_b, TCP_NET.users)
-        window = _window(net, alpha)
+        window = _sir_window(net, alpha)
         r0 = 0.5 / math.sqrt(lambda_b)
         tail = window ** (2.0 - alpha)
         assert tail / (r0 ** (2.0 - alpha) - tail) < 0.01
-        assert window >= _window(net, None)
+        assert window == pytest.approx(_sir_window(TCP_NET, alpha) / math.sqrt(lambda_b))
 
     def test_windows_at_alpha_4(self):
-        # a load run reports the radius it draws stations to, 2 cutoffs; a
-        # SIR run at alpha = 4 needs the interference radius just beyond it
-        load = run_load_simulation(TCP_NET, SimConfig(realizations=10)).window_radius
-        assert load == 2.0 * _user_cutoff(TCP_NET)
-        assert load == pytest.approx(4.9619, abs=1e-4)
-        res = run_sir_simulation(TCP_NET, SimConfig(realizations=10, seed=0), RATE_CFG)
+        # a load run reports the largest radius any realization drew stations
+        # to; a SIR run at alpha = 4 reports the interference radius beyond it
+        cfg = SimConfig(realizations=1000, seed=0)
+        load = run_load_simulation(TCP_NET, cfg).window_radius
+        rng = _rng_for(0, 0)
+        assert load >= _stations(rng, 1.0, _BATCH)[2].max()
+        assert 2.0 < load < 5.0
+        res = run_sir_simulation(TCP_NET, cfg, RATE_CFG)
         assert res.window_radius == pytest.approx(1.05 * 0.5 * math.sqrt(101.0), rel=1e-15)
         assert res.window_radius == pytest.approx(5.2762, abs=1e-4)
 
@@ -298,12 +390,12 @@ class TestWindowInvariants:
         real = montecarlo._disc_batch
 
         def recording(rng, intensity, inner, radius, size):
-            outer.append(radius)
+            outer.append(np.max(radius))
             return real(rng, intensity, inner, radius, size)
 
         monkeypatch.setattr(montecarlo, "_disc_batch", recording)
         res = run_load_simulation(TCP_NET, SimConfig(realizations=3 * _BATCH, seed=4))
-        assert len(outer) == 3 and max(outer) <= res.window_radius
+        assert len(outer) > 3 and max(outer) == res.window_radius
 
     def test_sir_window_at_alpha_3_keeps_loads(self):
         cfg = SimConfig(realizations=100, seed=18)
