@@ -17,15 +17,16 @@ The PGF of the load under the equal-area-circle approximation is a double
 integral whose inner kernel exp(-m_bar xi (1 - theta)) is the PGF of a
 Poisson(m_bar xi) count: a power series in theta whose coefficients are
 tabulated once on a Gauss-Legendre grid.  On that grid the PGF is a mixture
-of compound Poisson PGFs, so the load PMF follows from them exactly by
-recursion; the same coefficients give the PGF at any nodes for the DFT route.
-Panel counts double until two grids agree.
+of compound Poisson PGFs exp(C_r(theta) - C_r(1)), C_r a polynomial: one real
+FFT per radius node gives the PGF at the N-th roots of unity, whose inverse DFT
+is the load PMF up to the mass beyond N that a Chernoff bound from the same
+coefficients limits.  Panel counts double until two grids agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -119,11 +120,13 @@ class LoadPmf:
 @dataclass(frozen=True)
 class DftPmf(LoadPmf):
     """PMF from an inverse DFT, with the inversion that produced it: DFT
-    size, and the sum and minimum of the terms before clipping."""
+    size, the sum and minimum of the terms before clipping, and a bound on
+    the mass sum_{n >= N} p_n folded onto the terms (inf when unknown)."""
 
     dft_size: int
     raw_sum: float
     min_raw: float
+    alias_bound: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,9 @@ def nb_pmf(params: NegBinParams, n) -> np.ndarray:
 _BASE_LEVELS = (12, 6)       # panels of the coarsest grid: r, v transition band
 _GRID_TOL = 1e-8             # largest change between two grids' outputs that ends the refinement
 _GRID_REFINEMENTS = 3        # panel doublings after the base grid before refinement gives up
-_TAIL_TOL = 1e-12            # probability load_pmf may leave beyond its last term
+_TAIL_TOL = 1e-12            # load mass load_pmf may alias, and may leave beyond its last term
+_MAX_DFT_SIZE = 2**20        # largest DFT size load_pmf tries
+_FFT_BLOCK = 2**18           # PGF values per block of radius rows
 
 
 def _pgf_table(net: NetworkModel, levels):
@@ -326,18 +331,20 @@ def _pgf_table(net: NetworkModel, levels):
 def _on_refined_grids(net: NetworkModel, output):
     """output(r_weights, c) on grids of doubling panel counts, until two
     successive grids agree within _GRID_TOL; at most _GRID_REFINEMENTS + 1
-    grids are built.  Outputs of different lengths are compared zero-padded."""
+    grids are built.  Outputs (arrays, or PMFs by their terms) of different
+    lengths are compared zero-padded."""
     levels = _BASE_LEVELS
-    vals = output(*_pgf_table(net, levels))
+    out = output(*_pgf_table(net, levels))
     for _ in range(_GRID_REFINEMENTS):
         levels = tuple(2 * n for n in levels)
-        fine_vals = output(*_pgf_table(net, levels))
+        fine = output(*_pgf_table(net, levels))
+        vals, fine_vals = (getattr(x, "probs", x) for x in (out, fine))
         size = max(vals.size, fine_vals.size)
         gap = np.pad(fine_vals, (0, size - fine_vals.size)) - np.pad(vals, (0, size - vals.size))
         if float(np.max(np.abs(gap))) <= _GRID_TOL:
-            return fine_vals
-        vals = fine_vals
-    raise ConvergenceError(f"PGF grid did not stabilize to {_GRID_TOL:g}", best_estimate=vals)
+            return fine
+        out = fine
+    raise ConvergenceError(f"PGF grid did not stabilize to {_GRID_TOL:g}", best_estimate=out)
 
 
 def _pgf_from_table(r_weights, c, thetas) -> np.ndarray:
@@ -353,53 +360,6 @@ def _pgf_values(net: NetworkModel, thetas) -> np.ndarray:
     return _on_refined_grids(net, lambda w, c: _pgf_from_table(w, c, thetas))
 
 
-def _compound_poisson_pmf(r_weights, c) -> np.ndarray:
-    """PMF sum_r w_r p_n(r) of the table's mixture of compound Poisson laws.
-
-    Row r's PGF exp(-sum_j c_j (1 - theta^j)) is compound Poisson, so Panjer's
-    recursion (Panjer 1981) gives its PMF exactly:
-        p_0 = exp(-sum_j c_j),  p_n = (1/n) sum_{j <= min(n, J)} j c_j p_{n-j}.
-    Every term is non-negative and the recursion is forward-stable (Panjer &
-    Wang 1993).  Each row runs on p_n / p_0 from 1 with weight w_r p_0 kept as
-    its log, log w_r - sum_j c_j, so p_0 may underflow: a row that passes 1e250
-    has its last J terms divided by that value and its log added to the weight,
-    which the linear recursion leaves exact.  It stops once the mass it has not
-    yet placed, sum_r w_r - sum_n p_n, is at most _TAIL_TOL.
-    """
-    n_r, n_j = c.shape
-    log_weight = np.log(r_weights) - c.sum(axis=1)
-    weight = np.exp(log_weight)
-    jc = (np.arange(1, n_j + 1) * c).T[::-1].copy()    # row k holds j c_j for j = J - k
-    # row `top` holds p_n / p_0 after the J rows of p_(n-J) .. p_(n-1) (zeros
-    # before p_0); when the buffer is full its last J rows move to the front
-    window = np.zeros((n_j + 512, n_r))
-    top = n_j
-    window[top] = 1.0
-    probs = [float(weight.sum())]
-    mass = float(r_weights.sum()) - probs[0]
-    n = 0
-    while mass > _TAIL_TOL:
-        n += 1
-        if top + 1 == window.shape[0]:
-            window[:n_j] = window[top + 1 - n_j :]
-            top = n_j - 1
-        top += 1
-        window[top] = np.einsum("jr,jr->r", jc, window[top - n_j : top]) / n
-        big = window[top] > 1e250
-        if big.any():
-            log_weight[big] += np.log(window[top, big])
-            window[top + 1 - n_j : top + 1, big] /= window[top, big]
-            weight = np.exp(log_weight)
-        q = float(weight @ window[top])
-        if q == 0.0:
-            raise ConvergenceError(
-                f"load PMF recursion stalled with {mass:.3g} of its mass unplaced"
-            )
-        probs.append(q)
-        mass -= q
-    return np.array(probs)
-
-
 def load_pgf(net: NetworkModel, theta) -> complex:
     """PGF G(theta) = E[theta^load] under the equal-area-circle approximation.
 
@@ -412,14 +372,64 @@ def load_pgf(net: NetworkModel, theta) -> complex:
     return complex(_pgf_values(net, theta)[0])
 
 
-def load_pmf(net: NetworkModel) -> LoadPmf:
-    """PMF of the typical-cell load under the equal-area-circle approximation.
+def _alias_bound(r_weights, c, sizes):
+    """Chernoff bounds P(load >= N) <= min_{theta > 1} G(theta) theta^-N of the
+    table's law, one per DFT size N in sizes, with log G(e^s) = logsumexp_r
+    (log w_r + sum_j c_j (e^(j s) - 1)) on 32 log-spaced s: below
+    1 / _MAX_DFT_SIZE the bound stays above G(1) / e at every size tried, and
+    j s <= 700 keeps e^(j s) finite.  Fewer theta only loosen the bound."""
+    j = np.arange(1, c.shape[1] + 1)
+    s = np.geomspace(1.0 / _MAX_DFT_SIZE, 700.0 / j[-1], 32)
+    log_g = np.logaddexp.reduce(np.log(r_weights)[:, None] + c @ np.expm1(np.outer(j, s)), axis=0)
+    return np.exp(np.min(log_g - np.multiply.outer(sizes, s), axis=-1))
 
-    Exact on each quadrature grid of the PGF (compound Poisson recursion on
-    its series coefficients), with no DFT size, radius or aliasing; the terms
-    run until at most 1e-12 of the grid's mass lies beyond the last one.
-    """
-    return LoadPmf(probs=_on_refined_grids(net, _compound_poisson_pmf))
+
+def _pgf_at_roots(r_weights, c, n_points) -> np.ndarray:
+    """The table's PGF at the N-th roots of unity e^(2 pi i m / N).  Row r's
+    PGF is exp(C_r(theta) - C_r(1)) with C_r(theta) = sum_j c_j theta^j, and
+    C_r at the roots is the conjugate of one real FFT of the row 0, c_1 .. c_J,
+    summed modulo N first when J >= N (exact at the roots, where a size-N FFT
+    would drop c_N ..).  Rows go in blocks of about _FFT_BLOCK values."""
+    n_r, n_j = c.shape
+    rows = max(1, _FFT_BLOCK // (n_points // 2 + 1))
+    half = np.zeros(n_points // 2 + 1, dtype=complex)
+    for start in range(0, n_r, rows):
+        row = np.pad(c[start : start + rows], ((0, 0), (1, 0)))
+        if n_j >= n_points:
+            row = np.pad(row, ((0, 0), (0, -(n_j + 1) % n_points)))
+            row = row.reshape(len(row), -1, n_points).sum(axis=1)
+        spectrum = np.fft.rfft(row, n=n_points)
+        spectrum -= spectrum[:, :1].real
+        half += r_weights[start : start + rows] @ np.exp(spectrum, out=spectrum)
+    return np.concatenate([half.conj(), half[-2:0:-1]])  # G at e^(-i t) is conj G(e^(i t))
+
+
+def _dft_pmf(r_weights, c, n_points=None) -> DftPmf:
+    """The table's p_0 .. p_(N-1) by inverse DFT, each with its aliased tail
+    sum_{l >= 1} p_(n + lN), whose total alias_bound bounds.  N defaults to
+    the smallest power of two above J whose bound is at most _TAIL_TOL."""
+    if n_points is None:
+        sizes = 2 ** np.arange(c.shape[1].bit_length(), _MAX_DFT_SIZE.bit_length())
+        fits = sizes[_alias_bound(r_weights, c, sizes) <= _TAIL_TOL]
+        if not fits.size:
+            raise ConvergenceError(
+                f"no DFT size up to {_MAX_DFT_SIZE} bounds the aliased mass by {_TAIL_TOL:g}")
+        n_points = int(fits[0])
+    pmf = dft_invert_pgf(lambda nodes: _pgf_at_roots(r_weights, c, n_points), n_points)
+    return replace(pmf, alias_bound=float(_alias_bound(r_weights, c, n_points)))
+
+
+def load_pmf(net: NetworkModel) -> DftPmf:
+    """PMF of the typical-cell load under the equal-area-circle approximation:
+    the inverse DFT of the PGF on each quadrature grid, at the smallest size
+    whose bound on the aliased mass is at most 1e-12, cut where at most 1e-12
+    of the mass lies beyond the last term."""
+    def trimmed(r_weights, c):
+        pmf = _dft_pmf(r_weights, c)
+        size = max(1, int(np.count_nonzero(np.cumsum(pmf.probs[::-1]) > _TAIL_TOL)))
+        return replace(pmf, probs=pmf.probs[:size])
+
+    return _on_refined_grids(net, trimmed)
 
 
 def dft_invert_pgf(pgf: Callable, n_points: int) -> DftPmf:
@@ -440,17 +450,10 @@ def dft_invert_pgf(pgf: Callable, n_points: int) -> DftPmf:
     raw_sum = float(raw.sum())
     min_raw = float(raw.min())
     if abs(raw_sum - 1.0) > 1e-3:
-        raise InversionQualityError(
-            f"inverted PMF sums to {raw_sum:.6f}; inversion grid inadequate"
-        )
+        raise InversionQualityError(f"inverted PMF sums to {raw_sum:.6f}; inversion grid inadequate")
     if imag_max > 1e-8:
         raise InversionQualityError(f"inverted PMF has imaginary residue {imag_max:.2e}")
-    return DftPmf(
-        probs=np.clip(raw, 0.0, None),
-        dft_size=n_points,
-        raw_sum=raw_sum,
-        min_raw=min_raw,
-    )
+    return DftPmf(np.clip(raw, 0.0, None), dft_size=n_points, raw_sum=raw_sum, min_raw=min_raw)
 
 
 def invert_pgf(
@@ -458,19 +461,10 @@ def invert_pgf(
     n_points: Optional[int] = None,
     moments: Optional[LoadMoments] = None,
 ) -> DftPmf:
-    """PMF of the typical-cell load by inverse DFT of the load PGF.
-
-    When n_points is omitted it defaults to the smallest power of two covering
-    mean + 10 std deviations (minimum 128).  load_pmf gives the same PMF
-    without aliasing; this is the paper's inversion route.
-    """
-    if n_points is None:
-        moments = moments or load_moments(net)
-        reach = moments.mean + 10.0 * math.sqrt(moments.variance)
-        n_points = 128
-        while n_points < reach:
-            n_points *= 2
-    return dft_invert_pgf(lambda th: _pgf_values(net, th), n_points)
+    """load_pmf's DFT at N = n_points (default: load_pmf's N), all N terms
+    kept; N may be at most the series length J.  moments is accepted for
+    existing callers and not read."""
+    return _on_refined_grids(net, lambda r_weights, c: _dft_pmf(r_weights, c, n_points))
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_criterion_3_pmf_fidelity(kind, size):
     assert exact_tv <= 0.05
     report(f"criterion 3 (PMF fidelity, {kind})",
            f"DFT TV {tv:.4f} <= 0.05, sum {pmf.raw_sum:.6f}, min {pmf.min_raw:.2e}; "
-           f"recursion TV {exact_tv:.4f}, sum {exact_sum:.12f}, min {exact.probs.min():.2e}")
+           f"load_pmf TV {exact_tv:.4f}, sum {exact_sum:.12f}, min {exact.probs.min():.2e}")
 
 
 def test_criterion_4_inversion_oracle():

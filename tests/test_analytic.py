@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,10 +414,37 @@ class TestInvertPgf:
         assert rel <= 0.10  # 5% empirically; 10% flags a bug
 
     def test_default_size_selection(self):
-        m = load_moments(TCP_NET)
-        pmf = invert_pgf(TCP_NET, moments=m)
-        assert pmf.dft_size >= 128 and pmf.dft_size & (pmf.dft_size - 1) == 0
-        assert pmf.dft_size >= m.mean + 10.0 * math.sqrt(m.variance)
+        # load_pmf's size: the smallest power of two above the series length J
+        # whose Chernoff bound on the aliased mass is at most _TAIL_TOL
+        pmf = invert_pgf(TCP_NET)
+        r_weights, c = analytic._pgf_table(TCP_NET, analytic._BASE_LEVELS)
+        n = pmf.dft_size
+        assert n & (n - 1) == 0 and n > c.shape[1]
+        assert pmf.alias_bound <= analytic._TAIL_TOL
+        assert analytic._alias_bound(r_weights, c, n // 2) > analytic._TAIL_TOL
+        assert load_pmf(TCP_NET).dft_size == n
+
+    @pytest.mark.parametrize(
+        "rows", [((1, 3.0), (1, 7.0)), ((1, 3.0), (10, 0.5))], ids=["poisson", "batches"]
+    )
+    def test_alias_bound_on_poisson_mixture(self, rows):
+        # row r of a hand-built table is b_r times a Poisson(lam_r) count
+        # (c_j = lam_r at j = b_r); at N = 8 the "batches" row has J >= N and
+        # is summed modulo N.  Each term carries its aliased tail
+        # sum_l p_(n + lN), whose total the Chernoff bound must cover.
+        n_points, weights = 8, np.array([0.4, 0.6])
+        c = np.zeros((2, max(b for b, _ in rows)))
+        for r, (b, lam) in enumerate(rows):
+            c[r, b - 1] = lam
+        pmf = analytic._dft_pmf(weights, c, n_points)
+        loads = np.arange(25 * n_points)
+        exact = sum(
+            w * np.where(loads % b == 0, poisson.pmf(loads // b, lam), 0.0)
+            for w, (b, lam) in zip(weights, rows)
+        )
+        assert pmf.dft_size == n_points
+        assert np.max(np.abs(pmf.probs - exact.reshape(-1, n_points).sum(axis=0))) <= 1e-15
+        assert pmf.alias_bound >= exact[n_points:].sum()
 
     def test_failed_refinement_builds_no_extra_grid(self, monkeypatch):
         # one refinement compares the base grid with the next and then gives
@@ -440,8 +469,8 @@ class TestInvertPgf:
 class TestLoadPmf:
     @pytest.mark.parametrize("net", [TCP_NET, MCP_NET], ids=["tcp", "mcp"])
     def test_matches_dft_at_large_size(self, net):
-        # the recursion and a 4096-point DFT of the same PGF, per term; the
-        # DFT's terms past the recursion's last one are its < 1e-12 tail
+        # load_pmf's cut DFT and a 4096-point DFT of the same PGF, per term;
+        # the longer DFT's terms past load_pmf's last one are its < 1e-12 tail
         pmf = load_pmf(net)
         ref = invert_pgf(net, 4096).probs
         assert pmf.probs.size < ref.size
@@ -480,15 +509,24 @@ class TestLoadPmf:
         assert sum(sizes) == 51_840
 
     def test_unreachable_tolerance_stops(self, monkeypatch):
-        # a tail that rounding keeps above the tolerance ends once the terms
-        # underflow, with an error, not in an endless loop
+        # no DFT size up to the cap can meet the tolerance: the size search
+        # raises before any FFT, whose spectrum alone would take 8 MB at the
+        # cap of 2^20
         monkeypatch.setattr(analytic, "_TAIL_TOL", -1.0)
-        with pytest.raises(ConvergenceError, match="stalled"):
-            load_pmf(MCP_NET)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ConvergenceError, match="no DFT size"):
+                load_pmf(MCP_NET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 4 * 2**20
 
     def test_heavy_load_scales_rows(self):
-        # mean 750: p_0 = exp(-sum_j c_j) underflows on the largest cells,
-        # whose rows run on p_n / p_0 and are scaled down as they grow
+        # mean 750: p_0 = exp(-sum_j c_j) underflows on the largest cells; the
+        # DFT never forms it, only exp(C_r(theta) - C_r(1)) at the roots of unity
         net = NetworkModel(1.0, UserModel(150.0, 5.0, Thomas(0.05)))
         pmf = load_pmf(net)
         assert np.all(pmf.probs >= 0.0)

@@ -144,6 +144,13 @@ class TestPmf:
         assert code == cli.EXIT_CONVERGENCE and out == ""
         assert "did not stabilize" in err
 
+    def test_no_dft_size_exits_convergence(self, capsys, monkeypatch):
+        # no DFT size can bound the aliased mass by a negative tolerance
+        monkeypatch.setattr(analytic, "_TAIL_TOL", -1.0)
+        code, out, err = run_cli(["pmf"] + MCP_ARGS, capsys)
+        assert code == cli.EXIT_CONVERGENCE and out == ""
+        assert "no DFT size" in err
+
     @pytest.mark.parametrize("command", ["pmf", "rate"])
     def test_tiny_clusters_exit_convergence_fast(self, command, capsys):
         # a = v / sigma on the PGF grid is far past the Marcum Q limit of 3000

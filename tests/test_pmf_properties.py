@@ -4,11 +4,13 @@ Each draw fixes the model in normalized units (lambda_p / lambda_b, m_bar
 and the cluster size times sqrt(lambda_b)) and a BS density lambda_b; the
 load is a count, so the PMF must not depend on lambda_b.  The ranges keep
 out the tiny-cluster edge (the Marcum Q cost grows as 1 / sigma) and
-m_bar beyond 20 (the recursion's cost grows as m_bar^2).  Their far corner,
-lambda_p / lambda_b = m_bar = 20 with cluster size 2 / sqrt(lambda_b) (mean
-load 400, where the void probability of the largest cells underflows), has
-its own test with a 3 s bound per call.  The profile is derandomized with a
-fixed example count, so every run draws the same models.
+m_bar beyond 20 (the PGF table and the DFT grow with m_bar and the mean
+load).  Their far corner, lambda_p / lambda_b = m_bar = 20 with cluster size
+2 / sqrt(lambda_b) (mean load 400, where the void probability of the largest
+cells underflows), has its own test with a 3 s bound per call, which also
+runs it at m_bar = 50 (mean load 1,000, a DFT of 16,384 points whose radius
+rows go through the FFT in several blocks).  The profile is derandomized
+with a fixed example count, so every run draws the same models.
 """
 
 import math
@@ -70,16 +72,18 @@ def test_pmf_invariants(model):
 
 @pytest.mark.parametrize("kind", [Thomas, Matern])
 def test_far_corner(kind):
-    # the largest cells see thousands of clusters, so their void
-    # probability underflows: the rows of the recursion are scaled instead
-    probs = []
-    for lambda_b in (1.0, 4.0):
-        net = network(kind, lambda_b, 20.0, 20.0, 2.0)
-        pmf, seconds = timed_pmf(net)
-        assert seconds < 3.0
-        assert np.all(pmf.probs >= 0.0)
-        assert pmf.tail_mass() <= 1e-9
-        assert pmf.mean() == pytest.approx(mean_load(net), rel=1e-6)
-        probs.append(pmf.probs)
-    assert probs[0].size == probs[1].size
-    assert np.max(np.abs(probs[0] - probs[1])) <= 1e-12
+    # the largest cells see thousands of clusters, so their void probability
+    # underflows, which the DFT never forms; at m_bar = 50 the radius rows
+    # no longer fit in one FFT block
+    for m_bar in (20.0, 50.0):
+        probs = []
+        for lambda_b in (1.0, 4.0):
+            net = network(kind, lambda_b, 20.0, m_bar, 2.0)
+            pmf, seconds = timed_pmf(net)
+            assert seconds < 3.0
+            assert np.all(pmf.probs >= 0.0)
+            assert pmf.tail_mass() <= 1e-9
+            assert pmf.mean() == pytest.approx(mean_load(net), rel=1e-6)
+            probs.append(pmf.probs)
+        assert probs[0].size == probs[1].size
+        assert np.max(np.abs(probs[0] - probs[1])) <= 1e-12
