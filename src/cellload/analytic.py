@@ -259,11 +259,18 @@ def nb_fit(m: LoadMoments) -> NegBinParams:
 
 
 def nb_pmf(params: NegBinParams, n) -> np.ndarray:
-    """PMF of NB(r, t): C(r+n-1, n) (1-t)^r t^n."""
-    # imported here: scipy.stats costs about a second per cold process
-    from scipy import stats as _st
+    """PMF of NB(r, t): C(r+n-1, n) (1-t)^r t^n, 0 for n < 0.
 
-    return _st.nbinom.pmf(np.asarray(n), params.r, 1.0 - params.t)
+    Taken in log space, log p_n = r log(1-t) + n log t + sum_{k<n} log((r+k) / (k+1)), with one
+    running sum up to max(n), so no term underflows on the way to a small p_n.
+    """
+    n = np.asarray(n)
+    r, t = params.r, params.t
+    top = int(n.max(initial=0))
+    k = np.arange(top)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log1p((r - 1.0) / (k + 1.0)))))
+    log_p = r * math.log1p(-t) + np.arange(top + 1) * math.log(t) + log_binom
+    return np.where(n >= 0, np.exp(log_p)[np.clip(n, 0, top)], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,25 +478,52 @@ def invert_pgf(
 # SIR distribution and rate coverage
 # ---------------------------------------------------------------------------
 
+_PFAFF_TERMS = 64   # series terms of _hyp2f1_pfaff; each is below half the one before
+
+
+def _hyp2f1_pfaff(s: float, z: np.ndarray) -> np.ndarray:
+    """2F1(1, s; 1 + s; -z) for a 1-D array 0 <= z <= 1 and 0 < s < 1, by Pfaff's transformation
+
+        2F1(1, s; 1 + s; -z) = (1 + z)^-1 2F1(1, 1; 1 + s; w),   w = z / (1 + z) <= 1/2
+                                                                   (DLMF 15.8.1),
+
+    whose series has positive terms n! / (1 + s)_n w^n with ratios n / (n + s) w < 1/2, taken as
+    one running product over _PFAFF_TERMS terms: the tail left out is below 2^-63 of the sum.
+    """
+    w = z / (1.0 + z)
+    n = np.arange(1, _PFAFF_TERMS)
+    terms = np.cumprod(n / (n + s) * w[:, None], axis=1)
+    return (1.0 + terms.sum(axis=1)) / (1.0 + z)
+
+
 def sir_ccdf(alpha: float, tau):
     """CCDF of the SIR of a uniformly random user of the typical cell,
 
     P_c(tau) = tau^{-d} int_0^{tau^d} (1 + beta(t))^{-2} / (1 + t^{1/d}) dt = 1 / (1 + beta(tau^d)),
 
     with d = 2/alpha and beta(t) = t int_{1/t}^inf du / (1 + u^{1/d}), since the integrand is
-    d/dt [t / (1 + beta(t))]; beta(tau^d) = 2 tau / (alpha - 2) 2F1(1, 1 - d; 2 - d; -tau) for
-    every tau > 0 (Andrews, Baccelli & Ganti 2011).  tau may be a scalar (returns a float) or an
-    array (returns an array); tau = inf gives 0.
+    d/dt [t / (1 + beta(t))]; beta(tau^d) = 2 tau / (alpha - 2) 2F1(1, c; 1 + c; -tau) with
+    c = 1 - d for every tau > 0 (Andrews, Baccelli & Ganti 2011).  For tau > 1 the connection
+    formula (DLMF 15.8.2) turns it into
+
+        beta(tau^d) = pi d / sin(pi c) tau^d - 2F1(1, d; 1 + d; -1/tau),
+
+    so both branches sum a Pfaff series in an argument <= 1/2.  tau may be a scalar (returns a
+    float) or an array (returns an array); tau = inf gives 0.
     """
-    from scipy import special as _sp  # here, not at import: it doubles `import cellload`
     if not alpha > 2:
         raise DomainError("alpha must exceed 2")
     tau_arr = np.asarray(tau, dtype=float)
     if not np.all(tau_arr > 0):
         raise DomainError("tau must be positive")
-    with np.errstate(invalid="ignore"):  # inf * 2F1(-inf) = inf * 0 at tau = inf
-        beta = 2 * tau_arr / (alpha - 2) * _sp.hyp2f1(1, 1 - 2 / alpha, 2 - 2 / alpha, -tau_arr)
-    out = np.where(tau_arr == math.inf, 0.0, 1.0 / (1.0 + beta))
+    d = 2.0 / alpha
+    c = (alpha - 2.0) / alpha   # 1 - d, without the cancellation of 1 - 2/alpha near alpha = 2
+    low = tau_arr <= 1.0
+    beta = np.empty(tau_arr.shape)
+    small, large = tau_arr[low], tau_arr[~low]
+    beta[low] = 2.0 * small / (alpha - 2.0) * _hyp2f1_pfaff(c, small)
+    beta[~low] = math.pi * d / math.sin(math.pi * c) * large**d - _hyp2f1_pfaff(d, 1.0 / large)
+    out = 1.0 / (1.0 + beta)
     return float(out) if out.ndim == 0 else out
 
 

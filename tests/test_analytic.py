@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebval
-from scipy.stats import poisson
+from scipy.special import hyp2f1
+from scipy.stats import nbinom, poisson
 
 from cellload import analytic, quadrature
 from cellload.analytic import (
@@ -286,6 +287,19 @@ class TestNegBinFit:
         fit = NegBinParams(25, 0.5)
         assert nb_pmf(fit, np.arange(400)).sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [1, 3, 40])
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.95])
+    def test_pmf_matches_scipy(self, r, t):
+        # atol = the smallest normal double: subnormal terms carry fewer digits on either side
+        n = np.arange(401)
+        np.testing.assert_allclose(nb_pmf(NegBinParams(r, t), n), nbinom.pmf(n, r, 1.0 - t),
+                                   rtol=1e-12, atol=np.finfo(float).tiny)
+
+    def test_pmf_is_zero_below_zero(self):
+        out = nb_pmf(NegBinParams(3, 0.5), np.array([-2, -1, 0, 1]))
+        assert out[:2].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(out[2:], [0.125, 0.1875], rtol=1e-15, atol=0.0)
+
     def test_params_validation(self):
         with pytest.raises(DomainError):
             NegBinParams(0, 0.5)
@@ -563,6 +577,19 @@ class TestSirCcdf:
             np.testing.assert_allclose(sir_ccdf(alpha, taus), ref, rtol=1e-13, atol=0.0)
             assert sir_ccdf(alpha, math.inf) == 0.0
         assert sir_ccdf(4.0, 1.0) == pytest.approx(1.0 / (1.0 + math.pi / 4.0), rel=0, abs=1e-15)
+
+    def test_matches_scipy_hyp2f1(self):
+        # the Pfaff series and connection formula against scipy's 2F1 in the docstring's form
+        taus = np.concatenate([np.geomspace(1e-12, 1e12, 241), [1.0 - 1e-15, 1.0, 1.0 + 1e-15]])
+        for alpha in (2.001, 2.5, 3.0, 4.0, 8.0, 20.0, 100.0):
+            d = 2.0 / alpha
+            ref = 1.0 / (1.0 + 2.0 * taus / (alpha - 2.0) * hyp2f1(1.0, 1.0 - d, 2.0 - d, -taus))
+            np.testing.assert_allclose(sir_ccdf(alpha, taus), ref, rtol=1e-13, atol=0.0)
+            # rate_coverage's expm1 overflows to tau = inf past 2^1024
+            with np.errstate(over="ignore"):
+                overflowed = np.expm1(np.array([1100.0]) * math.log(2.0))
+            assert sir_ccdf(alpha, overflowed).tolist() == [0.0]
+            assert sir_ccdf(alpha, math.inf) == 0.0
 
     def test_monotone_in_tau(self):
         vals = [sir_ccdf(4.0, t) for t in (0.1, 1.0, 10.0, 100.0)]

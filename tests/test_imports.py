@@ -1,7 +1,9 @@
-"""scipy loads only where it is used: on the first Thomas cluster CDF
-(Marcum Q) or SIR CCDF, not on `import cellload`.  Each case runs in a fresh
-interpreter, since this test process has long imported scipy."""
+"""The package runs on numpy alone: no command loads scipy, including a
+Thomas `pmf` (Marcum Q) and a `rate` (SIR CCDF), and no module under
+src/cellload imports it.  Each CLI case runs in a fresh interpreter, since
+this test process has long imported scipy."""
 
+import ast
 import json
 import os
 import subprocess
@@ -35,12 +37,24 @@ def scipy_modules(argv: str) -> list:
     return json.loads(run.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", ["", f"moments {TCP}", f"pmf {MCP}"],
-                         ids=["import", "moments", "matern-pmf"])
+@pytest.mark.parametrize(
+    "argv",
+    ["", f"moments {TCP}", f"pmf {MCP}", f"pmf {TCP}", f"rate {TCP}", f"rate {MCP}"],
+    ids=["import", "moments", "matern-pmf", "thomas-pmf", "thomas-rate", "matern-rate"],
+)
 def test_no_scipy(argv):
     assert scipy_modules(argv) == []
 
 
-def test_thomas_pmf_loads_scipy_special():
-    # the import is deferred to the Marcum Q call, not dropped
-    assert "scipy.special" in scipy_modules(f"pmf {TCP}")
+def test_no_module_imports_scipy():
+    imported = []
+    for path in sorted((Path(SRC) / "cellload").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            imported += [f"{path.name}: {n}" for n in names if n.partition(".")[0] == "scipy"]
+    assert imported == []

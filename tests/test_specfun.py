@@ -116,6 +116,28 @@ class TestMarcumQ1:
         out = marcum_q1(np.array([[0.0], [1.0]]), np.array([0.5, 1.5]))
         assert out.shape == (2, 2)
 
+    @pytest.mark.parametrize("a_max", [1.0, 10.0, 60.0, 300.0, 3000.0])
+    def test_matches_chndtr(self, a_max):
+        # b near a (the PGF grid's transition band) and b uniform, on a seeded grid
+        rng = np.random.default_rng(17)
+        a = rng.uniform(0.0, a_max, 4000)
+        b = np.concatenate([np.abs(a + rng.normal(0.0, 3.0, a.size)), rng.uniform(0.0, a_max, a.size)])
+        a = np.concatenate([a, a])
+        ref = 1.0 - special.chndtr(b**2, 2.0, a**2)
+        gap = np.abs(marcum_q1(a, b) - ref)
+        assert gap.max() <= 1e-12
+        assert gap[(a <= 60.0) & (b <= 60.0)].max(initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 10.0, 40.0, 300.0])
+    def test_diagonal_identity(self, a):
+        # Q1(a, a) = (1 + exp(-a^2) I0(a^2)) / 2
+        assert marcum_q1(a, a) == pytest.approx(0.5 * (1.0 + special.i0e(a * a)), rel=0, abs=1e-15)
+
+    def test_saturates_past_9_5(self):
+        a = np.array([0.0, 5.0, 40.0, 2990.0, 15.0, 50.0, 2999.0])
+        b = np.array([9.5, 14.6, 60.0, 3000.0, 5.5, 3.0, 2980.0])
+        assert marcum_q1(a, b).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
 
 class TestDiscGeometry:
     def test_coincident(self):
