@@ -34,7 +34,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from . import quadrature
 from .errors import ConvergenceError, DomainError, InfeasibleModelError, InversionQualityError
-from .ppmodel import NetworkModel, cluster_cdf, cluster_reach, pair_correlation_excess
+from .ppmodel import NetworkModel, cluster_cdf, cluster_plateau, cluster_reach, pair_correlation_excess
 # integrate_finite is unused here; kept because perfbench/spans.py wraps analytic.integrate_finite.
 from .quadrature import _panel_nodes, integrate_finite  # noqa: F401
 from .specfun import cell_radius_pdf
@@ -296,12 +296,11 @@ def _pgf_table(net: NetworkModel, levels):
     parent distance v.  With mu = m_bar xi, 1 - exp(-mu (1 - theta)) is one
     minus the PGF of a Poisson(mu) count, so the inner integral is
     sum_j A_j(r) (1 - theta^j) with A_j(r) = int v pi_j(mu(r, v)) dv, and
-    c_j = 2 pi lambda_p A_j.  On the plateau v <= lo = max(r - reach, 0) the
-    whole cluster lies within r, so xi = 1 (exactly for Matern, up to the
-    e^-18 tail the reach truncates for Thomas) and that part of A_j is
-    lo^2 / 2 * pi_j(m_bar) in closed form; quadrature runs only on the
-    transition band [lo, r + reach] where xi moves.  pi_j = exp(j log mu -
-    mu - log j!) is taken in log space (exp(-mu) underflows for mu > 745).
+    c_j = 2 pi lambda_p A_j.  On the plateau v <= lo of cluster_plateau, xi is
+    a constant (1 for Thomas, min(r, R)^2 / R^2 for Matern), so that part of
+    A_j is one exact node of weight lo^2 / 2 ahead of each row's v rule, and
+    quadrature runs only on the band [lo, r + reach] where xi moves.  pi_j =
+    exp(j log mu - mu - log j!) is taken in log space (exp(-mu) underflows for mu > 745).
     The series stops on m_bar alone, at the first j with j + 1 > m_bar and
     pi_j(m_bar) / (1 - m_bar / (j + 1)) < 1e-17; pi_j(mu) increases in mu below
     j, so that bounds the truncated tail sum_{k>j} pi_k(mu) at every mu <= m_bar.
@@ -314,13 +313,12 @@ def _pgf_table(net: NetworkModel, levels):
     r_weights = r_weights * cell_radius_pdf(r_nodes)
     r_phys = r_nodes / math.sqrt(math.pi)
 
-    lo = np.maximum(r_phys - reach, 0.0)
+    lo, xi_lo = cluster_plateau(users, r_phys)
     v_nodes, v_weights = _panel_nodes(np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1))
-    vw = v_weights * v_nodes          # weights folded with the v dv measure
-    mu = m_bar * cluster_cdf(users, r_phys[:, None], v_nodes)
+    vw = np.column_stack([0.5 * lo * lo, v_weights * v_nodes])  # plateau node, then v dv
+    mu = m_bar * np.column_stack([xi_lo, cluster_cdf(users, r_phys[:, None], v_nodes)])
     if not np.isfinite(mu).all():     # a NaN would run silently into every coefficient
         raise ConvergenceError("cluster CDF is not finite on the PGF grid")
-    plateau = 0.5 * lo * lo
     with np.errstate(divide="ignore"):
         log_mu = np.log(mu)
     coeffs, j = [], 0
@@ -329,7 +327,7 @@ def _pgf_table(net: NetworkModel, levels):
         log_fact = math.lgamma(j + 1)
         pi_j = np.exp(j * log_mu - mu - log_fact)
         pi_bar = math.exp(j * math.log(m_bar) - m_bar - log_fact)
-        coeffs.append((pi_j * vw).sum(axis=1) + plateau * pi_bar)
+        coeffs.append((pi_j * vw).sum(axis=1))
         if j + 1 > m_bar and pi_bar < 1e-17 * (1.0 - m_bar / (j + 1)):
             break
     return r_weights, 2.0 * math.pi * users.lambda_p * np.array(coeffs).T
@@ -417,13 +415,16 @@ def _dft_pmf(r_weights, c, n_points=None) -> DftPmf:
     the smallest power of two above J whose bound is at most _TAIL_TOL."""
     if n_points is None:
         sizes = 2 ** np.arange(c.shape[1].bit_length(), _MAX_DFT_SIZE.bit_length())
-        fits = sizes[_alias_bound(r_weights, c, sizes) <= _TAIL_TOL]
+        bounds = _alias_bound(r_weights, c, sizes)
+        fits = np.flatnonzero(bounds <= _TAIL_TOL)
         if not fits.size:
             raise ConvergenceError(
                 f"no DFT size up to {_MAX_DFT_SIZE} bounds the aliased mass by {_TAIL_TOL:g}")
-        n_points = int(fits[0])
+        n_points, bound = int(sizes[fits[0]]), bounds[fits[0]]
+    else:
+        bound = _alias_bound(r_weights, c, n_points)
     pmf = dft_invert_pgf(lambda nodes: _pgf_at_roots(r_weights, c, n_points), n_points)
-    return replace(pmf, alias_bound=float(_alias_bound(r_weights, c, n_points)))
+    return replace(pmf, alias_bound=float(bound))
 
 
 def load_pmf(net: NetworkModel) -> DftPmf:

@@ -252,7 +252,7 @@ def _rate_config(args) -> RateConfig:
 
 def _threshold_grid(args) -> list:
     """The rate grid of `--thresholds`, else 13 log-spaced rates from 0.02 W to 2 W."""
-    if not args.thresholds:
+    if args.thresholds is None:
         return [float(t) for t in np.geomspace(0.02 * args.bandwidth, 2.0 * args.bandwidth, 13)]
     try:
         grid = [float(t) for t in args.thresholds.split(",")]

@@ -31,6 +31,7 @@ __all__ = [
     "UserModel",
     "NetworkModel",
     "cluster_reach",
+    "cluster_plateau",
     "cluster_cdf",
 ]
 
@@ -116,6 +117,16 @@ def cluster_reach(model: UserModel) -> float:
     if isinstance(model.kind, Thomas):
         return _CLUSTER_SIGMAS * model.kind.sigma
     return model.kind.radius
+
+
+def cluster_plateau(model: UserModel, r):
+    """(lo, xi) with cluster_cdf(model, r, v) = xi for v <= lo.  Thomas: max(r - 6 sigma, 0), empty
+    below the reach, and 1 up to the e^-18 tail the reach truncates.  Matern: |r - R|, within which
+    one of b(o, r) and the parent's disc contains the other, and min(r, R)^2 / R^2 exactly."""
+    if isinstance(model.kind, Thomas):
+        return np.maximum(r - cluster_reach(model), 0.0), np.ones_like(r)
+    big_r = model.kind.radius
+    return np.abs(r - big_r), np.minimum(r, big_r) ** 2 / big_r**2
 
 
 def _check_nonneg(name, arr):

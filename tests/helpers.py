@@ -273,26 +273,36 @@ def pgf_by_nested_quadrature(net, theta: float) -> float:
 def pgf_grid(net, levels):
     """The quadrature grid of analytic._pgf_table, rebuilt independently.
 
-    Returns (users, r_weights, lo, vw, xi): the normalized user model, the
-    outer weights folded with the cell-radius density, the plateau end
-    lo = max(r - reach, 0) per radius node, the inner weights of the
-    transition band [lo, r + reach] folded with the v dv measure, and the
-    cluster CDF tabulated on the (r, v) band grid.
+    Returns (users, r_weights, lo, xi_lo, vw, xi): the normalized user model,
+    the outer weights folded with the cell-radius density, per radius node the
+    plateau end lo and the constant cluster CDF xi_lo on v <= lo, the inner
+    weights of the band [lo, r + reach] folded with the v dv measure, and the
+    cluster CDF tabulated on the (r, v) band grid.  The plateau is read off
+    the kernel's geometry here: for Thomas the cluster's 6-sigma disc lies
+    within b(o, r) while v <= r - 6 sigma, so xi = 1; for Matern b(o, r) lies
+    within the parent's disc while v <= R - r (xi = r^2 / R^2), and the disc
+    within b(o, r) while v <= r - R (xi = 1).
     """
-    from cellload.ppmodel import cluster_cdf, cluster_reach
+    from cellload.ppmodel import cluster_cdf
     from cellload.quadrature import _panel_nodes
     from cellload.specfun import cell_radius_pdf
 
     n_r, n_trans = levels
     users = net.normalized().users
-    reach = cluster_reach(users)
     r_nodes, r_weights = _panel_nodes(np.linspace(0.0, _R_MAX, n_r + 1))
     r_weights = r_weights * cell_radius_pdf(r_nodes)
     r_phys = r_nodes / math.sqrt(math.pi)
-    lo = np.maximum(r_phys - reach, 0.0)
+    if isinstance(users.kind, Thomas):
+        reach = 6.0 * users.kind.sigma
+        lo, xi_lo = np.maximum(r_phys - reach, 0.0), np.ones_like(r_phys)
+    else:
+        reach = users.kind.radius
+        inside = r_phys < reach
+        lo = np.where(inside, reach - r_phys, r_phys - reach)
+        xi_lo = np.where(inside, (r_phys / reach) ** 2, 1.0)
     v_nodes, v_weights = _panel_nodes(np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1))
     xi = cluster_cdf(users, r_phys[:, None], v_nodes)
-    return users, r_weights, lo, v_weights * v_nodes, xi
+    return users, r_weights, lo, xi_lo, v_weights * v_nodes, xi
 
 
 def pgf_on_grid_direct(net, levels, thetas):
@@ -300,15 +310,18 @@ def pgf_on_grid_direct(net, levels, thetas):
 
     The direct reading of the double integral: for each node theta one
     complex exponential exp(-m_bar (1 - theta) xi) over the band grid, plus
-    the plateau v <= lo where xi = 1, lo^2 / 2 (1 - exp(-m_bar (1 - theta))).
+    the plateau v <= lo where xi = xi_lo, lo^2 / 2 (1 - exp(-m_bar (1 - theta) xi_lo)).
+    1 - exp(-x) is taken as -expm1(-x): for a wide Matern disc xi ~ r^2 / R^2
+    is tiny over an area ~ R^2, and 1 - exp(-x) would lose its digits there.
     Oracle for the Poisson-series evaluation of analytic._pgf_from_table.
     """
-    users, r_weights, lo, vw, xi = pgf_grid(net, levels)
+    users, r_weights, lo, xi_lo, vw, xi = pgf_grid(net, levels)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
     out = np.empty(thetas.shape, dtype=complex)
     for k, theta in enumerate(thetas):
         c = users.m_bar * (1.0 - theta)
-        inner = ((1.0 - np.exp(-c * xi)) * vw).sum(axis=1) + 0.5 * lo * lo * (1.0 - np.exp(-c))
+        plateau = -0.5 * lo * lo * np.expm1(-c * xi_lo)
+        inner = (-np.expm1(-c * xi) * vw).sum(axis=1) + plateau
         out[k] = np.dot(r_weights, np.exp(-2.0 * math.pi * users.lambda_p * inner))
     return out
 

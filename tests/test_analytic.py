@@ -40,7 +40,7 @@ from cellload.errors import (
     InfeasibleModelError,
     InversionQualityError,
 )
-from cellload.montecarlo import points_in_typical_cell, sample_ppp, _rng_for
+from cellload.montecarlo import points_in_typical_cell, sample_ppp, tv_distance, _rng_for
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
 from cellload.quadrature import QuadSpec, _panel_nodes, tensor_triple
 
@@ -324,7 +324,8 @@ class TestLoadPgf:
                 assert complex(load_pgf(net, theta)).real == pytest.approx(oracle, abs=2e-7)
 
     @pytest.mark.parametrize("m_bar", [5.0, 300.0, 2000.0])
-    @pytest.mark.parametrize("kernel", [Thomas(0.05), Matern(0.1)], ids=["tcp", "mcp"])
+    @pytest.mark.parametrize("kernel", [Thomas(0.05), Matern(0.1), Matern(100.0)],
+                             ids=["tcp", "mcp", "mcp-wide"])
     def test_series_matches_direct_oracle(self, kernel, m_bar):
         # the Poisson series against one complex exponential per node; at
         # m_bar = 2000 exp(-m_bar xi) underflows, so a series that starts
@@ -546,6 +547,29 @@ class TestLoadPmf:
         assert np.all(pmf.probs >= 0.0)
         assert pmf.mean() == pytest.approx(750.0, rel=1e-6)
         assert pmf.tail_mass() <= 1e-9
+
+
+class TestWideClusterLimit:
+    # As the cluster size grows, the users of one cell come from ever more
+    # clusters and form a PPP in the limit, whose load law under the circle
+    # approximation has G(theta) = (1 + lambda_u (1 - theta) / 3.5)^-3.5:
+    # NB(3.5, q) with q = 3.5 / (3.5 + lambda_u).  The variance of the
+    # cluster-sum intensity is lambda_p pi m_bar^2 r^4 / R^2, so the TV gap
+    # falls as 1 / R^2 (5.2e-4, 2.1e-5, 5.2e-6, 5.2e-8 for Matern R = 10, 50,
+    # 100, 1000; 1.3e-6 and 1.9e-8 for Thomas sigma = 100, 1000).
+    @pytest.mark.parametrize("kernel,tv_bound", [
+        (Matern(50.0), 1e-4), (Matern(100.0), 1e-5), (Matern(1000.0), 1e-7),
+        (Thomas(100.0), 1e-5), (Thomas(1000.0), 1e-7),
+    ], ids=["mcp-50", "mcp-100", "mcp-1000", "tcp-100", "tcp-1000"])
+    def test_load_tends_to_ppp_law(self, kernel, tv_bound):
+        net = NetworkModel(1.0, UserModel(5.0, 5.0, kernel))
+        start = time.perf_counter()
+        pmf = load_pmf(net)
+        assert time.perf_counter() - start < 2.0
+        assert np.all(pmf.probs >= 0.0)
+        assert pmf.mean() == pytest.approx(25.0, rel=1e-6)
+        ppp = nbinom.pmf(np.arange(pmf.probs.size + 200), 3.5, 3.5 / (3.5 + 25.0))
+        assert tv_distance(pmf, ppp) <= tv_bound
 
 
 class TestSirCcdf:

@@ -136,6 +136,16 @@ class TestPmf:
         assert math.fsum(n * p for n, p in enumerate(d["probs"])) == pytest.approx(750.0, rel=1e-6)
         assert d["tail_mass"] < 1e-9
 
+    def test_wide_matern_clusters_exit_zero(self, capsys):
+        # the Matern disc (R = 100) holds b(o, r) for every parent within
+        # R - r: the PGF table takes that plateau in closed form
+        argv = ["pmf"] + MCP_ARGS[:-1] + ["100"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        d = json.loads(out)
+        assert math.fsum(n * p for n, p in enumerate(d["probs"])) == pytest.approx(25.0, rel=1e-6)
+        assert d["tail_mass"] < 1e-9
+
     def test_unstable_grid_exits_convergence(self, capsys, monkeypatch):
         # no two grids can agree to 0: the ladder gives up after one doubling
         monkeypatch.setattr(analytic, "_GRID_TOL", 0.0)
@@ -242,7 +252,8 @@ class TestRate:
         ["rate"] + TCP_ARGS + ["--thresholds", "1e5,-1", "--mc", "--realizations", "10"],
         ["rate"] + TCP_ARGS + ["--thresholds", "1e5,0"],
         ["compare"] + TCP_ARGS + ["--thresholds", "-1", "--realizations", "10"],
-    ], ids=["rate-negative", "rate-zero", "compare-negative"])
+        ["rate"] + TCP_ARGS + ["--thresholds", ""],
+    ], ids=["rate-negative", "rate-zero", "compare-negative", "rate-empty"])
     def test_non_positive_thresholds_exit_before_any_work(self, argv, capsys, no_work):
         code, out, err = run_cli(argv, capsys)
         assert code == cli.EXIT_VALIDATION and out == ""

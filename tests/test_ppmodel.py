@@ -10,6 +10,7 @@ from cellload.ppmodel import (
     Thomas,
     UserModel,
     cluster_cdf,
+    cluster_plateau,
     pair_correlation_excess,
 )
 from cellload.quadrature import QuadSpec, integrate_finite
@@ -151,6 +152,23 @@ class TestClusterCdf:
             [matern_cdf_quadrature(big_r, float(r), float(v)) for r, v in zip(rs, vs)]
         )
         assert np.max(np.abs(cluster_cdf(MCP, rs, vs) - ref)) < 1e-10
+
+    @pytest.mark.parametrize("kind,bound", [
+        (Matern(0.1), 1e-15), (Matern(1.0), 1e-15), (Matern(100.0), 1e-15),
+        (Thomas(0.05), 2e-8), (Thomas(0.3), 2e-8),
+    ], ids=["mcp-0.1", "mcp-1", "mcp-100", "tcp-0.05", "tcp-0.3"])
+    def test_plateau_is_constant(self, kind, bound):
+        # on v <= lo the CDF is the plateau value: Matern exactly, on both
+        # sides of r = R; Thomas up to the e^-18 tail beyond the 6-sigma reach.
+        # A Thomas plateau is empty (lo = 0, no weight) while r <= 6 sigma
+        model = UserModel(5.0, 5.0, kind)
+        r = np.linspace(0.01, 3.0, 40)
+        lo, xi = cluster_plateau(model, r)
+        assert np.all(lo >= 0.0) and np.all((0.0 < xi) & (xi <= 1.0))
+        r, lo, xi = r[lo > 0], lo[lo > 0], xi[lo > 0]
+        assert r.size >= 10
+        v = lo[:, None] * np.linspace(0.0, 1.0, 33)
+        assert np.max(np.abs(cluster_cdf(model, r[:, None], v) - xi[:, None])) <= bound
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
