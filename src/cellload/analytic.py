@@ -281,6 +281,7 @@ _BASE_LEVELS = (12, 6)       # panels of the coarsest grid: r, v transition band
 _GRID_TOL = 1e-8             # largest change between two grids' outputs that ends the refinement
 _GRID_REFINEMENTS = 3        # panel doublings after the base grid before refinement gives up
 _TAIL_TOL = 1e-12            # load mass load_pmf may alias, and may leave beyond its last term
+_MEAN_RTOL = 1e-6            # largest relative gap of load_pmf's mean to mean_load it returns
 _MAX_DFT_SIZE = 2**20        # largest DFT size load_pmf tries
 _FFT_BLOCK = 2**18           # PGF values per block of radius rows
 
@@ -431,13 +432,20 @@ def load_pmf(net: NetworkModel) -> DftPmf:
     """PMF of the typical-cell load under the equal-area-circle approximation:
     the inverse DFT of the PGF on each quadrature grid, at the smallest size
     whose bound on the aliased mass is at most 1e-12, cut where at most 1e-12
-    of the mass lies beyond the last term."""
+    of the mass lies beyond the last term.  A PMF whose mean misses the exact
+    mean_load(net) by more than 1e-6 relative (or 1e-12, the trimmed mass)
+    raises ConvergenceError: the table's cluster CDF has lost it."""
     def trimmed(r_weights, c):
         pmf = _dft_pmf(r_weights, c)
         size = max(1, int(np.count_nonzero(np.cumsum(pmf.probs[::-1]) > _TAIL_TOL)))
         return replace(pmf, probs=pmf.probs[:size])
 
-    return _on_refined_grids(net, trimmed)
+    pmf = _on_refined_grids(net, trimmed)
+    exact = mean_load(net)
+    if not abs(pmf.mean() - exact) <= max(_MEAN_RTOL * exact, _TAIL_TOL):
+        raise ConvergenceError(f"PMF mean {pmf.mean():.10g} misses the exact mean {exact:.10g} "
+                               f"by more than {_MEAN_RTOL:g} relative", best_estimate=pmf)
+    return pmf
 
 
 def dft_invert_pgf(pgf: Callable, n_points: int) -> DftPmf:

@@ -26,12 +26,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .analytic import LoadPmf, RateConfig
 from .errors import ConfigurationError
@@ -87,8 +85,11 @@ class SirSimResult:
     window_radius: float
 
 
-def _rng_for(seed: int, batch: int) -> Generator:
-    """The Philox stream of realization batch `batch` under `seed`."""
+def _rng_for(seed: int, batch: int) -> np.random.Generator:
+    """The Philox stream of realization batch `batch` under `seed`; numpy.random
+    is imported here, at the first draw, so analytic commands never load it."""
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=np.uint64(seed), counter=batch << 128))
 
 
@@ -101,7 +102,7 @@ def _owners(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(counts.size), counts)
 
 
-def _annulus_points(rng: Generator, n: int, inner, outer) -> np.ndarray:
+def _annulus_points(rng: np.random.Generator, n: int, inner, outer) -> np.ndarray:
     """n points uniform in the annulus inner < |x| <= outer, as (n, 2); the
     radii are scalars or one per point."""
     area = outer * outer - inner * inner
@@ -114,7 +115,7 @@ def _annulus_points(rng: Generator, n: int, inner, outer) -> np.ndarray:
     return pts
 
 
-def _disc_batch(rng: Generator, intensity: float, inner, outer, size: int):
+def _disc_batch(rng: np.random.Generator, intensity: float, inner, outer, size: int):
     """PPP in the annulus inner < |x| <= outer for `size` independent
     realizations, the radii scalars or one per realization: (n, 2) points
     grouped by realization, and the per-realization counts."""
@@ -123,7 +124,7 @@ def _disc_batch(rng: Generator, intensity: float, inner, outer, size: int):
     return _annulus_points(rng, int(counts.sum()), inner, outer), counts
 
 
-def _pcp_batch(rng: Generator, model: UserModel, radius, size: int):
+def _pcp_batch(rng: np.random.Generator, model: UserModel, radius, size: int):
     """Clustered users in b(o, radius), the radius a scalar or one per
     realization: (n, 2) points grouped by realization, and each point's
     realization.  Only parents with offspring get a position (positions are
@@ -144,7 +145,7 @@ def _pcp_batch(rng: Generator, model: UserModel, radius, size: int):
     return np.compress(keep, users, axis=0), owner[keep]
 
 
-def sample_ppp(intensity: float, window_radius: float, rng: Generator) -> np.ndarray:
+def sample_ppp(intensity: float, window_radius: float, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous PPP in the disc b(o, window_radius); returns (n, 2) points."""
     if intensity < 0:
         raise ConfigurationError("intensity must be non-negative")
@@ -153,7 +154,7 @@ def sample_ppp(intensity: float, window_radius: float, rng: Generator) -> np.nda
     return _disc_batch(rng, intensity, 0.0, window_radius, 1)[0]
 
 
-def sample_pcp(model: UserModel, window_radius: float, rng: Generator) -> np.ndarray:
+def sample_pcp(model: UserModel, window_radius: float, rng: np.random.Generator) -> np.ndarray:
     """Clustered users restricted to b(o, window_radius).
 
     Parents are drawn in a window expanded by the cluster reach so that the
@@ -194,7 +195,7 @@ def _wedge_reach(stations, counts) -> np.ndarray:
     return reach
 
 
-def _stations(rng: Generator, lambda_b: float, size: int):
+def _stations(rng: np.random.Generator, lambda_b: float, size: int):
     """Stations of `size` realizations, their owners, each one's drawn radius
     and its span 2 rho <= drawn; a round grows the realizations in `grow`."""
     rings, owners = [], []
@@ -309,6 +310,8 @@ def _simulate(net, cfg, rate_cfg):
     if workers == 1:
         parts = list(map(job, range(batches)))
     else:
+        from concurrent.futures import ProcessPoolExecutor   # loaded only when a pool starts
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(job, range(batches), chunksize=-(-batches // workers)))
     return _stack(parts, cfg.realizations)

@@ -192,12 +192,18 @@ def pair_correlation_density(model: UserModel, r):
 
 
 def marcum_q1_quadrature(a: float, b: float) -> float:
-    """Adaptive quadrature of the defining Marcum integral (independent engine)."""
+    """Adaptive quadrature of the defining Marcum integral (independent engine).
+
+    The integrand y exp(-(y - a)^2 / 2) I0e(ay) is at most y exp(-(y - a)^2 / 2),
+    so past y = max(a, b) + 40 it holds below (a + 1) e^-800 and the rule runs on
+    the finite interval up to there, where the peak at y ~ a keeps its width 1
+    at any a.
+    """
     def integrand(y):
         return y * np.exp(-0.5 * (y - a) ** 2) * bessel_i0_scaled(a * y)
 
     spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=4000)
-    return integrate_semi_infinite(integrand, b, spec).value
+    return integrate_finite(integrand, b, max(a, b) + 40.0, spec).value
 
 
 def disc_overlap_hit_or_miss(r1, r2, d, samples, seed):

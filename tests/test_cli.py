@@ -22,7 +22,7 @@ TCP_ARGS = ["--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "5"
             "--sigma", "0.05"]
 MCP_ARGS = ["--kind", "mcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "5",
             "--cluster-radius", "0.1"]
-# clusters so small that the PGF grid needs Marcum Q past its verified range
+# clusters so small that a = v / sigma reaches about 1.7e6 on the PGF grid
 TINY_TCP_ARGS = TCP_ARGS[:-1] + ["1e-6"]
 # so few users that every sampled cell is empty
 EMPTY_ARGS = ["--kind", "tcp", "--lambda-b", "1", "--lambda-p", "5", "--mbar", "1e-9",
@@ -90,7 +90,7 @@ class TestMoments:
         assert json.loads(out)["variance"] > 0
 
     def test_tiny_clusters_exit_ok(self, capsys):
-        # moments need no Marcum Q, so the limit on its argument does not apply
+        # moments need no Marcum Q, so the cluster size does not reach them
         code, out, _ = run_cli(["moments"] + TINY_TCP_ARGS, capsys)
         assert code == 0
         assert json.loads(out)["mean"] == 25.0
@@ -162,13 +162,31 @@ class TestPmf:
         assert "no DFT size" in err
 
     @pytest.mark.parametrize("command", ["pmf", "rate"])
-    def test_tiny_clusters_exit_convergence_fast(self, command, capsys):
-        # a = v / sigma on the PGF grid is far past the Marcum Q limit of 3000
+    def test_tiny_clusters_return_exact_mean(self, command, capsys):
+        # Marcum Q past ab = 50 costs a fixed number of steps, so a = 1.7e6 is
+        # as quick as the paper model; `rate` exits 0 only if its load_pmf
+        # met the exact mean to 1e-6, which `pmf` shows in its probs
         start = time.perf_counter()
-        code, out, err = run_cli([command] + TINY_TCP_ARGS, capsys)
-        assert time.perf_counter() - start < 5.0
-        assert code == cli.EXIT_CONVERGENCE and out == ""
-        assert "3000" in err
+        code, out, _ = run_cli([command] + TINY_TCP_ARGS, capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        d = json.loads(out)
+        if command == "pmf":
+            assert math.fsum(n * p for n, p in enumerate(d["probs"])) == pytest.approx(25.0, rel=1e-6)
+        else:
+            assert all(0.0 <= c <= 1.0 for c in d["coverage"])
+
+    @pytest.mark.parametrize("sigma, code", [("3e4", 0), ("1e9", cli.EXIT_CONVERGENCE)])
+    def test_huge_clusters_mean_gate(self, sigma, code, capsys):
+        # 1 - Q1 cancels when r / sigma is tiny: at sigma = 3e4 the PMF keeps
+        # its mean to 2.2e-7, at 1e9 every cluster CDF value rounds to 0
+        got, out, err = run_cli(["pmf"] + TCP_ARGS[:-1] + [sigma], capsys)
+        assert got == code
+        if code == 0:
+            d = json.loads(out)
+            assert math.fsum(n * p for n, p in enumerate(d["probs"])) == pytest.approx(25.0, rel=1e-6)
+        else:
+            assert out == "" and "exact mean" in err
 
     def test_degenerate_model(self, capsys):
         code, out, _ = run_cli(["pmf"] + EMPTY_ARGS, capsys)

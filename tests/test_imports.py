@@ -1,9 +1,12 @@
 """The package runs on numpy alone: no command loads scipy, including a
 Thomas `pmf` (Marcum Q) and a `rate` (SIR CCDF), and no module under
-src/cellload imports it.  Each CLI case runs in a fresh interpreter, since
-this test process has long imported scipy."""
+src/cellload imports it.  The analytic commands also load none of the
+simulator's machinery (the process pool and numpy.random).  Each CLI case
+runs in a fresh interpreter, since this test process has long imported all
+of them."""
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -22,28 +25,39 @@ argv = {argv!r}.split()
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cellload.cli.main(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
+# The simulator's packages: its process pool and its Philox streams.
+SIMULATOR = ("concurrent.futures", "multiprocessing", "numpy.random")
+ANALYTIC_ARGV = pytest.mark.parametrize(
+    "argv",
+    ["", f"moments {TCP}", f"pmf {MCP}", f"pmf {TCP}", f"rate {TCP}", f"rate {MCP}"],
+    ids=["import", "moments", "matern-pmf", "thomas-pmf", "thomas-rate", "matern-rate"],
+)
 
 
-def scipy_modules(argv: str) -> list:
-    """The scipy modules a fresh interpreter holds after `import cellload,
+@functools.lru_cache(maxsize=None)
+def loaded_modules(argv: str) -> tuple:
+    """The modules a fresh interpreter holds after `import cellload,
     cellload.cli` and, unless argv is empty, `cellload.cli.main(argv)`."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run(
         [sys.executable, "-c", CHILD.format(argv=argv)],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
-    return json.loads(run.stdout.splitlines()[-1])
+    return tuple(json.loads(run.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    ["", f"moments {TCP}", f"pmf {MCP}", f"pmf {TCP}", f"rate {TCP}", f"rate {MCP}"],
-    ids=["import", "moments", "matern-pmf", "thomas-pmf", "thomas-rate", "matern-rate"],
-)
+@ANALYTIC_ARGV
 def test_no_scipy(argv):
-    assert scipy_modules(argv) == []
+    assert [m for m in loaded_modules(argv) if m.partition(".")[0] == "scipy"] == []
+
+
+@ANALYTIC_ARGV
+def test_no_simulator_machinery(argv):
+    loaded = [m for m in loaded_modules(argv)
+              if any(m == pkg or m.startswith(pkg + ".") for pkg in SIMULATOR)]
+    assert loaded == []
 
 
 def test_no_module_imports_scipy():

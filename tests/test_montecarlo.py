@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -137,7 +138,7 @@ def _record_pool(monkeypatch, cpus):
             seen.append((self.max_workers, chunksize))
             return map(fn, jobs)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
     return seen
 

@@ -3,10 +3,11 @@
 Each draw fixes the model in normalized units (lambda_p / lambda_b, m_bar
 and the cluster size times sqrt(lambda_b)) and a BS density lambda_b; the
 load is a count, so the PMF must not depend on lambda_b.  Cluster sizes run
-over four decades, up to 200 / sqrt(lambda_b), where a Matern disc holds the
-cell and the PGF table takes that plateau in closed form.  The ranges keep
-out the tiny-cluster edge (the Marcum Q cost grows as 1 / sigma) and
-m_bar beyond 20 (the PGF table and the DFT grow with m_bar and the mean
+over eight decades, up to 200 / sqrt(lambda_b), where a Matern disc holds
+the cell and the PGF table takes that plateau in closed form, and down to
+1e-6 / sqrt(lambda_b), where a Thomas cluster CDF's Marcum Q argument
+reaches about 1.7e6 and takes its large-argument expansion.  The ranges keep
+out m_bar beyond 20 (the PGF table and the DFT grow with m_bar and the mean
 load).  Their far corner, lambda_p / lambda_b = m_bar = 20 with cluster size
 2 / sqrt(lambda_b) (mean load 400, where the void probability of the largest
 cells underflows), has its own test with a 3 s bound per call, which also
@@ -40,7 +41,7 @@ def models(draw):
 
     kind = draw(st.sampled_from([Thomas, Matern]))
     return kind, log_uniform(0.1, 10.0), log_uniform(0.1, 20.0), log_uniform(0.3, 20.0), \
-        log_uniform(0.02, 200.0)
+        log_uniform(1e-6, 200.0)
 
 
 def network(kind, lambda_b, ratio, m_bar, size) -> NetworkModel:

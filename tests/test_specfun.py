@@ -5,9 +5,12 @@ import pytest
 from scipy import special
 
 from cellload.analytic import _R_MAX
-from cellload.errors import ConvergenceError, DomainError
+from cellload.errors import DomainError
 from cellload.specfun import (
+    _MARCUM_SPLIT,
     _lens_area_arrays,
+    _marcum_expansion,
+    _marcum_sweep,
     cell_radius_pdf,
     marcum_q1,
 )
@@ -106,11 +109,21 @@ class TestMarcumQ1:
         with pytest.raises(DomainError):
             marcum_q1(1.0, math.inf)
 
-    def test_argument_limit(self):
-        # chndtr is verified up to a = 3000; past it marcum_q1 refuses to run
-        assert 0.0 <= marcum_q1(3000.0, 3000.0) <= 1.0
-        with pytest.raises(ConvergenceError, match="3000"):
-            marcum_q1(3000.5, 1.0)
+    def test_large_arguments_match_quadrature(self):
+        # the large-ab expansion, far past the sweep's reach, b within 9.5 of a
+        for a, b in [(60.0, 58.0), (300.0, 302.5), (1800.0, 1797.0), (1e4, 1e4 + 1.0),
+                     (1e5, 1e5 - 4.0), (1e6, 1e6 - 2.5), (1e6, 1e6 + 0.3), (1e6, 1e6 + 8.0)]:
+            assert marcum_q1(a, b) == pytest.approx(marcum_q1_quadrature(a, b), rel=0, abs=1e-12)
+
+    def test_sweep_and_expansion_agree(self):
+        # both engines on points the expansion takes, ab log-uniform in [50, 1e4]
+        rng = np.random.default_rng(19)
+        x = np.exp(rng.uniform(math.log(50.0), math.log(1e4), 20000))
+        d = rng.uniform(-9.5, 9.5, x.size)
+        a = 0.5 * (np.sqrt(d * d + 4.0 * x) - d)   # a (a + d) = x
+        b = a + d
+        assert x.min() > _MARCUM_SPLIT and np.all(b > 0)
+        assert np.abs(_marcum_sweep(a, b) - _marcum_expansion(a, b)).max() <= 1e-14
 
     def test_broadcasting(self):
         out = marcum_q1(np.array([[0.0], [1.0]]), np.array([0.5, 1.5]))
