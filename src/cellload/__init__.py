@@ -32,16 +32,6 @@ from .errors import (
     InfeasibleModelError,
     InversionQualityError,
 )
-from .montecarlo import (
-    SimConfig,
-    empirical_ccdf,
-    empirical_pmf,
-    run_load_simulation,
-    run_sir_simulation,
-    sample_pcp,
-    sample_ppp,
-    tv_distance,
-)
 from .ppmodel import (
     Matern,
     NetworkModel,
@@ -53,3 +43,28 @@ from .quadrature import IntegrationResult, QuadSpec, integrate_finite
 from .specfun import cell_radius_pdf, marcum_q1
 
 __version__ = "0.1.0"
+
+# The simulator loads on first use, so analytic-only processes never import it.
+_MONTECARLO = (
+    "SimConfig",
+    "empirical_ccdf",
+    "empirical_pmf",
+    "run_load_simulation",
+    "run_sir_simulation",
+    "sample_pcp",
+    "sample_ppp",
+    "tv_distance",
+)
+
+
+def __getattr__(name):
+    if name == "montecarlo" or name in _MONTECARLO:
+        import importlib
+
+        montecarlo = importlib.import_module(".montecarlo", __name__)
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MONTECARLO) | {"montecarlo"})

@@ -30,10 +30,9 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from . import analytic, montecarlo
+from . import analytic
 from .analytic import RateConfig
 from .errors import CellLoadError, ConfigurationError, ConvergenceError, DomainError
-from .montecarlo import SimConfig
 from .ppmodel import Matern, NetworkModel, Thomas, UserModel
 
 EXIT_OK = 0
@@ -268,8 +267,10 @@ def _threshold_grid(args) -> list:
 def _simulation(args, net: NetworkModel, rate_cfg: Optional[RateConfig] = None):
     """The command's Monte Carlo run (loads, or SIR and rate under `rate_cfg`), its
     options checked now, before any analytic work; calling the result runs it."""
-    cfg = SimConfig(realizations=args.realizations, seed=args.seed,
-                    parallel_chunks=args.parallel_chunks)
+    from . import montecarlo   # the simulator loads only for commands that simulate
+
+    cfg = montecarlo.SimConfig(realizations=args.realizations, seed=args.seed,
+                               parallel_chunks=args.parallel_chunks)
     if rate_cfg is None:
         return lambda: montecarlo.run_load_simulation(net, cfg)
     montecarlo.check_sir_alpha(rate_cfg.alpha)
@@ -278,6 +279,8 @@ def _simulation(args, net: NetworkModel, rate_cfg: Optional[RateConfig] = None):
 
 def _ccdf(samples: np.ndarray, grid: list) -> Optional[list]:
     """Empirical CCDF over the realizations with load > 0 (None when there are none)."""
+    from . import montecarlo
+
     if np.isnan(samples).all():
         return None
     return [float(p) for p in montecarlo.empirical_ccdf(samples, grid)]
@@ -326,6 +329,8 @@ def _pmf_report(args, pmf: analytic.LoadPmf, res=None) -> PmfReport:
         tail_mass=pmf.tail_mass(),
     )
     if res is not None:
+        from . import montecarlo
+
         emp = montecarlo.empirical_pmf(res)
         report.empirical = [float(p) for p in emp.probs]
         report.tv_distance = montecarlo.tv_distance(pmf, emp)
@@ -374,6 +379,8 @@ def cmd_rate(args):
 
 
 def cmd_simulate(args):
+    from . import montecarlo
+
     net = build_network(args)
     cfg = _rate_config(args)
     res = _simulation(args, net, cfg if args.with_sir else None)()

@@ -2,8 +2,7 @@
 
 Each realization places the typical BS at the origin, draws the other BSs as
 a PPP and the clustered users, and counts the users u in the typical cell,
-max_x (2 u.x - |x|^2) < 0 over the stations x.  Realizations run in batches
-of _BATCH, every point tagged with its realization.
+max_x (2 u.x - |x|^2) < 0 over the stations x.
 
 Windows.  A cell point y between the unit directions e_k and e_{k+1} has
 |y| min(x.e_k, x.e_{k+1}) <= y.x <= |x|^2 / 2, so the circumradius is at most
@@ -14,16 +13,25 @@ radius, out to min(2 rho, twice that radius).  Users are drawn in b(o, rho)
 and tested against the stations within 2 rho, which decide them exactly.
 window_radius is the largest radius any realization drew stations to.
 
-Determinism: batch b draws from a Philox stream keyed by (seed, b), drawn in
-full, the last one truncated, so realization k depends only on (seed, k)
-and a run of n is a prefix of any longer run with the same seed.  Workers
-take contiguous runs of batches and outputs are concatenated in batch
-order, so results are bitwise identical for any parallel_chunks.
+Streams and passes.  The _BATCH realizations of stream b draw from a Philox
+stream keyed by (seed, b) (Salmon et al. 2011), drawn in full, the last one
+truncated, so realization k depends only on (seed, k) and a run of n is a
+prefix of any longer run with the same seed.  For speed, the geometry of a
+pass of up to _PASS_STREAMS consecutive streams runs on one set of arrays,
+realization i of the pass's k-th stream being realization k _BATCH + i.
+Every draw stays on its own stream, with the calls, sizes and order of a
+one-stream pass; what spans the pass is elementwise arithmetic, exact maxima
+and per-realization sums in each realization's own order, whose bits do not
+depend on which other realizations share the arrays.  So grouping changes no
+value.  Workers take contiguous runs of streams, walk them in passes, and
+outputs are concatenated in stream order, so results are bitwise identical
+for any parallel_chunks.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -42,9 +50,11 @@ __all__ = [
 ]
 
 _BATCH = 64                # realizations per Philox stream
+_PASS_STREAMS = 4          # most streams in one pass
+_PASS_POINTS = 2**16       # most expected points drawn in one pass; bigger arrays ran slower
 _FIRST_STATIONS = 9.0      # mean station count of the first disc
 _DIRECTIONS = 32           # wedges of the circumradius bound
-_STAGE1 = 8                # nearest stations tested against every user
+_STAGE1 = 8                # station columns per stage of the power test
 
 # the wedge edges e_0 .. e_{K-1} and e_0 again, as (K + 1, 2)
 _EDGES = 2.0 * math.pi / _DIRECTIONS * (np.arange(_DIRECTIONS + 1) % _DIRECTIONS)
@@ -94,7 +104,19 @@ def _rng_for(seed: int, batch: int) -> np.random.Generator:
 
 
 def _norm2(pts: np.ndarray) -> np.ndarray:
-    return pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+    out = pts[:, 0] * pts[:, 0]
+    out += pts[:, 1] * pts[:, 1]
+    return out
+
+
+def _dist2(pts: np.ndarray, centres: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """|pts - centres[owner]|^2, one coordinate at a time."""
+    out = pts[:, 0] - centres[owner, 0]
+    out *= out
+    dy = pts[:, 1] - centres[owner, 1]
+    dy *= dy
+    out += dy
+    return out
 
 
 def _owners(counts: np.ndarray) -> np.ndarray:
@@ -102,17 +124,37 @@ def _owners(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(counts.size), counts)
 
 
-def _annulus_points(rng: np.random.Generator, n: int, inner, outer) -> np.ndarray:
-    """n points uniform in the annulus inner < |x| <= outer, as (n, 2); the
-    radii are scalars or one per point."""
-    area = outer * outer - inner * inner
-    r = np.sqrt(inner * inner + area * rng.random(n))
-    phi = rng.random(n) * (2.0 * math.pi)
-    pts = np.empty((n, 2))
-    np.cos(phi, out=pts[:, 0])
-    np.sin(phi, out=pts[:, 1])
-    pts *= r[:, None]
-    return pts
+def _uniforms(rngs, sizes) -> np.ndarray:
+    """(2, sum(sizes)) uniforms: stream k draws its sizes[k] of row 0, then
+    of row 1, into its slice."""
+    u = np.empty((2, int(np.sum(sizes))))
+    end = 0
+    for rng, n in zip(rngs, sizes):
+        rng.random(out=u[0, end:end + n])
+        rng.random(out=u[1, end:end + n])
+        end += n
+    return u
+
+
+def _annulus(u: np.ndarray, inner, outer) -> np.ndarray:
+    """The uniforms u of `_uniforms` mapped, in place, to points uniform in
+    the annulus inner < |x| <= outer, returned as an (n, 2) view whose
+    coordinates are contiguous; the radii are scalars or one per point."""
+    u[0] *= outer * outer - inner * inner
+    u[0] += inner * inner
+    np.sqrt(u[0], out=u[0])
+    u[1] *= 2.0 * math.pi
+    x = np.cos(u[1])
+    np.sin(u[1], out=u[1])
+    u[1] *= u[0]
+    np.multiply(x, u[0], out=u[0])
+    return u.T
+
+
+def _split(values: np.ndarray, sizes):
+    """values cut into consecutive pieces of these sizes."""
+    ends = itertools.accumulate(sizes)
+    return [values[end - n:end] for n, end in zip(sizes, ends)]
 
 
 def _disc_batch(rng: np.random.Generator, intensity: float, inner, outer, size: int):
@@ -121,28 +163,49 @@ def _disc_batch(rng: np.random.Generator, intensity: float, inner, outer, size: 
     grouped by realization, and the per-realization counts."""
     counts = rng.poisson(intensity * math.pi * (outer * outer - inner * inner), size)
     inner, outer = (np.repeat(np.broadcast_to(r, size), counts) for r in (inner, outer))
-    return _annulus_points(rng, int(counts.sum()), inner, outer), counts
+    return _annulus(_uniforms([rng], [int(counts.sum())]), inner, outer), counts
 
 
-def _pcp_batch(rng: np.random.Generator, model: UserModel, radius, size: int):
-    """Clustered users in b(o, radius), the radius a scalar or one per
-    realization: (n, 2) points grouped by realization, and each point's
-    realization.  Only parents with offspring get a position (positions are
-    independent of the counts), so sparse clusters skip most parents."""
-    radius = np.broadcast_to(radius, size)
+def _disc_streams(rngs, intensity: float, inner, outer, sizes):
+    """`_disc_batch` for sizes[k] realizations on stream rngs[k] (no draw for
+    none), the radii one per realization, joined in stream order."""
+    outer = np.broadcast_to(outer, len(inner))
+    parts = [_disc_batch(rng, intensity, i, o, n)
+             for rng, i, o, n in zip(rngs, _split(inner, sizes), _split(outer, sizes), sizes) if n]
+    return (np.concatenate([points for points, _ in parts]),
+            np.concatenate([counts for _, counts in parts]))
+
+
+def _pcp_batch(rngs, model: UserModel, radius, size: int):
+    """Clustered users in b(o, radius) for `size` realizations per stream in
+    `rngs`, the radius a scalar or one per realization: (n, 2) points grouped
+    by realization, and each point's realization.  Only parents with
+    offspring get a position (positions are independent of the counts), so
+    sparse clusters skip most parents."""
+    radius = np.broadcast_to(radius, size * len(rngs))
     outer = radius + cluster_reach(model)
-    per_real = rng.poisson(model.lambda_p * math.pi * outer * outer, size)
-    kids = rng.poisson(model.m_bar, int(per_real.sum()))
-    parent = _owners(per_real)[kids > 0]
-    kids = kids[kids > 0]
-    owner = np.repeat(parent, kids)
-    users = np.repeat(_annulus_points(rng, kids.size, 0.0, outer[parent]), kids, axis=0)
+    means = _split(model.lambda_p * math.pi * outer * outer, [size] * len(rngs))
+    per_real, kids = [], []
+    for rng, mean in zip(rngs, means):
+        per_real.append(rng.poisson(mean))
+        kids.append(rng.poisson(model.m_bar, int(per_real[-1].sum())))
+    parents = _uniforms(rngs, [np.count_nonzero(k) for k in kids])
+    counts = [int(k.sum()) for k in kids]
     if isinstance(model.kind, Thomas):
-        users += model.kind.sigma * rng.standard_normal((owner.size, 2))
+        users = np.empty((sum(counts), 2))
+        for rng, piece in zip(rngs, _split(users, counts)):
+            rng.standard_normal(out=piece)
+        users *= model.kind.sigma
     else:
-        users += _annulus_points(rng, owner.size, 0.0, model.kind.radius)
-    keep = _norm2(users) <= (radius * radius)[owner]
-    return np.compress(keep, users, axis=0), owner[keep]
+        users = _annulus(_uniforms(rngs, counts), 0.0, model.kind.radius)
+    kids = np.concatenate(kids)
+    parent = _owners(np.concatenate(per_real))[kids > 0]
+    kids = kids[kids > 0]
+    users += np.repeat(_annulus(parents, 0.0, outer[parent]), kids, axis=0)
+    keep = _norm2(users) <= np.repeat((radius * radius)[parent], kids)
+    # the kept users as an (n, 2) view of (2, n) rows, so each coordinate is contiguous
+    users = np.ascontiguousarray(np.compress(keep, users, axis=0).T).T
+    return users, np.repeat(parent, kids)[keep]
 
 
 def sample_ppp(intensity: float, window_radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -161,7 +224,7 @@ def sample_pcp(model: UserModel, window_radius: float, rng: np.random.Generator)
     restriction is distributed as the stationary process (Gaussian clusters
     truncated at 6 sigma, tail mass ~1.5e-8).
     """
-    return _pcp_batch(rng, model, window_radius, 1)[0]
+    return _pcp_batch([rng], model, window_radius, 1)[0]
 
 
 def points_in_typical_cell(points: np.ndarray, stations: np.ndarray) -> np.ndarray:
@@ -184,33 +247,46 @@ def points_in_typical_cell(points: np.ndarray, stations: np.ndarray) -> np.ndarr
 def _wedge_reach(stations, counts) -> np.ndarray:
     """Per wedge k and realization, the max over its stations (grouped, with
     these counts) of min(x.e_k, x.e_{k+1}) / |x|^2, as (_DIRECTIONS,
-    realizations); 0 for none.  1 / (2 rho) is the min over k."""
+    realizations); 0 for none.  1 / (2 rho) is the min over k.  Each dot
+    product is elementwise and each max runs over one realization's own
+    stations, so a realization's bits do not depend on the others in the
+    call.  Wedges go in blocks of 8, which keeps the (edges, stations) tables
+    small."""
+    reach = np.zeros((_DIRECTIONS, counts.size))
     if stations.shape[0] == 0:
-        return np.zeros((_DIRECTIONS, counts.size))
-    dots = _EDGES @ (stations / _norm2(stations)[:, None]).T
-    reach = np.minimum(dots[:-1], dots[1:])
-    first = np.minimum(np.cumsum(counts) - counts, stations.shape[0] - 1)
-    reach = np.maximum.reduceat(reach, first, axis=1)
-    reach[:, counts == 0] = 0.0
+        return reach
+    n2 = _norm2(stations)
+    ux, uy = stations[:, 0] / n2, stations[:, 1] / n2
+    busy = counts > 0
+    first = (np.cumsum(counts) - counts)[busy]
+    maxima = np.empty((_DIRECTIONS, first.size))
+    for k in range(0, _DIRECTIONS, 8):
+        dots = np.multiply.outer(_EDGES[k:k + 9, 0], ux)
+        dots += np.multiply.outer(_EDGES[k:k + 9, 1], uy)
+        np.maximum.reduceat(np.minimum(dots[:-1], dots[1:]), first, axis=1, out=maxima[k:k + 8])
+    reach[:, busy] = maxima
     return reach
 
 
-def _stations(rng: np.random.Generator, lambda_b: float, size: int):
-    """Stations of `size` realizations, their owners, each one's drawn radius
-    and its span 2 rho <= drawn; a round grows the realizations in `grow`."""
+def _stations(rngs, lambda_b: float, size: int):
+    """Stations of `size` realizations per stream in `rngs`, their owners,
+    each realization's drawn radius and its span 2 rho <= drawn; a round
+    grows the realizations in `grow`."""
+    total = size * len(rngs)
     rings, owners = [], []
-    reach = np.zeros((_DIRECTIONS, size))
-    drawn = np.zeros(size)
-    grow = np.arange(size)
-    outer = np.full(size, math.sqrt(_FIRST_STATIONS / (math.pi * lambda_b)))
+    reach = np.zeros((_DIRECTIONS, total))
+    drawn = np.zeros(total)
+    grow = np.arange(total)
+    outer = np.full(total, math.sqrt(_FIRST_STATIONS / (math.pi * lambda_b)))
     while grow.size:
-        ring, per = _disc_batch(rng, lambda_b, drawn[grow], outer, grow.size)
+        ring, per = _disc_streams(rngs, lambda_b, drawn[grow], outer,
+                                  np.bincount(grow // size, minlength=len(rngs)))
         rings.append(ring)
         owners.append(grow[_owners(per)])
         drawn[grow] = outer
         reach[:, grow] = np.maximum(reach[:, grow], _wedge_reach(ring, per))
         worst = reach.min(axis=0)
-        span = np.divide(1.0, worst, out=np.full(size, np.inf), where=worst > 0.0)
+        span = np.divide(1.0, worst, out=np.full(total, np.inf), where=worst > 0.0)
         grow = grow[span[grow] > drawn[grow]]
         outer = np.minimum(span[grow], 2.0 * drawn[grow])
     return np.concatenate(rings), np.concatenate(owners), drawn, span
@@ -223,8 +299,11 @@ def _max_power(ux, uy, per_real, cols):
     (users, columns) table would not."""
     peak = np.full(ux.size, -np.inf)
     for sx, sy, sn2 in zip(*cols):
-        p = ux * np.repeat(sx, per_real)
-        p += uy * np.repeat(sy, per_real)
+        p = np.repeat(sx, per_real)
+        p *= ux
+        q = np.repeat(sy, per_real)
+        q *= uy
+        p += q
         p -= np.repeat(sn2, per_real)
         np.maximum(peak, p, out=peak)
     return peak
@@ -234,10 +313,11 @@ def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
     """Indices of the users in their realization's typical cell: the power
     test of `points_in_typical_cell` for a batch grouped by realization.
     Stations go, in their order, into columns of one station per
-    realization, padded with x = 0, |x|^2 = +inf.  Stage 1 tests every user
-    against the first _STAGE1 columns and drops those with a non-negative
-    power; stage 2 tests the rest.  Exact for any order; near stations first
-    make stage 1 drop the most."""
+    realization, padded with x = 0, |x|^2 = +inf.  Each stage tests the users
+    still alive against the next _STAGE1 columns and drops those with a
+    non-negative power; a user whose realization has no station left is in
+    the cell.  Exact for any order; near stations first make the first stage
+    drop the most."""
     per_st = np.bincount(st_owner, minlength=size)
     width = int(per_st.max(initial=0))
     slot = np.arange(st_owner.size) - np.repeat(np.cumsum(per_st) - per_st, per_st)
@@ -251,50 +331,88 @@ def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
     uy = np.ascontiguousarray(users[:, 1])
     peak = _max_power(ux, uy, np.bincount(owner, minlength=size), cols[:, :_STAGE1])
     alive = np.flatnonzero(peak < 0.0)
-    if width > _STAGE1:
+    inside = []
+    for first in range(_STAGE1, width, _STAGE1):
+        left = per_st[owner[alive]] > first
+        inside.append(alive[~left])
+        alive = alive[left]
         peak = _max_power(ux[alive], uy[alive], np.bincount(owner[alive], minlength=size),
-                          cols[:, _STAGE1:])
+                          cols[:, first:first + _STAGE1])
         alive = alive[peak < 0.0]
-    return alive
+    return np.sort(np.concatenate(inside + [alive]))
 
 
-def _batch(net, seed, batch, rate_cfg):
+def _pass_streams(net: NetworkModel, rate_cfg) -> int:
+    """Streams per pass: the most, up to _PASS_STREAMS, whose expected drawn
+    points stay within _PASS_POINTS.  A realization draws about
+    lambda_p m_bar pi (1.05 / sqrt(lambda_b) + reach)^2 users, around a
+    typical bound rho, plus lambda_b pi W^2 stations for a SIR run."""
+    rho = 1.05 / math.sqrt(net.lambda_b)
+    points = net.users.intensity * math.pi * (rho + cluster_reach(net.users)) ** 2
+    if rate_cfg is not None:
+        points += net.lambda_b * math.pi * _sir_window(net, rate_cfg.alpha) ** 2
+    return next((k for k in range(_PASS_STREAMS, 1, -1) if k * _BATCH * points <= _PASS_POINTS), 1)
+
+
+def _pass(net, seed, streams, rate_cfg):
     """Loads, SIR and rate (None for a load run) and drawn radii of the
-    _BATCH realizations of one stream.  SIR runs draw their extra stations,
-    representative users and fades after the loads, so the loads match."""
-    rng = _rng_for(seed, batch)
-    stations, st_owner, drawn, span = _stations(rng, net.lambda_b, _BATCH)
-    users, owner = _pcp_batch(rng, net.users, 0.5 * span, _BATCH)
+    _BATCH realizations of each stream in `streams`, in order.  SIR runs
+    draw their extra stations, representative users and fades after the
+    loads, so the loads match."""
+    rngs = [_rng_for(seed, b) for b in streams]
+    size = _BATCH * len(rngs)
+    stations, st_owner, drawn, span = _stations(rngs, net.lambda_b, _BATCH)
+    users, owner = _pcp_batch(rngs, net.users, 0.5 * span, _BATCH)
     near = np.flatnonzero(_norm2(stations) < (span * span)[st_owner])
     near = near[np.argsort(st_owner[near], kind="stable")]   # rings stay nearest first
-    cell = _in_cell(users, owner, stations[near], st_owner[near], _BATCH)
-    loads = np.bincount(owner[cell], minlength=_BATCH)
+    cell = _in_cell(users, owner, stations[near], st_owner[near], size)
+    loads = np.bincount(owner[cell], minlength=size)
     if rate_cfg is None:
         return loads, None, None, drawn
 
     window = _sir_window(net, rate_cfg.alpha)
-    far, far_per = _disc_batch(rng, net.lambda_b, np.minimum(drawn, window), window, _BATCH)
-    stations = np.concatenate([stations, far])
-    st_owner = np.concatenate([st_owner, _owners(far_per)])
+    far, far_per = _disc_streams(rngs, net.lambda_b, np.minimum(drawn, window), window,
+                                 [_BATCH] * len(rngs))
+    far_owner = _owners(far_per)
+    # the ring stations in each stream's own order (by round), as its fades go
+    order = np.argsort(st_owner // _BATCH, kind="stable")
+    stations, st_owner = stations[order], st_owner[order]
     busy = np.flatnonzero(loads)
+    per_stream = (np.bincount(busy // _BATCH, minlength=len(rngs)),
+                  np.bincount(st_owner // _BATCH, minlength=len(rngs)),
+                  far_per.reshape(len(rngs), _BATCH).sum(axis=1))
+    pick, fades = [], ([], [], [])
+    for rng, n, sizes in zip(rngs, _split(loads[busy], per_stream[0]), zip(*per_stream)):
+        pick.append(rng.integers(n))
+        for part, piece in zip(fades, _split(rng.standard_exponential(sum(sizes)), sizes)):
+            part.append(piece)
+    user_fade, ring_fade, far_fade = (np.concatenate(f) for f in fades)
     first = np.cumsum(loads) - loads
-    rep = np.zeros((_BATCH, 2))
-    rep[busy] = users[cell[first[busy] + rng.integers(loads[busy])]]
-    fades = rng.standard_exponential(busy.size + stations.shape[0])
+    rep = np.zeros((size, 2))
+    rep[busy] = users[cell[first[busy] + np.concatenate(pick)]]
     alpha = rate_cfg.alpha
-    gain = fades[busy.size:] * _norm2(stations - rep[st_owner]) ** (-0.5 * alpha)
-    interference = np.bincount(st_owner, weights=gain, minlength=_BATCH)[busy]
+    # one realization's gains summed in its stream's order: rings, then the far field
+    gain = np.concatenate([ring_fade * _dist2(stations, rep, st_owner) ** (-0.5 * alpha),
+                           far_fade * _dist2(far, rep, far_owner) ** (-0.5 * alpha)])
+    interference = np.bincount(np.concatenate([st_owner, far_owner]), weights=gain,
+                               minlength=size)[busy]
     w2 = _norm2(rep[busy])
-    sir = np.full(_BATCH, np.nan)
-    rate = np.full(_BATCH, np.nan)
+    sir = np.full(size, np.nan)
+    rate = np.full(size, np.nan)
     s = np.full(busy.size, np.inf)   # a user on the origin or no interference
     ok = (w2 > 0.0) & (interference > 0.0)
-    s[ok] = fades[: busy.size][ok] * w2[ok] ** (-0.5 * alpha) / interference[ok]
+    s[ok] = user_fade[ok] * w2[ok] ** (-0.5 * alpha) / interference[ok]
     sir[busy] = s
     load = loads[busy]
     rate[busy] = np.minimum(rate_cfg.bandwidth_w / load * np.log2(1.0 + s),
                             rate_cfg.backhaul_rb / load)
     return loads, sir, rate, np.maximum(drawn, window)
+
+
+def _walk(net, seed, rate_cfg, streams):
+    """The passes of a contiguous run of streams, in order."""
+    step = _pass_streams(net, rate_cfg)
+    return [_pass(net, seed, streams[i:i + step], rate_cfg) for i in range(0, len(streams), step)]
 
 
 def _stack(parts, size):
@@ -303,17 +421,26 @@ def _stack(parts, size):
     return [None if f[0] is None else np.concatenate(f)[:size] for f in zip(*parts)]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _simulate(net, cfg, rate_cfg):
-    batches = -(-cfg.realizations // _BATCH)
-    job = functools.partial(_batch, net, cfg.seed, rate_cfg=rate_cfg)
-    workers = min(cfg.parallel_chunks, batches, os.cpu_count() or 1)
-    if workers == 1:
-        parts = list(map(job, range(batches)))
+    streams = -(-cfg.realizations // _BATCH)
+    per_worker = -(-streams // min(cfg.parallel_chunks, streams, _usable_cpus()))
+    runs = [range(a, min(a + per_worker, streams)) for a in range(0, streams, per_worker)]
+    job = functools.partial(_walk, net, cfg.seed, rate_cfg)
+    if len(runs) == 1:
+        parts = job(runs[0])
     else:
         from concurrent.futures import ProcessPoolExecutor   # loaded only when a pool starts
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(batches), chunksize=-(-batches // workers)))
+        with ProcessPoolExecutor(max_workers=len(runs)) as pool:
+            parts = [p for run in pool.map(job, runs) for p in run]
     return _stack(parts, cfg.realizations)
 
 

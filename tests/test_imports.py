@@ -1,9 +1,9 @@
 """The package runs on numpy alone: no command loads scipy, including a
 Thomas `pmf` (Marcum Q) and a `rate` (SIR CCDF), and no module under
 src/cellload imports it.  The analytic commands also load none of the
-simulator's machinery (the process pool and numpy.random).  Each CLI case
-runs in a fresh interpreter, since this test process has long imported all
-of them."""
+simulator (`cellload.montecarlo`) or its machinery (the process pool and
+numpy.random).  Each CLI case runs in a fresh interpreter, since this test
+process has long imported all of them."""
 
 import ast
 import functools
@@ -27,8 +27,8 @@ if argv:
         assert cellload.cli.main(argv) == 0
 print(json.dumps(sorted(sys.modules)))
 """
-# The simulator's packages: its process pool and its Philox streams.
-SIMULATOR = ("concurrent.futures", "multiprocessing", "numpy.random")
+# The simulator and its packages: its process pool and its Philox streams.
+SIMULATOR = ("cellload.montecarlo", "concurrent.futures", "multiprocessing", "numpy.random")
 ANALYTIC_ARGV = pytest.mark.parametrize(
     "argv",
     ["", f"moments {TCP}", f"pmf {MCP}", f"pmf {TCP}", f"rate {TCP}", f"rate {MCP}"],

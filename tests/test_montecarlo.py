@@ -25,6 +25,7 @@ from cellload.montecarlo import (
     _disc_batch,
     _in_cell,
     _owners,
+    _pass_streams,
     _pcp_batch,
     _rng_for,
     _sir_window,
@@ -120,8 +121,8 @@ class TestSamplers:
 
 
 def _record_pool(monkeypatch, cpus):
-    """Run pools in-process on `cpus` CPUs; returns the (max_workers,
-    chunksize) of every pool started."""
+    """Run pools in-process on `cpus` usable CPUs; returns the (max_workers,
+    [each worker's run of streams]) of every pool started."""
     seen = []
 
     class Recorder:
@@ -134,12 +135,13 @@ def _record_pool(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            seen.append((self.max_workers, chunksize))
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            seen.append((self.max_workers, jobs))
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     return seen
 
 
@@ -192,7 +194,8 @@ class TestDeterminism:
         seen = _record_pool(monkeypatch, cpus)
         cfg = SimConfig(realizations=200, seed=9, parallel_chunks=5000)
         res = run_load_simulation(TCP_NET, cfg)
-        assert seen == [(expected, 4 // expected)]
+        run = 4 // expected
+        assert seen == [(expected, [range(k, k + run) for k in range(0, 4, run)])]
         serial = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=9))
         assert np.array_equal(res.loads, serial.loads)
 
@@ -201,9 +204,21 @@ class TestDeterminism:
         # workers with 32 batches each, not three jobs of 21 on two workers
         seen = _record_pool(monkeypatch, 2)
         res = run_load_simulation(TCP_NET, SimConfig(realizations=4000, seed=9, parallel_chunks=3))
-        assert seen == [(2, 32)]
+        assert seen == [(2, [range(0, 32), range(32, 63)])]
         serial = run_load_simulation(TCP_NET, SimConfig(realizations=4000, seed=9))
         assert np.array_equal(res.loads, serial.loads)
+
+    def test_workers_capped_by_usable_cpus(self, monkeypatch):
+        # pinned to one CPU of two, two chunks run in-process, not as two
+        # workers sharing that CPU
+        seen = _record_pool(monkeypatch, 1)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=9, parallel_chunks=2))
+        assert seen == []
+        # without an affinity mask the CPU count caps the workers
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+        run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=9, parallel_chunks=2))
+        assert seen == [(2, [range(0, 2), range(2, 4)])]
 
     def test_distinct_seeds_differ(self):
         a = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=1))
@@ -279,10 +294,25 @@ class TestCircumradiusBound:
         assert np.all(np.isfinite(rho[1:]))
         assert np.all(rho >= [_circumradius(x) for x in sets])
 
+    def test_reach_does_not_depend_on_other_realizations(self):
+        # empty realizations after the last busy one once cut its last
+        # station from the max, and a matrix product's bits depend on how
+        # many stations share it
+        two = np.array([[1.0, 0.0], [0.0, 1.0]])
+        alone = _wedge_reach(two, np.array([2]))
+        assert np.array_equal(_wedge_reach(two, np.array([2, 0]))[:, :1], alone)
+        assert np.array_equal(_wedge_reach(two, np.array([0, 2, 0, 0]))[:, 1:2], alone)
+        stations, per = _disc_batch(_rng_for(35, 0), 1.0, 0.0, 2.0, _BATCH)
+        owner = _owners(per)
+        reach = _wedge_reach(stations, per)
+        for k in range(_BATCH):
+            alone = _wedge_reach(stations[owner == k], per[k:k + 1])
+            assert np.array_equal(reach[:, k:k + 1], alone)
+
     def test_growth_covers_twice_the_bound(self):
         for lambda_b in (0.25, 1.0, 4.0):
             rng = _rng_for(33, 0)
-            stations, owner, drawn, span = _stations(rng, lambda_b, _BATCH)
+            stations, owner, drawn, span = _stations([rng], lambda_b, _BATCH)
             assert np.all(drawn >= span) and np.all(np.isfinite(span))
             assert np.all(_norm2(stations) <= drawn[owner] ** 2 * (1.0 + 1e-12))
             again = _span(_wedge_reach(*_grouped(stations, owner)))
@@ -310,8 +340,8 @@ class TestBatchedPowerTest:
         dense = []
         for b in range(batches):
             rng = _rng_for(seed, b)
-            stations, st_owner, drawn, span = _stations(rng, net.lambda_b, _BATCH)
-            users, owner = _pcp_batch(rng, net.users, 0.5 * span, _BATCH)
+            stations, st_owner, drawn, span = _stations([rng], net.lambda_b, _BATCH)
+            users, owner = _pcp_batch([rng], net.users, 0.5 * span, _BATCH)
             extra = _rng_for(seed + 1, b)
             far, per = _disc_batch(extra, net.lambda_b, drawn, drawn + 2.0, _BATCH)
             out, per_u = _disc_batch(extra, 200.0, 0.5 * span, 0.5 * span + 0.5, _BATCH)
@@ -344,6 +374,40 @@ class TestBatchedPowerTest:
         users = np.array([[0.5, 0.0], [0.1, 0.2]])
         assert _in_cell(users, np.array([0, 2]), none, empty_owner, 3).tolist() == [0, 1]
         assert _in_cell(none, empty_owner, users, np.array([0, 1]), 3).size == 0
+
+
+class TestPasses:
+    def test_pass_size(self):
+        # as many streams, up to 4, as keep the expected drawn points within 2^16
+        wide = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.5)))
+        big = NetworkModel(1.0, UserModel(5.0, 5.0, Matern(1.0)))
+        alpha3 = RateConfig(alpha=3.0, bandwidth_w=1e6)
+        assert [_pass_streams(TCP_NET, None), _pass_streams(TCP_NET, RATE_CFG)] == [4, 4]
+        assert [_pass_streams(MCP_NET, None), _pass_streams(big, None)] == [4, 3]
+        assert [_pass_streams(wide, None), _pass_streams(TCP_NET, alpha3)] == [1, 1]
+
+    @pytest.mark.parametrize("kind", [Thomas(0.05), Thomas(0.5), Matern(0.1)],
+                             ids=["tcp-0.05", "tcp-0.5", "mcp-0.1"])
+    @pytest.mark.parametrize("realizations", [129, 1000])
+    def test_outputs_do_not_depend_on_pass_size(self, monkeypatch, kind, realizations):
+        # passes of 1 to 4 streams, on 1 chunk and on 2 (run in-process),
+        # give bitwise the same loads, SIR, rate and windows
+        _record_pool(monkeypatch, 2)
+        net = NetworkModel(1.0, UserModel(5.0, 5.0, kind))
+        runs = []
+        for streams in (1, 2, 3, 4):
+            monkeypatch.setattr(montecarlo, "_pass_streams", lambda net, rate_cfg, k=streams: k)
+            for chunks in (1, 2):
+                cfg = SimConfig(realizations, seed=41, parallel_chunks=chunks)
+                runs.append((run_load_simulation(net, cfg), run_sir_simulation(net, cfg, RATE_CFG)))
+        (load, sir), rest = runs[0], runs[1:]
+        for other_load, other_sir in rest:
+            assert np.array_equal(other_load.loads, load.loads)
+            assert other_load.window_radius == load.window_radius
+            assert np.array_equal(other_sir.loads, load.loads)
+            assert np.array_equal(other_sir.sir, sir.sir, equal_nan=True)
+            assert np.array_equal(other_sir.rate, sir.rate, equal_nan=True)
+            assert other_sir.window_radius == sir.window_radius
 
 
 def _run(net, alpha, cfg):
@@ -380,7 +444,7 @@ class TestWindowInvariants:
         cfg = SimConfig(realizations=1000, seed=0)
         load = run_load_simulation(TCP_NET, cfg).window_radius
         rng = _rng_for(0, 0)
-        assert load >= _stations(rng, 1.0, _BATCH)[2].max()
+        assert load >= _stations([rng], 1.0, _BATCH)[2].max()
         assert 2.0 < load < 5.0
         res = run_sir_simulation(TCP_NET, cfg, RATE_CFG)
         assert res.window_radius == pytest.approx(1.05 * 0.5 * math.sqrt(101.0), rel=1e-15)
