@@ -13,6 +13,16 @@ radius, out to min(2 rho, twice that radius).  Users are drawn in b(o, rho)
 and tested against the stations within 2 rho, which decide them exactly.
 window_radius is the largest radius any realization drew stations to.
 
+SIR far field.  A SIR realization with representative user u draws the
+stations exactly out to R = max(drawn, |u| + W') and adds the mean of the
+interference beyond R, which Campbell's theorem gives in closed form
+(`_far_mean`).  W' (`_sir_window`) is 1.05 times the distance past which the
+Rayleigh-faded interference has a standard deviation of at most 1% of the
+mean interference from beyond r0 = 0.5 / sqrt(lambda_b); since |x| > |u| + W'
+implies |x - u| > W', that holds for every u.  W' is 3.94 at alpha = 3, 2.37
+at alpha = 4 and 1.74 at alpha = 5, for lambda_b = 1, so a SIR realization
+costs about what a load realization does at every alpha >= 3.
+
 Streams and passes.  The _BATCH realizations of stream b draw from a Philox
 stream keyed by (seed, b) (Salmon et al. 2011), drawn in full, the last one
 truncated, so realization k depends only on (seed, k) and a run of n is a
@@ -62,8 +72,44 @@ _EDGES = np.stack([np.cos(_EDGES), np.sin(_EDGES)], axis=1)
 
 
 def _sir_window(net: NetworkModel, alpha: float) -> float:
-    """Radius beyond which less than 1% of the mean interference lies."""
-    return 1.05 * 0.5 / math.sqrt(net.lambda_b) * 101.0 ** (1.0 / (alpha - 2.0))
+    """W', 1.05 times the smallest distance beyond which the Rayleigh-faded
+    interference has a standard deviation, sqrt(2 pi lambda_b 2 W'^(2 - 2 alpha)
+    / (2 alpha - 2)), of at most 1% of the mean interference from beyond
+    r0 = 0.5 / sqrt(lambda_b), 2 pi lambda_b r0^(2 - alpha) / (alpha - 2)."""
+    r0 = 0.5 / math.sqrt(net.lambda_b)
+    share = 1e-4 * 0.5 * math.pi * (alpha - 1.0) / (alpha - 2.0) ** 2
+    return 1.05 * r0 * share ** (-0.5 / (alpha - 1.0))
+
+
+def _far_mean(alpha: float, u2: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Mean of sum_x |x - u|^-alpha over a unit-intensity PPP on |x| > outer,
+    for |u|^2 = u2 <= outer^2 / 4 (Campbell's theorem).  The circle mean of
+    |x - u|^-alpha at |x| = r is r^-alpha 2F1(alpha/2, alpha/2; 1; |u|^2/r^2),
+    so the mean is 2 pi outer^(2 - alpha) sum_k d_k q^k with q = u2 / outer^2
+    and d_k = ((alpha/2)_k / k!)^2 / (alpha - 2 + 2k).  Past the k where
+    ((alpha/2 + k) / (k + 1))^2 q < 1 the terms fall at least geometrically
+    at that ratio; the sum stops at the first k where this bound on the tail
+    from k, taken at q = 1/4, is at most 1e-17 of the terms before it.  For
+    q <= 1/4 the tail shrinks against the head by (4q)^k, so the relative
+    truncation error is at most 1e-17 for every q (28 terms at alpha = 3, 31
+    at alpha = 4, 76 at alpha = 40)."""
+    a = 0.5 * alpha
+    coef = [1.0 / (alpha - 2.0)]
+    at_quarter, head, k = coef[0], 0.0, 0
+    while True:
+        step = ((a + k) / (k + 1)) ** 2     # bounds d_(j+1) / d_j for every j >= k
+        if step < 4.0 and at_quarter <= 1e-17 * head * (1.0 - 0.25 * step):
+            break
+        head += at_quarter
+        coef.append(coef[-1] * step * (alpha - 2.0 + 2.0 * k) / (alpha + 2.0 * k))
+        at_quarter = coef[-1] * 0.25 ** (k + 1)
+        k += 1
+    q = u2 / (outer * outer)
+    total = np.full(q.shape, coef[k - 1])
+    for d in reversed(coef[:k - 1]):
+        total *= q
+        total += d
+    return 2.0 * math.pi * outer ** (2.0 - alpha) * total
 
 
 @dataclass(frozen=True)
@@ -95,12 +141,22 @@ class SirSimResult:
     window_radius: float
 
 
-def _rng_for(seed: int, batch: int) -> np.random.Generator:
-    """The Philox stream of realization batch `batch` under `seed`; numpy.random
-    is imported here, at the first draw, so analytic commands never load it."""
-    from numpy.random import Generator, Philox
+def _rng_for(seed: int, batch: int, rng=None) -> np.random.Generator:
+    """The Philox stream of realization batch `batch` under `seed`: `rng`, a
+    Philox generator, reset in place to the stream's start (about a fifth of
+    the cost of a new one), or else a new generator.  numpy.random is imported
+    here, at the first draw, so analytic commands never load it."""
+    if rng is None:
+        from numpy.random import Generator, Philox
 
-    return Generator(Philox(key=np.uint64(seed), counter=batch << 128))
+        return Generator(Philox(key=np.uint64(seed), counter=batch << 128))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, batch & (2**64 - 1), batch >> 64], dtype=np.uint64),
+                  "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def _norm2(pts: np.ndarray) -> np.ndarray:
@@ -345,21 +401,23 @@ def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
 def _pass_streams(net: NetworkModel, rate_cfg) -> int:
     """Streams per pass: the most, up to _PASS_STREAMS, whose expected drawn
     points stay within _PASS_POINTS.  A realization draws about
-    lambda_p m_bar pi (1.05 / sqrt(lambda_b) + reach)^2 users, around a
-    typical bound rho, plus lambda_b pi W^2 stations for a SIR run."""
+    lambda_p m_bar pi (rho + reach)^2 users, around a typical bound
+    rho = 1.05 / sqrt(lambda_b), plus lambda_b pi (rho + W')^2 stations for a
+    SIR run."""
     rho = 1.05 / math.sqrt(net.lambda_b)
     points = net.users.intensity * math.pi * (rho + cluster_reach(net.users)) ** 2
     if rate_cfg is not None:
-        points += net.lambda_b * math.pi * _sir_window(net, rate_cfg.alpha) ** 2
+        points += net.lambda_b * math.pi * (rho + _sir_window(net, rate_cfg.alpha)) ** 2
     return next((k for k in range(_PASS_STREAMS, 1, -1) if k * _BATCH * points <= _PASS_POINTS), 1)
 
 
-def _pass(net, seed, streams, rate_cfg):
-    """Loads, SIR and rate (None for a load run) and drawn radii of the
-    _BATCH realizations of each stream in `streams`, in order.  SIR runs
-    draw their extra stations, representative users and fades after the
-    loads, so the loads match."""
-    rngs = [_rng_for(seed, b) for b in streams]
+def _pass(net, rngs, rate_cfg):
+    """Loads, SIR and rate (None for a load run) and window radii of the
+    _BATCH realizations of each stream in `rngs`, in order.  A SIR run draws,
+    per stream and after the loads (so the loads match a load run's), the
+    representative users, the stations from each realization's drawn radius
+    out to R = |u| + W' (none where R is below it), and the fades; the
+    interference beyond R enters by its mean, `_far_mean`."""
     size = _BATCH * len(rngs)
     stations, st_owner, drawn, span = _stations(rngs, net.lambda_b, _BATCH)
     users, owner = _pcp_batch(rngs, net.users, 0.5 * span, _BATCH)
@@ -370,33 +428,36 @@ def _pass(net, seed, streams, rate_cfg):
     if rate_cfg is None:
         return loads, None, None, drawn
 
-    window = _sir_window(net, rate_cfg.alpha)
-    far, far_per = _disc_streams(rngs, net.lambda_b, np.minimum(drawn, window), window,
-                                 [_BATCH] * len(rngs))
+    alpha = rate_cfg.alpha
+    busy = np.flatnonzero(loads)
+    per_stream = np.bincount(busy // _BATCH, minlength=len(rngs))
+    pick = [rng.integers(n) for rng, n in zip(rngs, _split(loads[busy], per_stream))]
+    first = np.cumsum(loads) - loads
+    rep = np.zeros((size, 2))
+    rep[busy] = users[cell[first[busy] + np.concatenate(pick)]]
+    w2 = _norm2(rep[busy])
+    # |x| > |u| + W' lies in |x - u| > W', and |u| <= rho <= drawn / 2 <= R / 2
+    window = drawn.copy()
+    window[busy] = np.maximum(drawn[busy], np.sqrt(w2) + _sir_window(net, alpha))
+    far, far_per = _disc_streams(rngs, net.lambda_b, drawn, window, [_BATCH] * len(rngs))
     far_owner = _owners(far_per)
     # the ring stations in each stream's own order (by round), as its fades go
     order = np.argsort(st_owner // _BATCH, kind="stable")
     stations, st_owner = stations[order], st_owner[order]
-    busy = np.flatnonzero(loads)
-    per_stream = (np.bincount(busy // _BATCH, minlength=len(rngs)),
-                  np.bincount(st_owner // _BATCH, minlength=len(rngs)),
-                  far_per.reshape(len(rngs), _BATCH).sum(axis=1))
-    pick, fades = [], ([], [], [])
-    for rng, n, sizes in zip(rngs, _split(loads[busy], per_stream[0]), zip(*per_stream)):
-        pick.append(rng.integers(n))
-        for part, piece in zip(fades, _split(rng.standard_exponential(sum(sizes)), sizes)):
+    sizes = zip(per_stream, np.bincount(st_owner // _BATCH, minlength=len(rngs)),
+                far_per.reshape(len(rngs), _BATCH).sum(axis=1))
+    fades = ([], [], [])
+    for rng, n in zip(rngs, sizes):
+        for part, piece in zip(fades, _split(rng.standard_exponential(sum(n)), n)):
             part.append(piece)
     user_fade, ring_fade, far_fade = (np.concatenate(f) for f in fades)
-    first = np.cumsum(loads) - loads
-    rep = np.zeros((size, 2))
-    rep[busy] = users[cell[first[busy] + np.concatenate(pick)]]
-    alpha = rate_cfg.alpha
-    # one realization's gains summed in its stream's order: rings, then the far field
+    # one realization's gains summed in its stream's order: rings, then the
+    # drawn far field, then the mean beyond R
     gain = np.concatenate([ring_fade * _dist2(stations, rep, st_owner) ** (-0.5 * alpha),
                            far_fade * _dist2(far, rep, far_owner) ** (-0.5 * alpha)])
     interference = np.bincount(np.concatenate([st_owner, far_owner]), weights=gain,
                                minlength=size)[busy]
-    w2 = _norm2(rep[busy])
+    interference += net.lambda_b * _far_mean(alpha, w2, window[busy])
     sir = np.full(size, np.nan)
     rate = np.full(size, np.nan)
     s = np.full(busy.size, np.inf)   # a user on the origin or no interference
@@ -406,13 +467,17 @@ def _pass(net, seed, streams, rate_cfg):
     load = loads[busy]
     rate[busy] = np.minimum(rate_cfg.bandwidth_w / load * np.log2(1.0 + s),
                             rate_cfg.backhaul_rb / load)
-    return loads, sir, rate, np.maximum(drawn, window)
+    return loads, sir, rate, window
 
 
 def _walk(net, seed, rate_cfg, streams):
-    """The passes of a contiguous run of streams, in order."""
+    """The passes of a contiguous run of streams, in order, on one Philox
+    generator per pass slot, reset to each stream's start."""
     step = _pass_streams(net, rate_cfg)
-    return [_pass(net, seed, streams[i:i + step], rate_cfg) for i in range(0, len(streams), step)]
+    slots = [_rng_for(seed, b) for b in streams[:step]]
+    return [_pass(net, [_rng_for(seed, b, rng) for b, rng in zip(streams[i:i + step], slots)],
+                  rate_cfg)
+            for i in range(0, len(streams), step)]
 
 
 def _stack(parts, size):
@@ -451,7 +516,11 @@ def run_load_simulation(net: NetworkModel, cfg: SimConfig) -> LoadSimResult:
 
 
 def check_sir_alpha(alpha: float) -> None:
-    """Refuse alpha < 3 for a SIR run, whose window grows as 101^{1/(alpha-2)}."""
+    """Refuse alpha < 3 for a SIR run.  Its far field beyond |u| + W' enters
+    by its mean (W' = 3.94 at alpha = 3 and unit density, 2.37 at alpha = 4),
+    and that rule is checked against `sir_ccdf` at alpha = 3 and 4 only: as
+    alpha falls to 2 the interference's mean diverges, so a 1% share of it
+    lets W' shrink (0.41 at alpha = 2.01) while its spread grows."""
     if alpha < 3.0:
         raise ConfigurationError("SIR simulation requires alpha >= 3 for window truncation")
 

@@ -196,6 +196,17 @@ def test_criterion_6_sir_ccdf():
     )
 
 
+def test_sir_ccdf_at_alpha_3():
+    # criterion 6's gate at alpha = 3, where the far field beyond |u| + W'
+    # enters by its exact mean rather than as ~8,800 drawn stations
+    taus = (0.1, 1.0, 10.0)
+    cfg = RateConfig(alpha=3.0, bandwidth_w=BANDWIDTH)
+    res = run_sir_simulation(network("tcp", FIG2_SIGMA), SimConfig(realizations=20_000, seed=SEED), cfg)
+    gaps = {t: abs(sir_ccdf(3.0, t) - float(p)) for t, p in zip(taus, empirical_ccdf(res.sir, taus))}
+    assert all(g <= 0.03 for g in gaps.values())
+    report("SIR CCDF at alpha = 3", ", ".join(f"tau={t}: {g:.4f}" for t, g in gaps.items()))
+
+
 def test_criterion_7_rate_coverage():
     grid = [float(r) for r in np.geomspace(2e4, 2e6, 10)]
     backhauls = (2e6, math.inf)

@@ -368,15 +368,19 @@ class TestSimulate:
         assert all(r[0] == str(i) and r[2:] == ["", ""] for i, r in enumerate(rows[1:]))
 
     def test_sir_window_sized_from_alpha(self, capsys):
-        # at alpha = 3 the load-run window (4.96) would leave 11% of the mean
-        # interference outside
+        # at alpha = 3 each realization draws stations out to |u| + W', with
+        # W' = 3.94, and adds the mean interference beyond; the window it
+        # reports is no wider than a few W'
         argv = ["simulate"] + TCP_ARGS + ["--with-sir", "--alpha", "3", "--realizations",
                                           "200", "--seed", "7"]
         code, out, _ = run_cli(argv, capsys)
         assert code == cli.EXIT_OK
-        # mean interference beyond the window against r0 = 0.5 < |x| < window
-        tail = 1.0 / json.loads(out)["window_radius"]
-        assert tail / (1.0 / 0.5 - tail) < 0.01
+        # std of the faded interference beyond the window against the mean
+        # from beyond r0 = 0.5, at alpha = 3 and unit density
+        window = json.loads(out)["window_radius"]
+        std = math.sqrt(2.0 * math.pi * 2.0 * window ** -4.0 / 4.0)
+        assert std / (2.0 * math.pi / 0.5) <= 0.01
+        assert window < 8.0
 
     @pytest.mark.parametrize("argv", [
         ["pmf"] + TCP_ARGS + ["--self-test-nb"],

@@ -23,6 +23,7 @@ from cellload.montecarlo import (
     _BATCH,
     _STAGE1,
     _disc_batch,
+    _far_mean,
     _in_cell,
     _owners,
     _pass_streams,
@@ -39,6 +40,7 @@ from helpers import pair_correlation_density
 TCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.05)))
 MCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Matern(0.1)))
 RATE_CFG = RateConfig(alpha=4.0, bandwidth_w=1e6)
+ALPHA3_CFG = RateConfig(alpha=3.0, bandwidth_w=1e6)
 
 
 class TestSamplers:
@@ -225,6 +227,24 @@ class TestDeterminism:
         b = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=2))
         assert not np.array_equal(a.loads, b.loads)
 
+    @pytest.mark.parametrize("seed", [5, 2**64 - 1])
+    def test_reset_slot_matches_a_new_stream(self, seed):
+        # a pass slot re-pointed to stream b draws what a new
+        # Philox(key=seed, counter=b << 128) draws, whatever it drew before
+        def draws(rng):
+            return (rng.random(9), rng.standard_normal(9), rng.poisson(3.0, 9),
+                    rng.poisson(40.0, 9), rng.integers(np.array([5, 1000])),
+                    rng.standard_exponential(9))
+
+        slot = _rng_for(seed, 0)
+        for b in (3, 0, 63, 2**64 + 7, 2**128 - 1):
+            slot.random(3, dtype=np.float32)   # leaves a half-used 64-bit word
+            slot.standard_normal(5)
+            assert _rng_for(seed, b, slot) is slot
+            new = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=b << 128))
+            for got, want in zip(draws(slot), draws(new)):
+                assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_seed_outside_philox_key_rejected(self, seed):
         # a 64-bit key would alias 2^64 + 1 to seed 1 and -1 to 2^64 - 1
@@ -384,7 +404,8 @@ class TestPasses:
         alpha3 = RateConfig(alpha=3.0, bandwidth_w=1e6)
         assert [_pass_streams(TCP_NET, None), _pass_streams(TCP_NET, RATE_CFG)] == [4, 4]
         assert [_pass_streams(MCP_NET, None), _pass_streams(big, None)] == [4, 3]
-        assert [_pass_streams(wide, None), _pass_streams(TCP_NET, alpha3)] == [1, 1]
+        # a SIR run draws its stations only out to |u| + W', so alpha = 3 fits four streams
+        assert [_pass_streams(wide, None), _pass_streams(TCP_NET, alpha3)] == [1, 4]
 
     @pytest.mark.parametrize("kind", [Thomas(0.05), Thomas(0.5), Matern(0.1)],
                              ids=["tcp-0.05", "tcp-0.5", "mcp-0.1"])
@@ -394,20 +415,32 @@ class TestPasses:
         # give bitwise the same loads, SIR, rate and windows
         _record_pool(monkeypatch, 2)
         net = NetworkModel(1.0, UserModel(5.0, 5.0, kind))
+        # SIR at alpha = 4 and at alpha = 3
         runs = []
         for streams in (1, 2, 3, 4):
             monkeypatch.setattr(montecarlo, "_pass_streams", lambda net, rate_cfg, k=streams: k)
             for chunks in (1, 2):
                 cfg = SimConfig(realizations, seed=41, parallel_chunks=chunks)
-                runs.append((run_load_simulation(net, cfg), run_sir_simulation(net, cfg, RATE_CFG)))
-        (load, sir), rest = runs[0], runs[1:]
-        for other_load, other_sir in rest:
+                runs.append((run_load_simulation(net, cfg), run_sir_simulation(net, cfg, RATE_CFG),
+                             run_sir_simulation(net, cfg, ALPHA3_CFG)))
+        (load, *sirs), rest = runs[0], runs[1:]
+        for other_load, *other_sirs in rest:
             assert np.array_equal(other_load.loads, load.loads)
             assert other_load.window_radius == load.window_radius
-            assert np.array_equal(other_sir.loads, load.loads)
-            assert np.array_equal(other_sir.sir, sir.sir, equal_nan=True)
-            assert np.array_equal(other_sir.rate, sir.rate, equal_nan=True)
-            assert other_sir.window_radius == sir.window_radius
+            for sir, other_sir in zip(sirs, other_sirs):
+                assert np.array_equal(other_sir.loads, load.loads)
+                assert np.array_equal(other_sir.sir, sir.sir, equal_nan=True)
+                assert np.array_equal(other_sir.rate, sir.rate, equal_nan=True)
+                assert other_sir.window_radius == sir.window_radius
+
+    @pytest.mark.parametrize("rate_cfg", [RATE_CFG, ALPHA3_CFG], ids=["alpha-4", "alpha-3"])
+    def test_sir_run_is_a_prefix_of_a_longer_one(self, rate_cfg):
+        short = run_sir_simulation(TCP_NET, SimConfig(300, seed=42), rate_cfg)
+        long = run_sir_simulation(TCP_NET, SimConfig(1000, seed=42), rate_cfg)
+        assert np.array_equal(short.loads, long.loads[:300])
+        assert np.array_equal(short.sir, long.sir[:300], equal_nan=True)
+        assert np.array_equal(short.rate, long.rate[:300], equal_nan=True)
+        assert short.window_radius <= long.window_radius
 
 
 def _run(net, alpha, cfg):
@@ -430,25 +463,46 @@ class TestWindowInvariants:
     @pytest.mark.parametrize("alpha", [3.0, 3.3, 3.56, 4.0, 6.0])
     @pytest.mark.parametrize("lambda_b", [1.0, 4.0])
     def test_sir_window_bounds_interference_tail(self, alpha, lambda_b):
-        # mean interference beyond W against the mean from r0 < |x| < W
+        # the standard deviation of the Rayleigh-faded interference beyond W'
+        # against the mean interference from beyond r0: at most 1% at W', and
+        # more just below W' / 1.05
         net = NetworkModel(lambda_b, TCP_NET.users)
         window = _sir_window(net, alpha)
         r0 = 0.5 / math.sqrt(lambda_b)
-        tail = window ** (2.0 - alpha)
-        assert tail / (r0 ** (2.0 - alpha) - tail) < 0.01
+
+        def share(w):
+            std = math.sqrt(2.0 * math.pi * lambda_b * 2.0 * w ** (2.0 - 2.0 * alpha)
+                            / (2.0 * alpha - 2.0))
+            return std / (2.0 * math.pi * lambda_b * r0 ** (2.0 - alpha) / (alpha - 2.0))
+
+        assert share(window) <= 0.01
+        assert share(window / 1.05 * (1.0 - 1e-9)) > 0.01
         assert window == pytest.approx(_sir_window(TCP_NET, alpha) / math.sqrt(lambda_b))
 
-    def test_windows_at_alpha_4(self):
+    def test_windows_at_alpha_4(self, monkeypatch):
         # a load run reports the largest radius any realization drew stations
-        # to; a SIR run at alpha = 4 reports the interference radius beyond it
-        cfg = SimConfig(realizations=1000, seed=0)
-        load = run_load_simulation(TCP_NET, cfg).window_radius
+        # to; a SIR run reports the largest R_i = max(drawn_i, |u_i| + W') over
+        # its realizations (R_i = drawn_i for an empty cell); whole streams,
+        # so every R_i the sampler computes belongs to the run
+        cfg = SimConfig(realizations=16 * _BATCH, seed=0)
+        load = run_load_simulation(TCP_NET, cfg)
         rng = _rng_for(0, 0)
-        assert load >= _stations([rng], 1.0, _BATCH)[2].max()
-        assert 2.0 < load < 5.0
+        assert load.window_radius >= _stations([rng], 1.0, _BATCH)[2].max()
+        assert 2.0 < load.window_radius < 5.0
+        assert _sir_window(TCP_NET, 4.0) == pytest.approx(2.3712, abs=1e-4)
+        seen = []
+        real = montecarlo._far_mean
+
+        def recording(alpha, u2, outer):
+            seen.append((u2, outer))
+            return real(alpha, u2, outer)
+
+        monkeypatch.setattr(montecarlo, "_far_mean", recording)
         res = run_sir_simulation(TCP_NET, cfg, RATE_CFG)
-        assert res.window_radius == pytest.approx(1.05 * 0.5 * math.sqrt(101.0), rel=1e-15)
-        assert res.window_radius == pytest.approx(5.2762, abs=1e-4)
+        u2, outer = (np.concatenate(parts) for parts in zip(*seen))
+        assert outer.size == np.count_nonzero(res.loads)
+        assert np.all(outer >= np.sqrt(u2) + _sir_window(TCP_NET, 4.0))
+        assert res.window_radius == max(load.window_radius, outer.max())
 
     def test_load_run_draws_no_station_beyond_window(self, monkeypatch):
         outer = []
@@ -465,8 +519,8 @@ class TestWindowInvariants:
     def test_sir_window_at_alpha_3_keeps_loads(self):
         cfg = SimConfig(realizations=100, seed=18)
         loads_only = run_load_simulation(TCP_NET, cfg)
-        with_sir = run_sir_simulation(TCP_NET, cfg, RateConfig(alpha=3.0, bandwidth_w=1e6))
-        assert with_sir.window_radius > 50.0
+        with_sir = run_sir_simulation(TCP_NET, cfg, ALPHA3_CFG)
+        assert with_sir.window_radius < 8.0
         assert np.array_equal(loads_only.loads, with_sir.loads)
 
     def test_interference_window_guard(self):
@@ -476,6 +530,27 @@ class TestWindowInvariants:
                 SimConfig(realizations=10, seed=0),
                 RateConfig(alpha=2.5, bandwidth_w=1e6),
             )
+
+
+class TestFarMean:
+    @pytest.mark.parametrize("alpha", [3.0, 4.0, 8.0, 40.0])
+    @pytest.mark.parametrize("ratio", [0.0, 0.25, 0.5])
+    def test_series_matches_quadrature(self, alpha, ratio):
+        # int_{|x| > R} |x - u|^-alpha dx in polar coordinates about the
+        # origin, with r = R / t so the domain is finite; alpha = 40 at
+        # |u| = R / 2 needs 76 terms, so a fixed 48-term sum would miss by 1.6e-7
+        from scipy.integrate import dblquad
+
+        outer = 1.7
+        u = ratio * outer
+
+        def integrand(theta, t):
+            r = outer / t
+            return outer * outer / t**3 * (r * r + u * u - 2.0 * r * u * math.cos(theta)) ** (-0.5 * alpha)
+
+        half, _ = dblquad(integrand, 0.0, 1.0, 0.0, math.pi, epsabs=0.0, epsrel=1e-13)
+        got = _far_mean(alpha, np.array([u * u]), np.array([outer]))
+        np.testing.assert_allclose(got, [2.0 * half], rtol=1e-12, atol=0.0)
 
 
 class TestRealizations:
