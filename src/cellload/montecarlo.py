@@ -23,25 +23,21 @@ implies |x - u| > W', that holds for every u.  W' is 3.94 at alpha = 3, 2.37
 at alpha = 4 and 1.74 at alpha = 5, for lambda_b = 1, so a SIR realization
 costs about what a load realization does at every alpha >= 3.
 
-Streams and passes.  The _BATCH realizations of stream b draw from a Philox
-stream keyed by (seed, b) (Salmon et al. 2011), drawn in full, the last one
-truncated, so realization k depends only on (seed, k) and a run of n is a
-prefix of any longer run with the same seed.  For speed, the geometry of a
-pass of up to _PASS_STREAMS consecutive streams runs on one set of arrays,
-realization i of the pass's k-th stream being realization k _BATCH + i.
-Every draw stays on its own stream, with the calls, sizes and order of a
-one-stream pass; what spans the pass is elementwise arithmetic, exact maxima
-and per-realization sums in each realization's own order, whose bits do not
-depend on which other realizations share the arrays.  So grouping changes no
-value.  Workers take contiguous runs of streams, walk them in passes, and
-outputs are concatenated in stream order, so results are bitwise identical
-for any parallel_chunks.
+Streams.  A model's realizations come in streams of `_stream_size`
+realizations, 64 k for the largest k <= 4 whose expected drawn users stay
+within _PASS_POINTS.  Stream b draws from a Philox generator keyed by
+(seed, b) (Salmon et al. 2011) and runs as one pass on one set of arrays,
+drawn in full, the last one truncated, so for a given model realization k
+depends only on (seed, k) and a run of n is a prefix of any longer run with
+the same seed.  The size ignores the rate config, so a SIR run draws its
+loads as a load run does and its SIR draws after them.  Workers take
+contiguous runs of streams and outputs are concatenated in stream order, so
+results are bitwise identical for any parallel_chunks.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -59,9 +55,8 @@ __all__ = [
     "empirical_ccdf", "tv_distance", "points_in_typical_cell",
 ]
 
-_BATCH = 64                # realizations per Philox stream
-_PASS_STREAMS = 4          # most streams in one pass
-_PASS_POINTS = 2**16       # most expected points drawn in one pass; bigger arrays ran slower
+_BATCH = 64                # stream sizes are 1 to 4 of these
+_PASS_POINTS = 2**16       # most expected users drawn in one stream; bigger arrays ran slower
 _FIRST_STATIONS = 9.0      # mean station count of the first disc
 _DIRECTIONS = 32           # wedges of the circumradius bound
 _STAGE1 = 8                # station columns per stage of the power test
@@ -141,22 +136,12 @@ class SirSimResult:
     window_radius: float
 
 
-def _rng_for(seed: int, batch: int, rng=None) -> np.random.Generator:
-    """The Philox stream of realization batch `batch` under `seed`: `rng`, a
-    Philox generator, reset in place to the stream's start (about a fifth of
-    the cost of a new one), or else a new generator.  numpy.random is imported
-    here, at the first draw, so analytic commands never load it."""
-    if rng is None:
-        from numpy.random import Generator, Philox
+def _rng_for(seed: int, stream: int) -> np.random.Generator:
+    """The Philox generator of stream `stream` under `seed`.  numpy.random is
+    imported here, at the first draw, so analytic commands never load it."""
+    from numpy.random import Generator, Philox
 
-        return Generator(Philox(key=np.uint64(seed), counter=batch << 128))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, batch & (2**64 - 1), batch >> 64], dtype=np.uint64),
-                  "key": np.array([seed, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return rng
+    return Generator(Philox(key=np.uint64(seed), counter=stream << 128))
 
 
 def _norm2(pts: np.ndarray) -> np.ndarray:
@@ -180,22 +165,13 @@ def _owners(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(counts.size), counts)
 
 
-def _uniforms(rngs, sizes) -> np.ndarray:
-    """(2, sum(sizes)) uniforms: stream k draws its sizes[k] of row 0, then
-    of row 1, into its slice."""
-    u = np.empty((2, int(np.sum(sizes))))
-    end = 0
-    for rng, n in zip(rngs, sizes):
-        rng.random(out=u[0, end:end + n])
-        rng.random(out=u[1, end:end + n])
-        end += n
-    return u
-
-
-def _annulus(u: np.ndarray, inner, outer) -> np.ndarray:
-    """The uniforms u of `_uniforms` mapped, in place, to points uniform in
-    the annulus inner < |x| <= outer, returned as an (n, 2) view whose
-    coordinates are contiguous; the radii are scalars or one per point."""
+def _annulus(rng: np.random.Generator, n: int, inner, outer) -> np.ndarray:
+    """n points uniform in the annulus inner < |x| <= outer, the radii
+    scalars or one per point, from n uniforms for the radii and then n for
+    the angles: an (n, 2) view whose coordinates are contiguous."""
+    u = np.empty((2, n))
+    rng.random(out=u[0])
+    rng.random(out=u[1])
     u[0] *= outer * outer - inner * inner
     u[0] += inner * inner
     np.sqrt(u[0], out=u[0])
@@ -207,57 +183,34 @@ def _annulus(u: np.ndarray, inner, outer) -> np.ndarray:
     return u.T
 
 
-def _split(values: np.ndarray, sizes):
-    """values cut into consecutive pieces of these sizes."""
-    ends = itertools.accumulate(sizes)
-    return [values[end - n:end] for n, end in zip(sizes, ends)]
-
-
 def _disc_batch(rng: np.random.Generator, intensity: float, inner, outer, size: int):
     """PPP in the annulus inner < |x| <= outer for `size` independent
     realizations, the radii scalars or one per realization: (n, 2) points
     grouped by realization, and the per-realization counts."""
     counts = rng.poisson(intensity * math.pi * (outer * outer - inner * inner), size)
     inner, outer = (np.repeat(np.broadcast_to(r, size), counts) for r in (inner, outer))
-    return _annulus(_uniforms([rng], [int(counts.sum())]), inner, outer), counts
+    return _annulus(rng, int(counts.sum()), inner, outer), counts
 
 
-def _disc_streams(rngs, intensity: float, inner, outer, sizes):
-    """`_disc_batch` for sizes[k] realizations on stream rngs[k] (no draw for
-    none), the radii one per realization, joined in stream order."""
-    outer = np.broadcast_to(outer, len(inner))
-    parts = [_disc_batch(rng, intensity, i, o, n)
-             for rng, i, o, n in zip(rngs, _split(inner, sizes), _split(outer, sizes), sizes) if n]
-    return (np.concatenate([points for points, _ in parts]),
-            np.concatenate([counts for _, counts in parts]))
-
-
-def _pcp_batch(rngs, model: UserModel, radius, size: int):
-    """Clustered users in b(o, radius) for `size` realizations per stream in
-    `rngs`, the radius a scalar or one per realization: (n, 2) points grouped
-    by realization, and each point's realization.  Only parents with
-    offspring get a position (positions are independent of the counts), so
-    sparse clusters skip most parents."""
-    radius = np.broadcast_to(radius, size * len(rngs))
+def _pcp_batch(rng: np.random.Generator, model: UserModel, radius, size: int):
+    """Clustered users in b(o, radius) for `size` realizations, the radius a
+    scalar or one per realization: (n, 2) points grouped by realization, and
+    each point's realization.  Only parents with offspring get a position
+    (positions are independent of the counts), so sparse clusters skip most
+    parents."""
+    radius = np.broadcast_to(radius, size)
     outer = radius + cluster_reach(model)
-    means = _split(model.lambda_p * math.pi * outer * outer, [size] * len(rngs))
-    per_real, kids = [], []
-    for rng, mean in zip(rngs, means):
-        per_real.append(rng.poisson(mean))
-        kids.append(rng.poisson(model.m_bar, int(per_real[-1].sum())))
-    parents = _uniforms(rngs, [np.count_nonzero(k) for k in kids])
-    counts = [int(k.sum()) for k in kids]
+    per_real = rng.poisson(model.lambda_p * math.pi * outer * outer)
+    kids = rng.poisson(model.m_bar, int(per_real.sum()))
+    parent = _owners(per_real)[kids > 0]
+    kids = kids[kids > 0]
+    centres = _annulus(rng, parent.size, 0.0, outer[parent])
     if isinstance(model.kind, Thomas):
-        users = np.empty((sum(counts), 2))
-        for rng, piece in zip(rngs, _split(users, counts)):
-            rng.standard_normal(out=piece)
+        users = rng.standard_normal((int(kids.sum()), 2))
         users *= model.kind.sigma
     else:
-        users = _annulus(_uniforms(rngs, counts), 0.0, model.kind.radius)
-    kids = np.concatenate(kids)
-    parent = _owners(np.concatenate(per_real))[kids > 0]
-    kids = kids[kids > 0]
-    users += np.repeat(_annulus(parents, 0.0, outer[parent]), kids, axis=0)
+        users = _annulus(rng, int(kids.sum()), 0.0, model.kind.radius)
+    users += np.repeat(centres, kids, axis=0)
     keep = _norm2(users) <= np.repeat((radius * radius)[parent], kids)
     # the kept users as an (n, 2) view of (2, n) rows, so each coordinate is contiguous
     users = np.ascontiguousarray(np.compress(keep, users, axis=0).T).T
@@ -280,7 +233,7 @@ def sample_pcp(model: UserModel, window_radius: float, rng: np.random.Generator)
     restriction is distributed as the stationary process (Gaussian clusters
     truncated at 6 sigma, tail mass ~1.5e-8).
     """
-    return _pcp_batch([rng], model, window_radius, 1)[0]
+    return _pcp_batch(rng, model, window_radius, 1)[0]
 
 
 def points_in_typical_cell(points: np.ndarray, stations: np.ndarray) -> np.ndarray:
@@ -324,25 +277,23 @@ def _wedge_reach(stations, counts) -> np.ndarray:
     return reach
 
 
-def _stations(rngs, lambda_b: float, size: int):
-    """Stations of `size` realizations per stream in `rngs`, their owners,
-    each realization's drawn radius and its span 2 rho <= drawn; a round
-    grows the realizations in `grow`."""
-    total = size * len(rngs)
+def _stations(rng: np.random.Generator, lambda_b: float, size: int):
+    """Stations of `size` realizations, their owners, each realization's
+    drawn radius and its span 2 rho <= drawn; a round grows the realizations
+    in `grow`."""
     rings, owners = [], []
-    reach = np.zeros((_DIRECTIONS, total))
-    drawn = np.zeros(total)
-    grow = np.arange(total)
-    outer = np.full(total, math.sqrt(_FIRST_STATIONS / (math.pi * lambda_b)))
+    reach = np.zeros((_DIRECTIONS, size))
+    drawn = np.zeros(size)
+    grow = np.arange(size)
+    outer = np.full(size, math.sqrt(_FIRST_STATIONS / (math.pi * lambda_b)))
     while grow.size:
-        ring, per = _disc_streams(rngs, lambda_b, drawn[grow], outer,
-                                  np.bincount(grow // size, minlength=len(rngs)))
+        ring, per = _disc_batch(rng, lambda_b, drawn[grow], outer, grow.size)
         rings.append(ring)
         owners.append(grow[_owners(per)])
         drawn[grow] = outer
         reach[:, grow] = np.maximum(reach[:, grow], _wedge_reach(ring, per))
         worst = reach.min(axis=0)
-        span = np.divide(1.0, worst, out=np.full(total, np.inf), where=worst > 0.0)
+        span = np.divide(1.0, worst, out=np.full(size, np.inf), where=worst > 0.0)
         grow = grow[span[grow] > drawn[grow]]
         outer = np.minimum(span[grow], 2.0 * drawn[grow])
     return np.concatenate(rings), np.concatenate(owners), drawn, span
@@ -398,29 +349,25 @@ def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
     return np.sort(np.concatenate(inside + [alive]))
 
 
-def _pass_streams(net: NetworkModel, rate_cfg) -> int:
-    """Streams per pass: the most, up to _PASS_STREAMS, whose expected drawn
-    points stay within _PASS_POINTS.  A realization draws about
+def _stream_size(net: NetworkModel) -> int:
+    """Realizations per stream: _BATCH k for the most k, up to 4, whose
+    expected drawn users stay within _PASS_POINTS.  A realization draws about
     lambda_p m_bar pi (rho + reach)^2 users, around a typical bound
-    rho = 1.05 / sqrt(lambda_b), plus lambda_b pi (rho + W')^2 stations for a
-    SIR run."""
+    rho = 1.05 / sqrt(lambda_b)."""
     rho = 1.05 / math.sqrt(net.lambda_b)
-    points = net.users.intensity * math.pi * (rho + cluster_reach(net.users)) ** 2
-    if rate_cfg is not None:
-        points += net.lambda_b * math.pi * (rho + _sir_window(net, rate_cfg.alpha)) ** 2
-    return next((k for k in range(_PASS_STREAMS, 1, -1) if k * _BATCH * points <= _PASS_POINTS), 1)
+    users = net.users.intensity * math.pi * (rho + cluster_reach(net.users)) ** 2
+    return _BATCH * next((k for k in (4, 3, 2) if k * _BATCH * users <= _PASS_POINTS), 1)
 
 
-def _pass(net, rngs, rate_cfg):
+def _pass(net, rng, rate_cfg, size: int):
     """Loads, SIR and rate (None for a load run) and window radii of the
-    _BATCH realizations of each stream in `rngs`, in order.  A SIR run draws,
-    per stream and after the loads (so the loads match a load run's), the
-    representative users, the stations from each realization's drawn radius
-    out to R = |u| + W' (none where R is below it), and the fades; the
-    interference beyond R enters by its mean, `_far_mean`."""
-    size = _BATCH * len(rngs)
-    stations, st_owner, drawn, span = _stations(rngs, net.lambda_b, _BATCH)
-    users, owner = _pcp_batch(rngs, net.users, 0.5 * span, _BATCH)
+    `size` realizations of one stream.  A SIR run draws, after the loads (so
+    they match a load run's), the representative users, the stations from
+    each realization's drawn radius out to R = |u| + W' (none where R is
+    below it), and the fades; the interference beyond R enters by its mean,
+    `_far_mean`."""
+    stations, st_owner, drawn, span = _stations(rng, net.lambda_b, size)
+    users, owner = _pcp_batch(rng, net.users, 0.5 * span, size)
     near = np.flatnonzero(_norm2(stations) < (span * span)[st_owner])
     near = near[np.argsort(st_owner[near], kind="stable")]   # rings stay nearest first
     cell = _in_cell(users, owner, stations[near], st_owner[near], size)
@@ -430,29 +377,20 @@ def _pass(net, rngs, rate_cfg):
 
     alpha = rate_cfg.alpha
     busy = np.flatnonzero(loads)
-    per_stream = np.bincount(busy // _BATCH, minlength=len(rngs))
-    pick = [rng.integers(n) for rng, n in zip(rngs, _split(loads[busy], per_stream))]
     first = np.cumsum(loads) - loads
     rep = np.zeros((size, 2))
-    rep[busy] = users[cell[first[busy] + np.concatenate(pick)]]
+    rep[busy] = users[cell[first[busy] + rng.integers(loads[busy])]]
     w2 = _norm2(rep[busy])
     # |x| > |u| + W' lies in |x - u| > W', and |u| <= rho <= drawn / 2 <= R / 2
     window = drawn.copy()
     window[busy] = np.maximum(drawn[busy], np.sqrt(w2) + _sir_window(net, alpha))
-    far, far_per = _disc_streams(rngs, net.lambda_b, drawn, window, [_BATCH] * len(rngs))
+    far, far_per = _disc_batch(rng, net.lambda_b, drawn, window, size)
     far_owner = _owners(far_per)
-    # the ring stations in each stream's own order (by round), as its fades go
-    order = np.argsort(st_owner // _BATCH, kind="stable")
-    stations, st_owner = stations[order], st_owner[order]
-    sizes = zip(per_stream, np.bincount(st_owner // _BATCH, minlength=len(rngs)),
-                far_per.reshape(len(rngs), _BATCH).sum(axis=1))
-    fades = ([], [], [])
-    for rng, n in zip(rngs, sizes):
-        for part, piece in zip(fades, _split(rng.standard_exponential(sum(n)), n)):
-            part.append(piece)
-    user_fade, ring_fade, far_fade = (np.concatenate(f) for f in fades)
-    # one realization's gains summed in its stream's order: rings, then the
-    # drawn far field, then the mean beyond R
+    user_fade, ring_fade, far_fade = np.split(
+        rng.standard_exponential(busy.size + st_owner.size + far_owner.size),
+        [busy.size, busy.size + st_owner.size])
+    # one realization's gains summed in draw order: rings, then the drawn far
+    # field, then the mean beyond R
     gain = np.concatenate([ring_fade * _dist2(stations, rep, st_owner) ** (-0.5 * alpha),
                            far_fade * _dist2(far, rep, far_owner) ** (-0.5 * alpha)])
     interference = np.bincount(np.concatenate([st_owner, far_owner]), weights=gain,
@@ -470,14 +408,9 @@ def _pass(net, rngs, rate_cfg):
     return loads, sir, rate, window
 
 
-def _walk(net, seed, rate_cfg, streams):
-    """The passes of a contiguous run of streams, in order, on one Philox
-    generator per pass slot, reset to each stream's start."""
-    step = _pass_streams(net, rate_cfg)
-    slots = [_rng_for(seed, b) for b in streams[:step]]
-    return [_pass(net, [_rng_for(seed, b, rng) for b, rng in zip(streams[i:i + step], slots)],
-                  rate_cfg)
-            for i in range(0, len(streams), step)]
+def _walk(net, seed, rate_cfg, size, streams):
+    """The passes of a contiguous run of streams, in order, one per stream."""
+    return [_pass(net, _rng_for(seed, b), rate_cfg, size) for b in streams]
 
 
 def _stack(parts, size):
@@ -495,10 +428,11 @@ def _usable_cpus() -> int:
 
 
 def _simulate(net, cfg, rate_cfg):
-    streams = -(-cfg.realizations // _BATCH)
+    size = _stream_size(net)
+    streams = -(-cfg.realizations // size)
     per_worker = -(-streams // min(cfg.parallel_chunks, streams, _usable_cpus()))
     runs = [range(a, min(a + per_worker, streams)) for a in range(0, streams, per_worker)]
-    job = functools.partial(_walk, net, cfg.seed, rate_cfg)
+    job = functools.partial(_walk, net, cfg.seed, rate_cfg, size)
     if len(runs) == 1:
         parts = job(runs[0])
     else:
@@ -522,7 +456,8 @@ def check_sir_alpha(alpha: float) -> None:
     alpha falls to 2 the interference's mean diverges, so a 1% share of it
     lets W' shrink (0.41 at alpha = 2.01) while its spread grows."""
     if alpha < 3.0:
-        raise ConfigurationError("SIR simulation requires alpha >= 3 for window truncation")
+        raise ConfigurationError("SIR simulation requires alpha >= 3, the range where its "
+                                 "far-field window W' is checked against sir_ccdf")
 
 
 def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) -> SirSimResult:

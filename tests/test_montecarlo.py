@@ -26,11 +26,11 @@ from cellload.montecarlo import (
     _far_mean,
     _in_cell,
     _owners,
-    _pass_streams,
     _pcp_batch,
     _rng_for,
     _sir_window,
     _stations,
+    _stream_size,
     _wedge_reach,
 )
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
@@ -41,6 +41,7 @@ TCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.05)))
 MCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Matern(0.1)))
 RATE_CFG = RateConfig(alpha=4.0, bandwidth_w=1e6)
 ALPHA3_CFG = RateConfig(alpha=3.0, bandwidth_w=1e6)
+STREAM = _stream_size(TCP_NET)   # 256 realizations
 
 
 class TestSamplers:
@@ -190,36 +191,39 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("cpus, expected", [(8, 4), (2, 2)])
     def test_pool_size_capped(self, monkeypatch, cpus, expected):
-        # 200 realizations are 4 batches, so a huge parallel_chunks must still
-        # start no more workers than there are batches or CPUs, and give each
-        # worker an equal run of batches
+        # 3 STREAM + 8 realizations are 4 streams, so a huge parallel_chunks
+        # must still start no more workers than there are streams or CPUs, and
+        # give each worker an equal run of streams
         seen = _record_pool(monkeypatch, cpus)
-        cfg = SimConfig(realizations=200, seed=9, parallel_chunks=5000)
+        cfg = SimConfig(realizations=3 * STREAM + 8, seed=9, parallel_chunks=5000)
         res = run_load_simulation(TCP_NET, cfg)
         run = 4 // expected
         assert seen == [(expected, [range(k, k + run) for k in range(0, 4, run)])]
-        serial = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=9))
+        serial = run_load_simulation(TCP_NET, SimConfig(realizations=3 * STREAM + 8, seed=9))
         assert np.array_equal(res.loads, serial.loads)
 
     def test_pool_chunks_balanced(self, monkeypatch):
-        # 4000 realizations are 63 batches; three chunks on two CPUs start two
-        # workers with 32 batches each, not three jobs of 21 on two workers
+        # 4000 realizations are 16 streams of 256; three chunks on two CPUs
+        # start two workers with 8 streams each, not three jobs of 6 on two
+        # workers
+        assert STREAM == 256
         seen = _record_pool(monkeypatch, 2)
         res = run_load_simulation(TCP_NET, SimConfig(realizations=4000, seed=9, parallel_chunks=3))
-        assert seen == [(2, [range(0, 32), range(32, 63)])]
+        assert seen == [(2, [range(0, 8), range(8, 16)])]
         serial = run_load_simulation(TCP_NET, SimConfig(realizations=4000, seed=9))
         assert np.array_equal(res.loads, serial.loads)
 
     def test_workers_capped_by_usable_cpus(self, monkeypatch):
-        # pinned to one CPU of two, two chunks run in-process, not as two
-        # workers sharing that CPU
+        # pinned to one CPU of two, two chunks of 4 streams run in-process, not
+        # as two workers sharing that CPU
         seen = _record_pool(monkeypatch, 1)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=9, parallel_chunks=2))
+        cfg = SimConfig(realizations=3 * STREAM + 8, seed=9, parallel_chunks=2)
+        run_load_simulation(TCP_NET, cfg)
         assert seen == []
         # without an affinity mask the CPU count caps the workers
         monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
-        run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=9, parallel_chunks=2))
+        run_load_simulation(TCP_NET, cfg)
         assert seen == [(2, [range(0, 2), range(2, 4)])]
 
     def test_distinct_seeds_differ(self):
@@ -228,22 +232,22 @@ class TestDeterminism:
         assert not np.array_equal(a.loads, b.loads)
 
     @pytest.mark.parametrize("seed", [5, 2**64 - 1])
-    def test_reset_slot_matches_a_new_stream(self, seed):
-        # a pass slot re-pointed to stream b draws what a new
-        # Philox(key=seed, counter=b << 128) draws, whatever it drew before
+    def test_stream_is_keyed_by_seed_and_counter(self, seed):
+        # stream b draws what Philox(key=seed, counter=b << 128) draws, up to
+        # the largest key and the counter's top bit; distinct streams differ
         def draws(rng):
             return (rng.random(9), rng.standard_normal(9), rng.poisson(3.0, 9),
                     rng.poisson(40.0, 9), rng.integers(np.array([5, 1000])),
                     rng.standard_exponential(9))
 
-        slot = _rng_for(seed, 0)
-        for b in (3, 0, 63, 2**64 + 7, 2**128 - 1):
-            slot.random(3, dtype=np.float32)   # leaves a half-used 64-bit word
-            slot.standard_normal(5)
-            assert _rng_for(seed, b, slot) is slot
-            new = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=b << 128))
-            for got, want in zip(draws(slot), draws(new)):
-                assert np.array_equal(got, want)
+        firsts = []
+        for b in (0, 3, 2**64 + 7, 2**128 - 1):
+            new = np.random.Generator(np.random.Philox(key=seed, counter=b << 128))
+            got = draws(_rng_for(seed, b))
+            for g, want in zip(got, draws(new)):
+                assert np.array_equal(g, want)
+            firsts.append(tuple(got[0]))
+        assert len(set(firsts)) == len(firsts)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_seed_outside_philox_key_rejected(self, seed):
@@ -332,7 +336,7 @@ class TestCircumradiusBound:
     def test_growth_covers_twice_the_bound(self):
         for lambda_b in (0.25, 1.0, 4.0):
             rng = _rng_for(33, 0)
-            stations, owner, drawn, span = _stations([rng], lambda_b, _BATCH)
+            stations, owner, drawn, span = _stations(rng, lambda_b, _BATCH)
             assert np.all(drawn >= span) and np.all(np.isfinite(span))
             assert np.all(_norm2(stations) <= drawn[owner] ** 2 * (1.0 + 1e-12))
             again = _span(_wedge_reach(*_grouped(stations, owner)))
@@ -353,25 +357,25 @@ class TestBatchedPowerTest:
         ids=["tcp", "mcp", "light"],
     )
     def test_matches_dense_test_on_engine_draws(self, net):
-        # redraw the engine's batches, add stations in the annulus beyond each
+        # redraw the engine's streams, add stations in the annulus beyond each
         # realization's drawn radius and users in the annulus beyond its bound
         # rho, and test every realization densely: the extras change no load
-        batches, seed = 3, 23
+        streams, seed, size = 3, 23, _stream_size(net)
         dense = []
-        for b in range(batches):
+        for b in range(streams):
             rng = _rng_for(seed, b)
-            stations, st_owner, drawn, span = _stations([rng], net.lambda_b, _BATCH)
-            users, owner = _pcp_batch([rng], net.users, 0.5 * span, _BATCH)
+            stations, st_owner, drawn, span = _stations(rng, net.lambda_b, size)
+            users, owner = _pcp_batch(rng, net.users, 0.5 * span, size)
             extra = _rng_for(seed + 1, b)
-            far, per = _disc_batch(extra, net.lambda_b, drawn, drawn + 2.0, _BATCH)
-            out, per_u = _disc_batch(extra, 200.0, 0.5 * span, 0.5 * span + 0.5, _BATCH)
+            far, per = _disc_batch(extra, net.lambda_b, drawn, drawn + 2.0, size)
+            out, per_u = _disc_batch(extra, 200.0, 0.5 * span, 0.5 * span + 0.5, size)
             assert np.all(_norm2(out) > (0.25 * span * span)[_owners(per_u)])
             dense.append(_dense_loads(np.vstack([users, out]),
                                       np.concatenate([owner, _owners(per_u)]),
                                       np.vstack([stations, far]),
-                                      np.concatenate([st_owner, _owners(per)]), _BATCH))
+                                      np.concatenate([st_owner, _owners(per)]), size))
         dense = np.concatenate(dense)
-        res = run_load_simulation(net, SimConfig(realizations=batches * _BATCH, seed=seed))
+        res = run_load_simulation(net, SimConfig(realizations=streams * size, seed=seed))
         assert np.array_equal(res.loads, dense)
         if net.users.intensity < 1.0:
             assert (dense == 0).any() and (dense > 0).any()
@@ -398,31 +402,29 @@ class TestBatchedPowerTest:
 
 class TestPasses:
     def test_pass_size(self):
-        # as many streams, up to 4, as keep the expected drawn points within 2^16
+        # a stream, which is one pass, is 64 times the most k, up to 4, that
+        # keep its expected drawn users within 2^16; no rate config enters
         wide = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.5)))
         big = NetworkModel(1.0, UserModel(5.0, 5.0, Matern(1.0)))
-        alpha3 = RateConfig(alpha=3.0, bandwidth_w=1e6)
-        assert [_pass_streams(TCP_NET, None), _pass_streams(TCP_NET, RATE_CFG)] == [4, 4]
-        assert [_pass_streams(MCP_NET, None), _pass_streams(big, None)] == [4, 3]
-        # a SIR run draws its stations only out to |u| + W', so alpha = 3 fits four streams
-        assert [_pass_streams(wide, None), _pass_streams(TCP_NET, alpha3)] == [1, 4]
+        thomas_01 = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.1)))
+        assert [_stream_size(TCP_NET), _stream_size(MCP_NET), _stream_size(big)] == [256, 256, 192]
+        assert [_stream_size(wide), _stream_size(thomas_01)] == [64, 256]
 
     @pytest.mark.parametrize("kind", [Thomas(0.05), Thomas(0.5), Matern(0.1)],
                              ids=["tcp-0.05", "tcp-0.5", "mcp-0.1"])
     @pytest.mark.parametrize("realizations", [129, 1000])
     def test_outputs_do_not_depend_on_pass_size(self, monkeypatch, kind, realizations):
-        # passes of 1 to 4 streams, on 1 chunk and on 2 (run in-process),
-        # give bitwise the same loads, SIR, rate and windows
-        _record_pool(monkeypatch, 2)
+        # a worker walks its run of streams one pass of _stream_size(net)
+        # realizations at a time; runs of every length, on 1, 2 and 3 chunks
+        # (run in-process), give bitwise the same loads, SIR, rate and windows
+        _record_pool(monkeypatch, 3)
         net = NetworkModel(1.0, UserModel(5.0, 5.0, kind))
         # SIR at alpha = 4 and at alpha = 3
         runs = []
-        for streams in (1, 2, 3, 4):
-            monkeypatch.setattr(montecarlo, "_pass_streams", lambda net, rate_cfg, k=streams: k)
-            for chunks in (1, 2):
-                cfg = SimConfig(realizations, seed=41, parallel_chunks=chunks)
-                runs.append((run_load_simulation(net, cfg), run_sir_simulation(net, cfg, RATE_CFG),
-                             run_sir_simulation(net, cfg, ALPHA3_CFG)))
+        for chunks in (1, 2, 3):
+            cfg = SimConfig(realizations, seed=41, parallel_chunks=chunks)
+            runs.append((run_load_simulation(net, cfg), run_sir_simulation(net, cfg, RATE_CFG),
+                         run_sir_simulation(net, cfg, ALPHA3_CFG)))
         (load, *sirs), rest = runs[0], runs[1:]
         for other_load, *other_sirs in rest:
             assert np.array_equal(other_load.loads, load.loads)
@@ -484,10 +486,9 @@ class TestWindowInvariants:
         # to; a SIR run reports the largest R_i = max(drawn_i, |u_i| + W') over
         # its realizations (R_i = drawn_i for an empty cell); whole streams,
         # so every R_i the sampler computes belongs to the run
-        cfg = SimConfig(realizations=16 * _BATCH, seed=0)
+        cfg = SimConfig(realizations=4 * STREAM, seed=0)
         load = run_load_simulation(TCP_NET, cfg)
-        rng = _rng_for(0, 0)
-        assert load.window_radius >= _stations([rng], 1.0, _BATCH)[2].max()
+        assert load.window_radius >= _stations(_rng_for(0, 0), 1.0, STREAM)[2].max()
         assert 2.0 < load.window_radius < 5.0
         assert _sir_window(TCP_NET, 4.0) == pytest.approx(2.3712, abs=1e-4)
         seen = []
@@ -513,7 +514,7 @@ class TestWindowInvariants:
             return real(rng, intensity, inner, radius, size)
 
         monkeypatch.setattr(montecarlo, "_disc_batch", recording)
-        res = run_load_simulation(TCP_NET, SimConfig(realizations=3 * _BATCH, seed=4))
+        res = run_load_simulation(TCP_NET, SimConfig(realizations=3 * STREAM, seed=4))
         assert len(outer) > 3 and max(outer) == res.window_radius
 
     def test_sir_window_at_alpha_3_keeps_loads(self):
@@ -521,6 +522,17 @@ class TestWindowInvariants:
         loads_only = run_load_simulation(TCP_NET, cfg)
         with_sir = run_sir_simulation(TCP_NET, cfg, ALPHA3_CFG)
         assert with_sir.window_radius < 8.0
+        assert np.array_equal(loads_only.loads, with_sir.loads)
+
+    def test_sir_run_keeps_loads_where_its_draws_would_shrink_a_stream(self):
+        # at Thomas sigma = 0.1 and alpha = 3 the users and the SIR run's
+        # stations together exceed 2^16 expected points per 256 realizations;
+        # a stream size that counted the stations would change the SIR run's
+        # draws, and so its loads
+        net = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.1)))
+        cfg = SimConfig(realizations=2 * _stream_size(net) + 10, seed=19)
+        loads_only = run_load_simulation(net, cfg)
+        with_sir = run_sir_simulation(net, cfg, ALPHA3_CFG)
         assert np.array_equal(loads_only.loads, with_sir.loads)
 
     def test_interference_window_guard(self):
