@@ -23,16 +23,14 @@ implies |x - u| > W', that holds for every u.  W' is 3.94 at alpha = 3, 2.37
 at alpha = 4 and 1.74 at alpha = 5, for lambda_b = 1, so a SIR realization
 costs about what a load realization does at every alpha >= 3.
 
-Streams.  A model's realizations come in streams of `_stream_size`
-realizations, 64 k for the largest k <= 4 whose expected drawn users stay
-within _PASS_POINTS.  Stream b draws from a Philox generator keyed by
-(seed, b) (Salmon et al. 2011) and runs as one pass on one set of arrays,
-drawn in full, the last one truncated, so for a given model realization k
-depends only on (seed, k) and a run of n is a prefix of any longer run with
-the same seed.  The size ignores the rate config, so a SIR run draws its
-loads as a load run does and its SIR draws after them.  Workers take
-contiguous runs of streams and outputs are concatenated in stream order, so
-results are bitwise identical for any parallel_chunks.
+Streams.  Realizations come in streams of _BATCH = 256.  Stream b draws
+from a Philox generator keyed by (seed, b) (Salmon et al. 2011) and runs as
+one pass on one set of arrays, drawn in full, the last one truncated, so
+realization k depends only on (seed, k) and a run of n is a prefix of any
+longer run with the same seed.  A SIR run draws its loads as a load run does
+and its SIR draws after them.  Workers take contiguous runs of streams and
+outputs are concatenated in stream order, so results are bitwise identical
+for any parallel_chunks.
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ __all__ = [
     "empirical_ccdf", "tv_distance", "points_in_typical_cell",
 ]
 
-_BATCH = 64                # stream sizes are 1 to 4 of these
-_PASS_POINTS = 2**16       # most expected users drawn in one stream; bigger arrays ran slower
+_BATCH = 256               # realizations per Philox stream, drawn as one pass
 _FIRST_STATIONS = 9.0      # mean station count of the first disc
 _DIRECTIONS = 32           # wedges of the circumradius bound
 _STAGE1 = 8                # station columns per stage of the power test
@@ -349,16 +346,6 @@ def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
     return np.sort(np.concatenate(inside + [alive]))
 
 
-def _stream_size(net: NetworkModel) -> int:
-    """Realizations per stream: _BATCH k for the most k, up to 4, whose
-    expected drawn users stay within _PASS_POINTS.  A realization draws about
-    lambda_p m_bar pi (rho + reach)^2 users, around a typical bound
-    rho = 1.05 / sqrt(lambda_b)."""
-    rho = 1.05 / math.sqrt(net.lambda_b)
-    users = net.users.intensity * math.pi * (rho + cluster_reach(net.users)) ** 2
-    return _BATCH * next((k for k in (4, 3, 2) if k * _BATCH * users <= _PASS_POINTS), 1)
-
-
 def _pass(net, rng, rate_cfg, size: int):
     """Loads, SIR and rate (None for a load run) and window radii of the
     `size` realizations of one stream.  A SIR run draws, after the loads (so
@@ -408,9 +395,9 @@ def _pass(net, rng, rate_cfg, size: int):
     return loads, sir, rate, window
 
 
-def _walk(net, seed, rate_cfg, size, streams):
+def _walk(net, seed, rate_cfg, streams):
     """The passes of a contiguous run of streams, in order, one per stream."""
-    return [_pass(net, _rng_for(seed, b), rate_cfg, size) for b in streams]
+    return [_pass(net, _rng_for(seed, b), rate_cfg, _BATCH) for b in streams]
 
 
 def _stack(parts, size):
@@ -428,11 +415,10 @@ def _usable_cpus() -> int:
 
 
 def _simulate(net, cfg, rate_cfg):
-    size = _stream_size(net)
-    streams = -(-cfg.realizations // size)
+    streams = -(-cfg.realizations // _BATCH)
     per_worker = -(-streams // min(cfg.parallel_chunks, streams, _usable_cpus()))
     runs = [range(a, min(a + per_worker, streams)) for a in range(0, streams, per_worker)]
-    job = functools.partial(_walk, net, cfg.seed, rate_cfg, size)
+    job = functools.partial(_walk, net, cfg.seed, rate_cfg)
     if len(runs) == 1:
         parts = job(runs[0])
     else:

@@ -30,7 +30,6 @@ from cellload.montecarlo import (
     _rng_for,
     _sir_window,
     _stations,
-    _stream_size,
     _wedge_reach,
 )
 from cellload.ppmodel import Matern, NetworkModel, Thomas, UserModel
@@ -41,7 +40,7 @@ TCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.05)))
 MCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Matern(0.1)))
 RATE_CFG = RateConfig(alpha=4.0, bandwidth_w=1e6)
 ALPHA3_CFG = RateConfig(alpha=3.0, bandwidth_w=1e6)
-STREAM = _stream_size(TCP_NET)   # 256 realizations
+SETS = 64   # realizations per call in the geometry tests of single helpers
 
 
 class TestSamplers:
@@ -155,58 +154,64 @@ class TestDeterminism:
         assert np.array_equal(a.loads, b.loads)
 
     def test_chunking_invariance(self):
-        a = run_load_simulation(TCP_NET, SimConfig(realizations=301, seed=12, parallel_chunks=1))
-        b = run_load_simulation(TCP_NET, SimConfig(realizations=301, seed=12, parallel_chunks=3))
+        # five streams, the last partial, on up to three workers
+        n = 4 * _BATCH + 45
+        a = run_load_simulation(TCP_NET, SimConfig(realizations=n, seed=12, parallel_chunks=1))
+        b = run_load_simulation(TCP_NET, SimConfig(realizations=n, seed=12, parallel_chunks=3))
         assert np.array_equal(a.loads, b.loads)
 
     def test_sir_run_preserves_load_stream(self):
-        cfg = SimConfig(realizations=200, seed=14)
+        cfg = SimConfig(realizations=3 * _BATCH + 8, seed=14)
         loads_only = run_load_simulation(TCP_NET, cfg)
         with_sir = run_sir_simulation(TCP_NET, cfg, RATE_CFG)
         assert np.array_equal(loads_only.loads, with_sir.loads)
 
-    @pytest.mark.parametrize("realizations, chunks", [(129, 2), (10, 3)])
-    def test_chunking_invariance_off_batch_boundaries(self, realizations, chunks):
-        # neither size is a whole number of batches; (10, 3) asks for more
-        # chunks than there are batches
+    @pytest.mark.parametrize("length, chunks", [(129, 2), (10, 3)])
+    def test_chunking_invariance_off_batch_boundaries(self, length, chunks):
+        # runs of `length` 64ths of a stream: 129 is three streams, the last
+        # with 4 realizations, on two workers; 10 is part of one stream and
+        # asks for more chunks than there are streams
+        realizations = length * _BATCH // 64
         cfg = SimConfig(realizations=realizations, seed=13)
         a = run_load_simulation(TCP_NET, cfg)
         b = run_load_simulation(TCP_NET, SimConfig(realizations, seed=13, parallel_chunks=chunks))
         assert np.array_equal(a.loads, b.loads)
 
     def test_prefix_stability(self):
-        short = run_load_simulation(TCP_NET, SimConfig(realizations=100, seed=10))
-        long = run_load_simulation(TCP_NET, SimConfig(realizations=300, seed=10))
-        assert np.array_equal(short.loads, long.loads[:100])
+        # the short run ends inside the second of the long run's five streams
+        short = run_load_simulation(TCP_NET, SimConfig(realizations=_BATCH + 144, seed=10))
+        long = run_load_simulation(TCP_NET, SimConfig(realizations=4 * _BATCH + 176, seed=10))
+        assert np.array_equal(short.loads, long.loads[:_BATCH + 144])
 
     def test_sir_run_preserves_load_stream_across_chunks(self):
-        loads_only = run_load_simulation(TCP_NET, SimConfig(realizations=200, seed=14))
+        # four streams, the last partial, on two worker processes
+        n = 3 * _BATCH + 8
+        loads_only = run_load_simulation(TCP_NET, SimConfig(realizations=n, seed=14))
         with_sir = run_sir_simulation(
-            TCP_NET, SimConfig(realizations=200, seed=14, parallel_chunks=2), RATE_CFG
+            TCP_NET, SimConfig(realizations=n, seed=14, parallel_chunks=2), RATE_CFG
         )
         assert np.array_equal(loads_only.loads, with_sir.loads)
-        serial = run_sir_simulation(TCP_NET, SimConfig(realizations=200, seed=14), RATE_CFG)
+        serial = run_sir_simulation(TCP_NET, SimConfig(realizations=n, seed=14), RATE_CFG)
         assert np.array_equal(serial.sir, with_sir.sir, equal_nan=True)
         assert np.array_equal(serial.rate, with_sir.rate, equal_nan=True)
 
     @pytest.mark.parametrize("cpus, expected", [(8, 4), (2, 2)])
     def test_pool_size_capped(self, monkeypatch, cpus, expected):
-        # 3 STREAM + 8 realizations are 4 streams, so a huge parallel_chunks
+        # 3 x 256 + 8 realizations are 4 streams, so a huge parallel_chunks
         # must still start no more workers than there are streams or CPUs, and
         # give each worker an equal run of streams
         seen = _record_pool(monkeypatch, cpus)
-        cfg = SimConfig(realizations=3 * STREAM + 8, seed=9, parallel_chunks=5000)
+        cfg = SimConfig(realizations=3 * _BATCH + 8, seed=9, parallel_chunks=5000)
         res = run_load_simulation(TCP_NET, cfg)
         run = 4 // expected
         assert seen == [(expected, [range(k, k + run) for k in range(0, 4, run)])]
-        serial = run_load_simulation(TCP_NET, SimConfig(realizations=3 * STREAM + 8, seed=9))
+        serial = run_load_simulation(TCP_NET, SimConfig(realizations=3 * _BATCH + 8, seed=9))
         assert np.array_equal(res.loads, serial.loads)
 
     def test_pool_chunks_balanced(self, monkeypatch):
         # 4000 realizations are 16 streams of 256; three chunks on two CPUs
         # start two workers with 8 streams each, not three jobs of 6 on two
         # workers
-        assert STREAM == 256
         seen = _record_pool(monkeypatch, 2)
         res = run_load_simulation(TCP_NET, SimConfig(realizations=4000, seed=9, parallel_chunks=3))
         assert seen == [(2, [range(0, 8), range(8, 16)])]
@@ -218,7 +223,7 @@ class TestDeterminism:
         # as two workers sharing that CPU
         seen = _record_pool(monkeypatch, 1)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        cfg = SimConfig(realizations=3 * STREAM + 8, seed=9, parallel_chunks=2)
+        cfg = SimConfig(realizations=3 * _BATCH + 8, seed=9, parallel_chunks=2)
         run_load_simulation(TCP_NET, cfg)
         assert seen == []
         # without an affinity mask the CPU count caps the workers
@@ -263,7 +268,7 @@ def _norm2(pts):
 
 def _grouped(stations, owner):
     order = np.argsort(owner, kind="stable")
-    return stations[order], np.bincount(owner, minlength=_BATCH)
+    return stations[order], np.bincount(owner, minlength=SETS)
 
 
 def _span(reach):
@@ -290,14 +295,14 @@ class TestCircumradiusBound:
         rho, exact = [], []
         for b in range(16):
             rng = _rng_for(31, b)
-            stations, per = _disc_batch(rng, 1.0, 0.0, rng.uniform(0.3, 4.5, _BATCH), _BATCH)
+            stations, per = _disc_batch(rng, 1.0, 0.0, rng.uniform(0.3, 4.5, SETS), SETS)
             reach = _wedge_reach(stations, per)
             rho.append(0.5 * _span(reach))
             owner = _owners(per)
             # empty realizations sit between others and must not borrow their stations
-            alone = [_wedge_reach(stations[owner == k], per[k:k + 1]) for k in range(_BATCH)]
+            alone = [_wedge_reach(stations[owner == k], per[k:k + 1]) for k in range(SETS)]
             np.testing.assert_allclose(reach, np.hstack(alone), rtol=1e-12, atol=0.0)
-            exact.append([_circumradius(stations[owner == k]) for k in range(_BATCH)])
+            exact.append([_circumradius(stations[owner == k]) for k in range(SETS)])
         rho, exact = np.concatenate(rho), np.array(exact).ravel()
         assert np.all(rho >= exact)
         finite = np.isfinite(exact)
@@ -326,17 +331,17 @@ class TestCircumradiusBound:
         alone = _wedge_reach(two, np.array([2]))
         assert np.array_equal(_wedge_reach(two, np.array([2, 0]))[:, :1], alone)
         assert np.array_equal(_wedge_reach(two, np.array([0, 2, 0, 0]))[:, 1:2], alone)
-        stations, per = _disc_batch(_rng_for(35, 0), 1.0, 0.0, 2.0, _BATCH)
+        stations, per = _disc_batch(_rng_for(35, 0), 1.0, 0.0, 2.0, SETS)
         owner = _owners(per)
         reach = _wedge_reach(stations, per)
-        for k in range(_BATCH):
+        for k in range(SETS):
             alone = _wedge_reach(stations[owner == k], per[k:k + 1])
             assert np.array_equal(reach[:, k:k + 1], alone)
 
     def test_growth_covers_twice_the_bound(self):
         for lambda_b in (0.25, 1.0, 4.0):
             rng = _rng_for(33, 0)
-            stations, owner, drawn, span = _stations(rng, lambda_b, _BATCH)
+            stations, owner, drawn, span = _stations(rng, lambda_b, SETS)
             assert np.all(drawn >= span) and np.all(np.isfinite(span))
             assert np.all(_norm2(stations) <= drawn[owner] ** 2 * (1.0 + 1e-12))
             again = _span(_wedge_reach(*_grouped(stations, owner)))
@@ -360,7 +365,7 @@ class TestBatchedPowerTest:
         # redraw the engine's streams, add stations in the annulus beyond each
         # realization's drawn radius and users in the annulus beyond its bound
         # rho, and test every realization densely: the extras change no load
-        streams, seed, size = 3, 23, _stream_size(net)
+        streams, seed, size = 3, 23, _BATCH
         dense = []
         for b in range(streams):
             rng = _rng_for(seed, b)
@@ -401,30 +406,45 @@ class TestBatchedPowerTest:
 
 
 class TestPasses:
-    def test_pass_size(self):
-        # a stream, which is one pass, is 64 times the most k, up to 4, that
-        # keep its expected drawn users within 2^16; no rate config enters
+    def test_pass_size(self, monkeypatch):
+        # every stream is one pass of 256 realizations on its own generator,
+        # keyed by (seed, stream), whatever the user model or rate config; the
+        # run keeps the first `realizations` of the last pass
+        seen = []
+        real = montecarlo._pass
+
+        def recording(net, rng, rate_cfg, size):
+            seen.append((size, rng.bit_generator.state["state"]["counter"].tolist()))
+            return real(net, rng, rate_cfg, size)
+
         wide = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.5)))
         big = NetworkModel(1.0, UserModel(5.0, 5.0, Matern(1.0)))
-        thomas_01 = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.1)))
-        assert [_stream_size(TCP_NET), _stream_size(MCP_NET), _stream_size(big)] == [256, 256, 192]
-        assert [_stream_size(wide), _stream_size(thomas_01)] == [64, 256]
+        monkeypatch.setattr(montecarlo, "_pass", recording)
+        for net in (TCP_NET, MCP_NET, wide, big):
+            for alpha in (None, 3.0, 4.0):
+                seen.clear()
+                res = _run(net, alpha, SimConfig(realizations=_BATCH + 10, seed=44))
+                assert res.loads.size == _BATCH + 10
+                assert seen == [(256, [0, 0, 0, 0]), (256, [0, 0, 1, 0])]
 
     @pytest.mark.parametrize("kind", [Thomas(0.05), Thomas(0.5), Matern(0.1)],
                              ids=["tcp-0.05", "tcp-0.5", "mcp-0.1"])
-    @pytest.mark.parametrize("realizations", [129, 1000])
-    def test_outputs_do_not_depend_on_pass_size(self, monkeypatch, kind, realizations):
-        # a worker walks its run of streams one pass of _stream_size(net)
-        # realizations at a time; runs of every length, on 1, 2 and 3 chunks
-        # (run in-process), give bitwise the same loads, SIR, rate and windows
-        _record_pool(monkeypatch, 3)
+    @pytest.mark.parametrize("length", [129, 1000])
+    def test_outputs_do_not_depend_on_pass_size(self, monkeypatch, kind, length):
+        # runs of `length` 64ths of a stream, 3 and 16 streams with the last
+        # one partial, walked one pass per stream on 1, 2 and 3 chunks (run
+        # in-process on three CPUs: 3 streams go to 2 and 3 workers, 16 to 2
+        # and 3) give bitwise the same loads, SIR, rate and windows
+        seen = _record_pool(monkeypatch, 3)
         net = NetworkModel(1.0, UserModel(5.0, 5.0, kind))
+        realizations = length * _BATCH // 64
         # SIR at alpha = 4 and at alpha = 3
         runs = []
         for chunks in (1, 2, 3):
             cfg = SimConfig(realizations, seed=41, parallel_chunks=chunks)
             runs.append((run_load_simulation(net, cfg), run_sir_simulation(net, cfg, RATE_CFG),
                          run_sir_simulation(net, cfg, ALPHA3_CFG)))
+        assert [workers for workers, _ in seen] == [2, 2, 2, 3, 3, 3]
         (load, *sirs), rest = runs[0], runs[1:]
         for other_load, *other_sirs in rest:
             assert np.array_equal(other_load.loads, load.loads)
@@ -486,9 +506,9 @@ class TestWindowInvariants:
         # to; a SIR run reports the largest R_i = max(drawn_i, |u_i| + W') over
         # its realizations (R_i = drawn_i for an empty cell); whole streams,
         # so every R_i the sampler computes belongs to the run
-        cfg = SimConfig(realizations=4 * STREAM, seed=0)
+        cfg = SimConfig(realizations=4 * _BATCH, seed=0)
         load = run_load_simulation(TCP_NET, cfg)
-        assert load.window_radius >= _stations(_rng_for(0, 0), 1.0, STREAM)[2].max()
+        assert load.window_radius >= _stations(_rng_for(0, 0), 1.0, _BATCH)[2].max()
         assert 2.0 < load.window_radius < 5.0
         assert _sir_window(TCP_NET, 4.0) == pytest.approx(2.3712, abs=1e-4)
         seen = []
@@ -514,7 +534,7 @@ class TestWindowInvariants:
             return real(rng, intensity, inner, radius, size)
 
         monkeypatch.setattr(montecarlo, "_disc_batch", recording)
-        res = run_load_simulation(TCP_NET, SimConfig(realizations=3 * STREAM, seed=4))
+        res = run_load_simulation(TCP_NET, SimConfig(realizations=3 * _BATCH, seed=4))
         assert len(outer) > 3 and max(outer) == res.window_radius
 
     def test_sir_window_at_alpha_3_keeps_loads(self):
@@ -524,13 +544,12 @@ class TestWindowInvariants:
         assert with_sir.window_radius < 8.0
         assert np.array_equal(loads_only.loads, with_sir.loads)
 
-    def test_sir_run_keeps_loads_where_its_draws_would_shrink_a_stream(self):
-        # at Thomas sigma = 0.1 and alpha = 3 the users and the SIR run's
-        # stations together exceed 2^16 expected points per 256 realizations;
-        # a stream size that counted the stations would change the SIR run's
-        # draws, and so its loads
+    def test_sir_run_keeps_loads_on_wider_clusters(self):
+        # at Thomas sigma = 0.1 and alpha = 3 a stream draws more users and
+        # SIR stations than on the paper model; the SIR run still draws each
+        # stream's loads first, as a load run does
         net = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.1)))
-        cfg = SimConfig(realizations=2 * _stream_size(net) + 10, seed=19)
+        cfg = SimConfig(realizations=2 * _BATCH + 10, seed=19)
         loads_only = run_load_simulation(net, cfg)
         with_sir = run_sir_simulation(net, cfg, ALPHA3_CFG)
         assert np.array_equal(loads_only.loads, with_sir.loads)
