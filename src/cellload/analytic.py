@@ -26,6 +26,7 @@ coefficients limits.  Panel counts double until two grids agree.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -209,13 +210,21 @@ def _pair_excess_integral(net: NetworkModel) -> quadrature.IntegrationResult:
 
 
 def load_moments(net: NetworkModel) -> LoadMoments:
-    """Exact first two moments of the typical-cell load."""
+    """Exact first two moments of the typical-cell load.  Moments beyond the
+    float range (a second moment or error that overflows, or a mean load whose
+    square is not a normal float) raise ConvergenceError."""
     norm = net.normalized()
     lam_u = norm.users.intensity
     mean = lam_u  # lambda_u / lambda_b with lambda_b = 1
-    excess = _pair_excess_integral(net)
-    second = mean + lam_u**2 * E_V2 + excess.value
-    err2 = lam_u**2 * _E_V2_ERROR + excess.error_estimate
+    try:   # Python floats raise on a ** that overflows and on / 0, numpy does here
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            excess = _pair_excess_integral(net)
+        second = mean + lam_u**2 * E_V2 + excess.value
+        err2 = lam_u**2 * _E_V2_ERROR + excess.error_estimate
+    except ArithmeticError:
+        second = err2 = math.inf
+    if not (math.isfinite(second + err2) and mean * mean >= sys.float_info.min):
+        raise ConvergenceError(f"load moments beyond the float range (mean load {mean:.3g})")
     variance = second - mean**2
     if variance < 0:
         raise ConvergenceError("negative variance from quadrature", best_estimate=variance)
@@ -434,7 +443,12 @@ def load_pmf(net: NetworkModel) -> DftPmf:
     whose bound on the aliased mass is at most 1e-12, cut where at most 1e-12
     of the mass lies beyond the last term.  A PMF whose mean misses the exact
     mean_load(net) by more than 1e-6 relative (or 1e-12, the trimmed mass)
-    raises ConvergenceError: the table's cluster CDF has lost it."""
+    raises ConvergenceError: the table's cluster CDF has lost it.  So does
+    m_bar >= _MAX_DFT_SIZE, before any table: the series runs past m_bar
+    terms, and no DFT size tried is above that."""
+    if net.users.m_bar >= _MAX_DFT_SIZE:
+        raise ConvergenceError(f"mbar {net.users.m_bar:.6g} needs more series terms than "
+                               f"{_MAX_DFT_SIZE}, the largest DFT size")
     def trimmed(r_weights, c):
         pmf = _dft_pmf(r_weights, c)
         size = max(1, int(np.count_nonzero(np.cumsum(pmf.probs[::-1]) > _TAIL_TOL)))

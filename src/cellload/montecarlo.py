@@ -7,10 +7,13 @@ max_x (2 u.x - |x|^2) < 0 over the stations x.
 Windows.  A cell point y between the unit directions e_k and e_{k+1} has
 |y| min(x.e_k, x.e_{k+1}) <= y.x <= |x|^2 / 2, so the circumradius is at most
 rho = max_k min_x |x|^2 / (2 min(x.e_k, x.e_{k+1})), over the stations x with
-a positive min, and more stations only shrink the cell.  Stations are drawn
-out to _FIRST_STATIONS expected ones, then, while 2 rho exceeds the drawn
-radius, out to min(2 rho, twice that radius).  Users are drawn in b(o, rho)
-and tested against the stations within 2 rho, which decide them exactly.
+a positive min, and more stations only shrink the cell.  Seen from the
+origin a PPP's stations come nearest first: pi lambda_b |x_k|^2 is a sum of
+k unit exponentials and the angles are i.i.d. uniform (Haenggi 2012, ch. 2).
+Stations are drawn so, _STAGE1 at a time, until 2 rho is at most the last
+one's distance, the drawn radius; beyond it lies a fresh PPP (the arrival
+times' strong Markov property).  Users are drawn in b(o, rho) and tested
+against the stations within 2 rho, which decide them exactly.
 window_radius is the largest radius any realization drew stations to.
 
 SIR far field.  A SIR realization with representative user u draws the
@@ -54,9 +57,9 @@ __all__ = [
 ]
 
 _BATCH = 256               # realizations per Philox stream, drawn as one pass
-_FIRST_STATIONS = 9.0      # mean station count of the first disc
+_MAX_PARENTS = 2**20       # expected cluster parents a stream may draw
 _DIRECTIONS = 32           # wedges of the circumradius bound
-_STAGE1 = 8                # station columns per stage of the power test
+_STAGE1 = 8                # station columns per draw round and per power-test stage
 
 # the wedge edges e_0 .. e_{K-1} and e_0 again, as (K + 1, 2)
 _EDGES = 2.0 * math.pi / _DIRECTIONS * (np.arange(_DIRECTIONS + 1) % _DIRECTIONS)
@@ -144,16 +147,6 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
 def _norm2(pts: np.ndarray) -> np.ndarray:
     out = pts[:, 0] * pts[:, 0]
     out += pts[:, 1] * pts[:, 1]
-    return out
-
-
-def _dist2(pts: np.ndarray, centres: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """|pts - centres[owner]|^2, one coordinate at a time."""
-    out = pts[:, 0] - centres[owner, 0]
-    out *= out
-    dy = pts[:, 1] - centres[owner, 1]
-    dy *= dy
-    out += dy
     return out
 
 
@@ -250,50 +243,49 @@ def points_in_typical_cell(points: np.ndarray, stations: np.ndarray) -> np.ndarr
     return power.max(axis=1) < 0.0
 
 
-def _wedge_reach(stations, counts) -> np.ndarray:
-    """Per wedge k and realization, the max over its stations (grouped, with
-    these counts) of min(x.e_k, x.e_{k+1}) / |x|^2, as (_DIRECTIONS,
-    realizations); 0 for none.  1 / (2 rho) is the min over k.  Each dot
-    product is elementwise and each max runs over one realization's own
-    stations, so a realization's bits do not depend on the others in the
-    call.  Wedges go in blocks of 8, which keeps the (edges, stations) tables
-    small."""
-    reach = np.zeros((_DIRECTIONS, counts.size))
-    if stations.shape[0] == 0:
-        return reach
-    n2 = _norm2(stations)
-    ux, uy = stations[:, 0] / n2, stations[:, 1] / n2
-    busy = counts > 0
-    first = (np.cumsum(counts) - counts)[busy]
-    maxima = np.empty((_DIRECTIONS, first.size))
-    for k in range(0, _DIRECTIONS, 8):
-        dots = np.multiply.outer(_EDGES[k:k + 9, 0], ux)
-        dots += np.multiply.outer(_EDGES[k:k + 9, 1], uy)
-        np.maximum.reduceat(np.minimum(dots[:-1], dots[1:]), first, axis=1, out=maxima[k:k + 8])
-    reach[:, busy] = maxima
+def _wedge_reach(cols) -> np.ndarray:
+    """Per wedge k and realization, the max of 0 and min(2x.e_k, 2x.e_{k+1}) /
+    |x|^2 over the rows of cols = (2x, 2y, |x|^2), (3, rows, realizations),
+    as (_DIRECTIONS, realizations); 1 / rho is the min over k, and padding at
+    infinity adds 0.  Every operation is elementwise along the realizations,
+    so a realization's bits do not depend on the others in the call."""
+    reach = np.zeros((_DIRECTIONS, cols.shape[2]))
+    for sx, sy, sn2 in zip(*cols):
+        dots = np.multiply.outer(_EDGES[:, 0], sx / sn2)
+        dots += np.multiply.outer(_EDGES[:, 1], sy / sn2)
+        np.maximum(reach, np.minimum(dots[:-1], dots[1:]), out=reach)
     return reach
 
 
 def _stations(rng: np.random.Generator, lambda_b: float, size: int):
-    """Stations of `size` realizations, their owners, each realization's
-    drawn radius and its span 2 rho <= drawn; a round grows the realizations
-    in `grow`."""
-    rings, owners = [], []
+    """Stations of `size` realizations, nearest first, as (3, columns, size)
+    columns (2x, 2y, |x|^2) padded with (0, 0, inf), with each realization's
+    drawn radius (its last station's distance) and its span 2 rho <= drawn.
+    A round draws the next _STAGE1 stations of the realizations in `grow`:
+    pi lambda_b |x|^2 grows by unit exponentials and the angles are uniform."""
+    blocks = []
     reach = np.zeros((_DIRECTIONS, size))
-    drawn = np.zeros(size)
+    arrival = np.zeros(size)       # pi lambda_b |x|^2 of each realization's last station
+    span = np.full(size, np.inf)
     grow = np.arange(size)
-    outer = np.full(size, math.sqrt(_FIRST_STATIONS / (math.pi * lambda_b)))
     while grow.size:
-        ring, per = _disc_batch(rng, lambda_b, drawn[grow], outer, grow.size)
-        rings.append(ring)
-        owners.append(grow[_owners(per)])
-        drawn[grow] = outer
-        reach[:, grow] = np.maximum(reach[:, grow], _wedge_reach(ring, per))
-        worst = reach.min(axis=0)
-        span = np.divide(1.0, worst, out=np.full(size, np.inf), where=worst > 0.0)
-        grow = grow[span[grow] > drawn[grow]]
-        outer = np.minimum(span[grow], 2.0 * drawn[grow])
-    return np.concatenate(rings), np.concatenate(owners), drawn, span
+        new = np.empty((3, _STAGE1, grow.size))
+        new[2] = arrival[grow] + np.cumsum(rng.standard_exponential(new[2].shape), axis=0)
+        arrival[grow] = new[2, -1]
+        new[2] /= math.pi * lambda_b
+        angle = 2.0 * math.pi * rng.random(new[2].shape)
+        twice = 2.0 * np.sqrt(new[2])
+        new[0] = twice * np.cos(angle)
+        new[1] = twice * np.sin(angle)
+        reach[:, grow] = np.maximum(reach[:, grow], _wedge_reach(new))
+        worst = reach[:, grow].min(axis=0)
+        span[grow] = np.divide(2.0, worst, out=np.full(grow.size, np.inf), where=worst > 0.0)
+        block = np.zeros((3, _STAGE1, size))
+        block[2] = np.inf
+        block[:, :, grow] = new
+        blocks.append(block)
+        grow = grow[span[grow] > np.sqrt(new[2, -1])]
+    return np.concatenate(blocks, axis=1), np.sqrt(arrival / (math.pi * lambda_b)), span
 
 
 def _max_power(ux, uy, per_real, cols):
@@ -313,34 +305,25 @@ def _max_power(ux, uy, per_real, cols):
     return peak
 
 
-def _in_cell(users, owner, stations, st_owner, size: int) -> np.ndarray:
+def _in_cell(users, owner, cols, near) -> np.ndarray:
     """Indices of the users in their realization's typical cell: the power
-    test of `points_in_typical_cell` for a batch grouped by realization.
-    Stations go, in their order, into columns of one station per
-    realization, padded with x = 0, |x|^2 = +inf.  Each stage tests the users
-    still alive against the next _STAGE1 columns and drops those with a
-    non-negative power; a user whose realization has no station left is in
-    the cell.  Exact for any order; near stations first make the first stage
+    test of `points_in_typical_cell` for a batch grouped by realization,
+    against station columns as `_stations` gives them, of which the first
+    near[k] decide realization k.  Each stage tests the users still alive
+    against the next _STAGE1 columns and drops those with a non-negative
+    power; a user whose realization has no deciding station left is in the
+    cell.  Exact for any order; near stations first make the first stage
     drop the most."""
-    per_st = np.bincount(st_owner, minlength=size)
-    width = int(per_st.max(initial=0))
-    slot = np.arange(st_owner.size) - np.repeat(np.cumsum(per_st) - per_st, per_st)
-    cols = np.zeros((3, width, size))
-    cols[2] = np.inf
-    cols[0, slot, st_owner] = 2.0 * stations[:, 0]
-    cols[1, slot, st_owner] = 2.0 * stations[:, 1]
-    cols[2, slot, st_owner] = _norm2(stations)
-
     ux = np.ascontiguousarray(users[:, 0])
     uy = np.ascontiguousarray(users[:, 1])
-    peak = _max_power(ux, uy, np.bincount(owner, minlength=size), cols[:, :_STAGE1])
+    peak = _max_power(ux, uy, np.bincount(owner, minlength=near.size), cols[:, :_STAGE1])
     alive = np.flatnonzero(peak < 0.0)
     inside = []
-    for first in range(_STAGE1, width, _STAGE1):
-        left = per_st[owner[alive]] > first
+    for first in range(_STAGE1, int(near.max(initial=0)), _STAGE1):
+        left = near[owner[alive]] > first
         inside.append(alive[~left])
         alive = alive[left]
-        peak = _max_power(ux[alive], uy[alive], np.bincount(owner[alive], minlength=size),
+        peak = _max_power(ux[alive], uy[alive], np.bincount(owner[alive], minlength=near.size),
                           cols[:, first:first + _STAGE1])
         alive = alive[peak < 0.0]
     return np.sort(np.concatenate(inside + [alive]))
@@ -353,11 +336,9 @@ def _pass(net, rng, rate_cfg, size: int):
     each realization's drawn radius out to R = |u| + W' (none where R is
     below it), and the fades; the interference beyond R enters by its mean,
     `_far_mean`."""
-    stations, st_owner, drawn, span = _stations(rng, net.lambda_b, size)
+    cols, drawn, span = _stations(rng, net.lambda_b, size)
     users, owner = _pcp_batch(rng, net.users, 0.5 * span, size)
-    near = np.flatnonzero(_norm2(stations) < (span * span)[st_owner])
-    near = near[np.argsort(st_owner[near], kind="stable")]   # rings stay nearest first
-    cell = _in_cell(users, owner, stations[near], st_owner[near], size)
+    cell = _in_cell(users, owner, cols, np.count_nonzero(cols[2] < span * span, axis=0))
     loads = np.bincount(owner[cell], minlength=size)
     if rate_cfg is None:
         return loads, None, None, drawn
@@ -373,15 +354,18 @@ def _pass(net, rng, rate_cfg, size: int):
     window[busy] = np.maximum(drawn[busy], np.sqrt(w2) + _sir_window(net, alpha))
     far, far_per = _disc_batch(rng, net.lambda_b, drawn, window, size)
     far_owner = _owners(far_per)
+    sx, sy, sn2 = cols[:, :, busy]
+    real = np.isfinite(sn2)    # the drawn stations, one fade each
     user_fade, ring_fade, far_fade = np.split(
-        rng.standard_exponential(busy.size + st_owner.size + far_owner.size),
-        [busy.size, busy.size + st_owner.size])
-    # one realization's gains summed in draw order: rings, then the drawn far
-    # field, then the mean beyond R
-    gain = np.concatenate([ring_fade * _dist2(stations, rep, st_owner) ** (-0.5 * alpha),
-                           far_fade * _dist2(far, rep, far_owner) ** (-0.5 * alpha)])
-    interference = np.bincount(np.concatenate([st_owner, far_owner]), weights=gain,
-                               minlength=size)[busy]
+        rng.standard_exponential(busy.size + real.sum() + far_owner.size),
+        [busy.size, busy.size + real.sum()])
+    # one realization's gains summed in draw order: its columns, then the
+    # drawn far field, then the mean beyond R
+    gain = np.zeros(real.shape)
+    gain[real] = ring_fade * (sn2 - sx * rep[busy, 0] - sy * rep[busy, 1] + w2)[real] ** (-0.5 * alpha)
+    interference = gain.sum(axis=0)
+    interference += np.bincount(far_owner, weights=far_fade * _norm2(far - rep[far_owner])
+                                ** (-0.5 * alpha), minlength=size)[busy]
     interference += net.lambda_b * _far_mean(alpha, w2, window[busy])
     sir = np.full(size, np.nan)
     rate = np.full(size, np.nan)
@@ -415,6 +399,11 @@ def _usable_cpus() -> int:
 
 
 def _simulate(net, cfg, rate_cfg):
+    reach = cluster_reach(net.users)
+    parents = _BATCH * net.users.lambda_p * math.pi * reach * reach   # overflows to inf
+    if parents > _MAX_PARENTS:
+        raise ConfigurationError(f"a stream of {_BATCH} realizations expects at least {parents:.3g} "
+                                 f"cluster parents, more than the bound of {_MAX_PARENTS:,}")
     streams = -(-cfg.realizations // _BATCH)
     per_worker = -(-streams // min(cfg.parallel_chunks, streams, _usable_cpus()))
     runs = [range(a, min(a + per_worker, streams)) for a in range(0, streams, per_worker)]

@@ -161,6 +161,25 @@ class TestPmf:
         assert code == cli.EXIT_CONVERGENCE and out == ""
         assert "no DFT size" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--mbar", "1e300"],
+        ["moments", "--kind", "mcp", "--cluster-radius", "0.1", "--mbar", "1e200"],
+        ["moments", "--lambda-p", "1e300"],
+        ["moments", "--sigma", "1e200"],
+        ["moments", "--lambda-b", "1e300"],
+        ["pmf", "--mbar", "1e200"],
+        ["pmf", "--kind", "mcp", "--cluster-radius", "0.1", "--mbar", "3e6"],
+    ], ids=["mbar-1e300", "mcp-mbar-1e200", "lambda-p-1e300", "sigma-1e200", "lambda-b-1e300",
+            "pmf-mbar-1e200", "pmf-mcp-mbar-3e6"])
+    def test_extreme_model_exits_convergence_at_once(self, argv, capsys):
+        # moments beyond the float range, and series longer than the largest
+        # DFT size, fail with one line before any PGF table is built
+        start = time.perf_counter()
+        code, out, err = run_cli(argv[:1] + TCP_ARGS + argv[1:], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == cli.EXIT_CONVERGENCE and out == ""
+        assert err.startswith("convergence error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["pmf", "rate"])
     def test_tiny_clusters_return_exact_mean(self, command, capsys):
         # Marcum Q past ab = 50 costs a fixed number of steps, so a = 1.7e6 is
@@ -339,6 +358,21 @@ class TestRate:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("cluster", [["--sigma", "1e200"],
+                                         ["--kind", "mcp", "--cluster-radius", "1e200"],
+                                         ["--sigma", "2.6914"]],
+                             ids=["sigma-1e200", "radius-1e200", "just-past-bound"])
+    def test_huge_clusters_exit_before_any_draw(self, cluster, capsys, monkeypatch):
+        # a stream's expected parents, 256 lambda_p pi (6 sigma)^2, pass
+        # 2^20 just above sigma = 2.69134
+        def forbidden(*args):
+            raise AssertionError("no stream may be drawn")
+
+        monkeypatch.setattr(montecarlo, "_pass", forbidden)
+        code, out, err = run_cli(["simulate"] + TCP_ARGS + cluster, capsys)
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert "1,048,576" in err and err.count("\n") == 1
+
     def test_summary_and_raw_dump(self, capsys, tmp_path):
         raw = tmp_path / "raw.csv"
         argv = ["simulate"] + TCP_ARGS + ["--with-sir", "--realizations", "400",

@@ -266,15 +266,31 @@ def _norm2(pts):
     return np.einsum("ij,ij->i", pts, pts)
 
 
-def _grouped(stations, owner):
-    order = np.argsort(owner, kind="stable")
-    return stations[order], np.bincount(owner, minlength=SETS)
+def _columns(sets):
+    """(2x, 2y, |x|^2) columns of station sets, one realization each, padded
+    with a station at infinity, (0, 0, inf)."""
+    cols = np.zeros((3, max(map(len, sets), default=0), len(sets)))
+    cols[2] = np.inf
+    for k, pts in enumerate(sets):
+        cols[:2, :len(pts), k] = 2.0 * pts.T
+        cols[2, :len(pts), k] = _norm2(pts)
+    return cols
 
 
-def _span(reach):
-    """2 rho per realization from its `_wedge_reach`, +inf when unbounded."""
-    with np.errstate(divide="ignore"):
-        return 1.0 / np.maximum(reach.min(axis=0), 0.0)
+def _unpad(cols, k):
+    """The stations of realization k of a column table, as (n, 2) points."""
+    real = np.isfinite(cols[2, :, k])
+    return 0.5 * cols[:2, real, k].T
+
+
+def _split(points, per):
+    return np.split(points, np.cumsum(per)[:-1])
+
+
+def _rho(reach):
+    """rho per realization from its `_wedge_reach`, +inf when unbounded."""
+    worst = reach.min(axis=0)
+    return np.divide(1.0, worst, out=np.full(worst.size, np.inf), where=worst > 0.0)
 
 
 def _circumradius(stations, directions=4096):
@@ -290,20 +306,21 @@ def _circumradius(stations, directions=4096):
 
 class TestCircumradiusBound:
     def test_bounds_the_cell_on_random_station_sets(self):
-        # 1,024 PPP station sets of 0 to ~60 stations; the bound rho = span / 2
-        # is never below the cell's extent over 4,096 rays
+        # 1,024 PPP station sets of 0 to ~60 stations; the bound rho is never
+        # below the cell's extent over 4,096 rays
         rho, exact = [], []
         for b in range(16):
             rng = _rng_for(31, b)
-            stations, per = _disc_batch(rng, 1.0, 0.0, rng.uniform(0.3, 4.5, SETS), SETS)
-            reach = _wedge_reach(stations, per)
-            rho.append(0.5 * _span(reach))
-            owner = _owners(per)
-            # empty realizations sit between others and must not borrow their stations
-            alone = [_wedge_reach(stations[owner == k], per[k:k + 1]) for k in range(SETS)]
-            np.testing.assert_allclose(reach, np.hstack(alone), rtol=1e-12, atol=0.0)
-            exact.append([_circumradius(stations[owner == k]) for k in range(SETS)])
+            sets = _split(*_disc_batch(rng, 1.0, 0.0, rng.uniform(0.3, 4.5, SETS), SETS))
+            cols = _columns(sets)
+            reach = _wedge_reach(cols)
+            rho.append(_rho(reach))
+            # a realization padded among others gets the bits it gets alone
+            alone = [_wedge_reach(_columns([pts])) for pts in sets]
+            assert np.array_equal(reach, np.hstack(alone))
+            exact.append([_circumradius(pts) for pts in sets])
         rho, exact = np.concatenate(rho), np.array(exact).ravel()
+        assert rho.size >= 1024
         assert np.all(rho >= exact)
         finite = np.isfinite(exact)
         assert 0.5 < finite.mean() < 1.0
@@ -317,41 +334,47 @@ class TestCircumradiusBound:
         # with the others beyond it
         close = np.vstack([[1e-3, 2e-4], 1.0 + ring])
         sets = [half, close, np.vstack([close, half])]
-        per = np.array([len(x) for x in sets])
-        rho = 0.5 * _span(_wedge_reach(np.vstack(sets), per))
+        rho = _rho(_wedge_reach(_columns(sets)))
         assert rho[0] == np.inf
         assert np.all(np.isfinite(rho[1:]))
         assert np.all(rho >= [_circumradius(x) for x in sets])
 
     def test_reach_does_not_depend_on_other_realizations(self):
-        # empty realizations after the last busy one once cut its last
-        # station from the max, and a matrix product's bits depend on how
-        # many stations share it
+        # neither empty realizations around a busy one, nor padding below its
+        # stations where another realization has more, nor a matrix product's
+        # dependence on how many stations share it may move its bits
         two = np.array([[1.0, 0.0], [0.0, 1.0]])
-        alone = _wedge_reach(two, np.array([2]))
-        assert np.array_equal(_wedge_reach(two, np.array([2, 0]))[:, :1], alone)
-        assert np.array_equal(_wedge_reach(two, np.array([0, 2, 0, 0]))[:, 1:2], alone)
-        stations, per = _disc_batch(_rng_for(35, 0), 1.0, 0.0, 2.0, SETS)
-        owner = _owners(per)
-        reach = _wedge_reach(stations, per)
-        for k in range(SETS):
-            alone = _wedge_reach(stations[owner == k], per[k:k + 1])
-            assert np.array_equal(reach[:, k:k + 1], alone)
+        none, more = np.empty((0, 2)), np.ones((5, 2))
+        alone = _wedge_reach(_columns([two]))
+        assert np.array_equal(_wedge_reach(_columns([two, none]))[:, :1], alone)
+        assert np.array_equal(_wedge_reach(_columns([none, two, more, none]))[:, 1:2], alone)
+        sets = _split(*_disc_batch(_rng_for(35, 0), 1.0, 0.0, 2.0, SETS))
+        reach = _wedge_reach(_columns(sets))
+        for k, pts in enumerate(sets):
+            assert np.array_equal(reach[:, k:k + 1], _wedge_reach(_columns([pts])))
 
     def test_growth_covers_twice_the_bound(self):
         for lambda_b in (0.25, 1.0, 4.0):
             rng = _rng_for(33, 0)
-            stations, owner, drawn, span = _stations(rng, lambda_b, SETS)
+            cols, drawn, span = _stations(rng, lambda_b, SETS)
             assert np.all(drawn >= span) and np.all(np.isfinite(span))
-            assert np.all(_norm2(stations) <= drawn[owner] ** 2 * (1.0 + 1e-12))
-            again = _span(_wedge_reach(*_grouped(stations, owner)))
-            np.testing.assert_allclose(again, span, rtol=1e-12)
+            radii = np.sqrt(cols[2])
+            real = np.isfinite(radii)
+            # nearest first, then padding only: a realization's stations are
+            # its first columns, and the last one lies at its drawn radius
+            assert np.all(radii[1:] >= radii[:-1])
+            count = real.sum(axis=0)
+            assert np.array_equal(real, np.arange(cols.shape[1])[:, None] < count)
+            assert np.array_equal(radii[count - 1, np.arange(SETS)], drawn)
+            assert np.all(cols[:2, ~real] == 0.0)
+            np.testing.assert_allclose(np.hypot(*cols[:2, real]), 2.0 * radii[real], rtol=1e-12)
+            np.testing.assert_allclose(2.0 * _rho(_wedge_reach(cols)), span, rtol=1e-12)
 
 
-def _dense_loads(users, owner, stations, st_owner, size):
+def _dense_loads(users, owner, station_sets):
     return np.array([
-        np.count_nonzero(points_in_typical_cell(users[owner == k], stations[st_owner == k]))
-        for k in range(size)
+        np.count_nonzero(points_in_typical_cell(users[owner == k], pts))
+        for k, pts in enumerate(station_sets)
     ])
 
 
@@ -369,16 +392,15 @@ class TestBatchedPowerTest:
         dense = []
         for b in range(streams):
             rng = _rng_for(seed, b)
-            stations, st_owner, drawn, span = _stations(rng, net.lambda_b, size)
+            cols, drawn, span = _stations(rng, net.lambda_b, size)
             users, owner = _pcp_batch(rng, net.users, 0.5 * span, size)
             extra = _rng_for(seed + 1, b)
-            far, per = _disc_batch(extra, net.lambda_b, drawn, drawn + 2.0, size)
+            far = _split(*_disc_batch(extra, net.lambda_b, drawn, drawn + 2.0, size))
             out, per_u = _disc_batch(extra, 200.0, 0.5 * span, 0.5 * span + 0.5, size)
             assert np.all(_norm2(out) > (0.25 * span * span)[_owners(per_u)])
+            stations = [np.vstack([_unpad(cols, k), far[k]]) for k in range(size)]
             dense.append(_dense_loads(np.vstack([users, out]),
-                                      np.concatenate([owner, _owners(per_u)]),
-                                      np.vstack([stations, far]),
-                                      np.concatenate([st_owner, _owners(per)]), size))
+                                      np.concatenate([owner, _owners(per_u)]), stations))
         dense = np.concatenate(dense)
         res = run_load_simulation(net, SimConfig(realizations=streams * size, seed=seed))
         assert np.array_equal(res.loads, dense)
@@ -386,23 +408,27 @@ class TestBatchedPowerTest:
             assert (dense == 0).any() and (dense > 0).any()
 
     def test_padded_realizations(self):
-        # sparse stations: some realizations have fewer than the stage-1
-        # columns and some more, so both stages and the padding run
+        # sparse stations in no particular order: some realizations have
+        # fewer than the stage-1 columns and some more, so both stages and
+        # the padding run
         size = 16
         rng = _rng_for(24, 0)
         stations, per = _disc_batch(rng, 0.25, 0.0, 3.0, size)
         users, per_u = _disc_batch(rng, 20.0, 0.0, 1.5, size)
         assert per.min() < _STAGE1 < per.max()
-        st_owner, owner = _owners(per), _owners(per_u)
-        loads = np.bincount(owner[_in_cell(users, owner, stations, st_owner, size)], minlength=size)
-        assert np.array_equal(loads, _dense_loads(users, owner, stations, st_owner, size))
+        sets, owner = _split(stations, per), _owners(per_u)
+        cell = _in_cell(users, owner, _columns(sets), per)
+        loads = np.bincount(owner[cell], minlength=size)
+        assert np.array_equal(loads, _dense_loads(users, owner, sets))
 
     def test_no_stations_or_users(self):
         none = np.empty((0, 2))
         empty_owner = np.empty(0, dtype=np.int64)
         users = np.array([[0.5, 0.0], [0.1, 0.2]])
-        assert _in_cell(users, np.array([0, 2]), none, empty_owner, 3).tolist() == [0, 1]
-        assert _in_cell(none, empty_owner, users, np.array([0, 1]), 3).size == 0
+        no_cols = _columns([none] * 3)
+        assert _in_cell(users, np.array([0, 2]), no_cols, np.zeros(3, int)).tolist() == [0, 1]
+        cols = _columns([users[:1], users[1:], none])
+        assert _in_cell(none, empty_owner, cols, np.array([1, 1, 0])).size == 0
 
 
 class TestPasses:
@@ -508,7 +534,7 @@ class TestWindowInvariants:
         # so every R_i the sampler computes belongs to the run
         cfg = SimConfig(realizations=4 * _BATCH, seed=0)
         load = run_load_simulation(TCP_NET, cfg)
-        assert load.window_radius >= _stations(_rng_for(0, 0), 1.0, _BATCH)[2].max()
+        assert load.window_radius >= _stations(_rng_for(0, 0), 1.0, _BATCH)[1].max()
         assert 2.0 < load.window_radius < 5.0
         assert _sir_window(TCP_NET, 4.0) == pytest.approx(2.3712, abs=1e-4)
         seen = []
@@ -526,16 +552,20 @@ class TestWindowInvariants:
         assert res.window_radius == max(load.window_radius, outer.max())
 
     def test_load_run_draws_no_station_beyond_window(self, monkeypatch):
-        outer = []
-        real = montecarlo._disc_batch
+        # every station a load run draws lies within its realization's drawn
+        # radius, and the run reports the largest of these radii
+        drawn = []
+        real = montecarlo._stations
 
-        def recording(rng, intensity, inner, radius, size):
-            outer.append(np.max(radius))
-            return real(rng, intensity, inner, radius, size)
+        def recording(rng, lambda_b, size):
+            cols, radius, span = real(rng, lambda_b, size)
+            assert np.all(np.sqrt(cols[2]) <= radius, where=np.isfinite(cols[2]))
+            drawn.append(radius)
+            return cols, radius, span
 
-        monkeypatch.setattr(montecarlo, "_disc_batch", recording)
+        monkeypatch.setattr(montecarlo, "_stations", recording)
         res = run_load_simulation(TCP_NET, SimConfig(realizations=3 * _BATCH, seed=4))
-        assert len(outer) > 3 and max(outer) == res.window_radius
+        assert len(drawn) == 3 and np.concatenate(drawn).max() == res.window_radius
 
     def test_sir_window_at_alpha_3_keeps_loads(self):
         cfg = SimConfig(realizations=100, seed=18)
