@@ -2,13 +2,16 @@
 
 Each realization places the typical BS at the origin, draws the other BSs as
 a PPP and the clustered users, and counts the users u in the typical cell,
-max_x (2 u.x - |x|^2) < 0 over the stations x.
+max_x (2 u.x - |x|^2) < 0 over the stations x.  Runs sample
+`NetworkModel.normalized()`, a unit-intensity PPP of stations with lengths
+in units of 1/sqrt(lambda_b), and scale back only window_radius, so models
+with one normalized form give a seeded run the same samples.
 
 Windows.  A cell point y between the unit directions e_k and e_{k+1} has
 |y| min(x.e_k, x.e_{k+1}) <= y.x <= |x|^2 / 2, so the circumradius is at most
 rho = max_k min_x |x|^2 / (2 min(x.e_k, x.e_{k+1})), over the stations x with
 a positive min, and more stations only shrink the cell.  Seen from the
-origin a PPP's stations come nearest first: pi lambda_b |x_k|^2 is a sum of
+origin a PPP's stations come nearest first: pi |x_k|^2 is a sum of
 k unit exponentials and the angles are i.i.d. uniform (Haenggi 2012, ch. 2).
 Stations are drawn so, _STAGE1 at a time, until 2 rho is at most the last
 one's distance, the drawn radius; beyond it lies a fresh PPP (the arrival
@@ -21,10 +24,10 @@ stations exactly out to R = max(drawn, |u| + W') and adds the mean of the
 interference beyond R, which Campbell's theorem gives in closed form
 (`_far_mean`).  W' (`_sir_window`) is 1.05 times the distance past which the
 Rayleigh-faded interference has a standard deviation of at most 1% of the
-mean interference from beyond r0 = 0.5 / sqrt(lambda_b); since |x| > |u| + W'
-implies |x - u| > W', that holds for every u.  W' is 3.94 at alpha = 3, 2.37
-at alpha = 4 and 1.74 at alpha = 5, for lambda_b = 1, so a SIR realization
-costs about what a load realization does at every alpha >= 3.
+mean interference from beyond r0 = 0.5; since |x| > |u| + W' implies
+|x - u| > W', that holds for every u.  W' is 3.94 at alpha = 3, 2.37 at
+alpha = 4 and 1.74 at alpha = 5, so a SIR realization costs about what a
+load realization does at every alpha >= 3.
 
 Streams.  Realizations come in streams of _BATCH = 256.  Stream b draws
 from a Philox generator keyed by (seed, b) (Salmon et al. 2011) and runs as
@@ -66,28 +69,29 @@ _EDGES = 2.0 * math.pi / _DIRECTIONS * (np.arange(_DIRECTIONS + 1) % _DIRECTIONS
 _EDGES = np.stack([np.cos(_EDGES), np.sin(_EDGES)], axis=1)
 
 
-def _sir_window(net: NetworkModel, alpha: float) -> float:
-    """W', 1.05 times the smallest distance beyond which the Rayleigh-faded
-    interference has a standard deviation, sqrt(2 pi lambda_b 2 W'^(2 - 2 alpha)
-    / (2 alpha - 2)), of at most 1% of the mean interference from beyond
-    r0 = 0.5 / sqrt(lambda_b), 2 pi lambda_b r0^(2 - alpha) / (alpha - 2)."""
-    r0 = 0.5 / math.sqrt(net.lambda_b)
+def _sir_window(alpha: float) -> float:
+    """W', in units of 1/sqrt(lambda_b): 1.05 times the smallest distance
+    beyond which the Rayleigh-faded interference of a unit-intensity PPP has a
+    standard deviation, sqrt(2 pi 2 W'^(2 - 2 alpha) / (2 alpha - 2)), of at
+    most 1% of the mean interference from beyond r0 = 0.5,
+    2 pi r0^(2 - alpha) / (alpha - 2)."""
     share = 1e-4 * 0.5 * math.pi * (alpha - 1.0) / (alpha - 2.0) ** 2
-    return 1.05 * r0 * share ** (-0.5 / (alpha - 1.0))
+    return 1.05 * 0.5 * share ** (-0.5 / (alpha - 1.0))
 
 
 def _far_mean(alpha: float, u2: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """Mean of sum_x |x - u|^-alpha over a unit-intensity PPP on |x| > outer,
-    for |u|^2 = u2 <= outer^2 / 4 (Campbell's theorem).  The circle mean of
-    |x - u|^-alpha at |x| = r is r^-alpha 2F1(alpha/2, alpha/2; 1; |u|^2/r^2),
-    so the mean is 2 pi outer^(2 - alpha) sum_k d_k q^k with q = u2 / outer^2
-    and d_k = ((alpha/2)_k / k!)^2 / (alpha - 2 + 2k).  Past the k where
-    ((alpha/2 + k) / (k + 1))^2 q < 1 the terms fall at least geometrically
-    at that ratio; the sum stops at the first k where this bound on the tail
-    from k, taken at q = 1/4, is at most 1e-17 of the terms before it.  For
-    q <= 1/4 the tail shrinks against the head by (4q)^k, so the relative
-    truncation error is at most 1e-17 for every q (28 terms at alpha = 3, 31
-    at alpha = 4, 76 at alpha = 40)."""
+    for |u|^2 = u2 <= outer^2 / 4 (Campbell's theorem), lengths in units of
+    1/sqrt(lambda_b), so the series has no lambda_b factor.  The circle mean
+    of |x - u|^-alpha at |x| = r is r^-alpha 2F1(alpha/2, alpha/2; 1; q) with
+    q = |u|^2/r^2, so the mean is 2 pi outer^(2 - alpha) sum_k d_k q^k at
+    q = u2 / outer^2, d_k = ((alpha/2)_k / k!)^2 / (alpha - 2 + 2k).  Past the
+    k where ((alpha/2 + k) / (k + 1))^2 q < 1 the terms fall at least
+    geometrically at that ratio; the sum stops at the first k where this bound
+    on the tail from k, taken at q = 1/4, is at most 1e-17 of the terms before
+    it.  For q <= 1/4 the tail shrinks against the head by (4q)^k, so the
+    relative truncation error is at most 1e-17 for every q (28 terms at
+    alpha = 3, 31 at alpha = 4, 76 at alpha = 40)."""
     a = 0.5 * alpha
     coef = [1.0 / (alpha - 2.0)]
     at_quarter, head, k = coef[0], 0.0, 0
@@ -257,22 +261,22 @@ def _wedge_reach(cols) -> np.ndarray:
     return reach
 
 
-def _stations(rng: np.random.Generator, lambda_b: float, size: int):
+def _stations(rng: np.random.Generator, size: int):
     """Stations of `size` realizations, nearest first, as (3, columns, size)
     columns (2x, 2y, |x|^2) padded with (0, 0, inf), with each realization's
     drawn radius (its last station's distance) and its span 2 rho <= drawn.
     A round draws the next _STAGE1 stations of the realizations in `grow`:
-    pi lambda_b |x|^2 grows by unit exponentials and the angles are uniform."""
+    pi |x|^2 grows by unit exponentials and the angles are uniform."""
     blocks = []
     reach = np.zeros((_DIRECTIONS, size))
-    arrival = np.zeros(size)       # pi lambda_b |x|^2 of each realization's last station
+    arrival = np.zeros(size)       # pi |x|^2 of each realization's last station
     span = np.full(size, np.inf)
     grow = np.arange(size)
     while grow.size:
         new = np.empty((3, _STAGE1, grow.size))
         new[2] = arrival[grow] + np.cumsum(rng.standard_exponential(new[2].shape), axis=0)
         arrival[grow] = new[2, -1]
-        new[2] /= math.pi * lambda_b
+        new[2] /= math.pi
         angle = 2.0 * math.pi * rng.random(new[2].shape)
         twice = 2.0 * np.sqrt(new[2])
         new[0] = twice * np.cos(angle)
@@ -285,7 +289,7 @@ def _stations(rng: np.random.Generator, lambda_b: float, size: int):
         block[:, :, grow] = new
         blocks.append(block)
         grow = grow[span[grow] > np.sqrt(new[2, -1])]
-    return np.concatenate(blocks, axis=1), np.sqrt(arrival / (math.pi * lambda_b)), span
+    return np.concatenate(blocks, axis=1), np.sqrt(arrival / math.pi), span
 
 
 def _max_power(ux, uy, per_real, cols):
@@ -332,11 +336,11 @@ def _in_cell(users, owner, cols, near) -> np.ndarray:
 def _pass(net, rng, rate_cfg, size: int):
     """Loads, SIR and rate (None for a load run) and window radii of the
     `size` realizations of one stream.  A SIR run draws, after the loads (so
-    they match a load run's), the representative users, the stations from
-    each realization's drawn radius out to R = |u| + W' (none where R is
-    below it), and the fades; the interference beyond R enters by its mean,
-    `_far_mean`."""
-    cols, drawn, span = _stations(rng, net.lambda_b, size)
+    they match a load run's), for each busy realization the representative
+    user, the stations from its drawn radius out to R = |u| + W' (none where
+    R is below it) and the fades; the interference beyond R enters by its
+    mean, `_far_mean`."""
+    cols, drawn, span = _stations(rng, size)
     users, owner = _pcp_batch(rng, net.users, 0.5 * span, size)
     cell = _in_cell(users, owner, cols, np.count_nonzero(cols[2] < span * span, axis=0))
     loads = np.bincount(owner[cell], minlength=size)
@@ -345,35 +349,25 @@ def _pass(net, rng, rate_cfg, size: int):
 
     alpha = rate_cfg.alpha
     busy = np.flatnonzero(loads)
-    first = np.cumsum(loads) - loads
-    rep = np.zeros((size, 2))
-    rep[busy] = users[cell[first[busy] + rng.integers(loads[busy])]]
-    w2 = _norm2(rep[busy])
+    load = loads[busy]
+    rep = users[cell[np.cumsum(load) - load + rng.integers(load)]]
+    w2 = _norm2(rep)
     # |x| > |u| + W' lies in |x - u| > W', and |u| <= rho <= drawn / 2 <= R / 2
     window = drawn.copy()
-    window[busy] = np.maximum(drawn[busy], np.sqrt(w2) + _sir_window(net, alpha))
-    far, far_per = _disc_batch(rng, net.lambda_b, drawn, window, size)
-    far_owner = _owners(far_per)
-    sx, sy, sn2 = cols[:, :, busy]
-    real = np.isfinite(sn2)    # the drawn stations, one fade each
-    user_fade, ring_fade, far_fade = np.split(
-        rng.standard_exponential(busy.size + real.sum() + far_owner.size),
-        [busy.size, busy.size + real.sum()])
-    # one realization's gains summed in draw order: its columns, then the
-    # drawn far field, then the mean beyond R
-    gain = np.zeros(real.shape)
-    gain[real] = ring_fade * (sn2 - sx * rep[busy, 0] - sy * rep[busy, 1] + w2)[real] ** (-0.5 * alpha)
-    interference = gain.sum(axis=0)
-    interference += np.bincount(far_owner, weights=far_fade * _norm2(far - rep[far_owner])
-                                ** (-0.5 * alpha), minlength=size)[busy]
-    interference += net.lambda_b * _far_mean(alpha, w2, window[busy])
-    sir = np.full(size, np.nan)
-    rate = np.full(size, np.nan)
+    window[busy] = outer = np.maximum(drawn[busy], np.sqrt(w2) + _sir_window(alpha))
+    far, far_per = _disc_batch(rng, 1.0, drawn[busy], outer, busy.size)
+    # one list of interferers, one fade each: per realization its stations, then its far field
+    col, slot = np.nonzero(np.isfinite(cols[2][:, busy]))
+    x = np.concatenate([0.5 * cols[:2, col, busy[slot]].T, far])
+    slot = np.concatenate([slot, _owners(far_per)])
+    user_fade, fade = np.split(rng.standard_exponential(busy.size + slot.size), [busy.size])
+    interference = _far_mean(alpha, w2, outer)
+    interference += np.bincount(slot, fade * _norm2(x - rep[slot]) ** (-0.5 * alpha), busy.size)
     s = np.full(busy.size, np.inf)   # a user on the origin or no interference
     ok = (w2 > 0.0) & (interference > 0.0)
     s[ok] = user_fade[ok] * w2[ok] ** (-0.5 * alpha) / interference[ok]
+    sir, rate = np.full((2, size), np.nan)
     sir[busy] = s
-    load = loads[busy]
     rate[busy] = np.minimum(rate_cfg.bandwidth_w / load * np.log2(1.0 + s),
                             rate_cfg.backhaul_rb / load)
     return loads, sir, rate, window
@@ -399,6 +393,7 @@ def _usable_cpus() -> int:
 
 
 def _simulate(net, cfg, rate_cfg):
+    net = net.normalized()
     reach = cluster_reach(net.users)
     parents = _BATCH * net.users.lambda_p * math.pi * reach * reach   # overflows to inf
     if parents > _MAX_PARENTS:
@@ -421,12 +416,12 @@ def _simulate(net, cfg, rate_cfg):
 def run_load_simulation(net: NetworkModel, cfg: SimConfig) -> LoadSimResult:
     """Loads of cfg.realizations independent typical cells."""
     loads, _, _, drawn = _simulate(net, cfg, None)
-    return LoadSimResult(loads, float(drawn.max()))
+    return LoadSimResult(loads, float(drawn.max()) / math.sqrt(net.lambda_b))
 
 
 def check_sir_alpha(alpha: float) -> None:
     """Refuse alpha < 3 for a SIR run.  Its far field beyond |u| + W' enters
-    by its mean (W' = 3.94 at alpha = 3 and unit density, 2.37 at alpha = 4),
+    by its mean (W' = 3.94 and 2.37 at alpha = 3 and 4, in units of 1/sqrt(lambda_b)),
     and that rule is checked against `sir_ccdf` at alpha = 3 and 4 only: as
     alpha falls to 2 the interference's mean diverges, so a 1% share of it
     lets W' shrink (0.41 at alpha = 2.01) while its spread grows."""
@@ -439,7 +434,7 @@ def run_sir_simulation(net: NetworkModel, cfg: SimConfig, rate_cfg: RateConfig) 
     """Loads plus representative-user SIR and rate samples (alpha >= 3)."""
     check_sir_alpha(rate_cfg.alpha)
     loads, sir, rate, drawn = _simulate(net, cfg, rate_cfg)
-    return SirSimResult(loads, sir, rate, float(drawn.max()))
+    return SirSimResult(loads, sir, rate, float(drawn.max()) / math.sqrt(net.lambda_b))
 
 
 def empirical_pmf(source) -> LoadPmf:

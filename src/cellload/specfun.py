@@ -82,7 +82,8 @@ def marcum_q1(a, b):
         raise DomainError("marcum_q1 requires a >= 0 and b >= 0")
     out = np.where(a_arr > b_arr, 1.0, 0.0)
     near = np.abs(a_arr - b_arr) < _MARCUM_SATURATION
-    large = near & (a_arr * b_arr > _MARCUM_SPLIT)
+    with np.errstate(over="ignore"):   # ab = inf past the float range takes the expansion
+        large = near & (a_arr * b_arr > _MARCUM_SPLIT)
     small = near & ~large
     if np.any(small):
         out[small] = _marcum_sweep(a_arr[small], b_arr[small])
@@ -135,9 +136,11 @@ def _marcum_expansion(a, b):
     """Q1 at 1-D arrays of points with ab > 50 from the large-x expansion of the module docstring.
 
     erfc is math.erfc mapped over the points, numpy having none.  Phi_n runs forward from Phi_1,
-    with E x^(1/2 - n) carried as a running quotient.
+    with E x^(1/2 - n) carried as a running quotient.  Where ab overflows, x = inf gives every
+    term its x -> inf limit: sigma = 0 and Phi_n = 0, so Q1 = H.
     """
-    x = a * b
+    with np.errstate(over="ignore"):
+        x = a * b
     d = b - a
     rho = b / a
     sigma = d * d / (2.0 * x)

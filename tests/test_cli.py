@@ -195,6 +195,21 @@ class TestPmf:
         else:
             assert all(0.0 <= c <= 1.0 for c in d["coverage"])
 
+    def test_vanishing_clusters_exit_without_warnings(self):
+        # at sigma = 1e-200 the Marcum argument ab overflows to inf, which
+        # takes the large-ab limit: exit 0 with nothing on stderr, even where
+        # a RuntimeWarning is an error
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = "import sys; from cellload.cli import main; sys.exit(main(sys.argv[1:]))"
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", probe, "pmf"]
+            + TCP_ARGS[:-1] + ["1e-200"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert out.returncode == 0 and out.stderr == ""
+        probs = json.loads(out.stdout)["probs"]
+        assert math.fsum(n * p for n, p in enumerate(probs)) == pytest.approx(25.0, rel=1e-6)
+
     @pytest.mark.parametrize("sigma, code", [("3e4", 0), ("1e9", cli.EXIT_CONVERGENCE)])
     def test_huge_clusters_mean_gate(self, sigma, code, capsys):
         # 1 - Q1 cancels when r / sigma is tiny: at sigma = 3e4 the PMF keeps

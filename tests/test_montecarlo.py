@@ -38,6 +38,8 @@ from helpers import pair_correlation_density
 
 TCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.05)))
 MCP_NET = NetworkModel(1.0, UserModel(5.0, 5.0, Matern(0.1)))
+# TCP_NET at four times the BS density: lambda_p x 4, sigma / 2
+DENSE_TCP_NET = NetworkModel(4.0, UserModel(20.0, 5.0, Thomas(0.025)))
 RATE_CFG = RateConfig(alpha=4.0, bandwidth_w=1e6)
 ALPHA3_CFG = RateConfig(alpha=3.0, bandwidth_w=1e6)
 SETS = 64   # realizations per call in the geometry tests of single helpers
@@ -354,9 +356,10 @@ class TestCircumradiusBound:
             assert np.array_equal(reach[:, k:k + 1], _wedge_reach(_columns([pts])))
 
     def test_growth_covers_twice_the_bound(self):
-        for lambda_b in (0.25, 1.0, 4.0):
-            rng = _rng_for(33, 0)
-            cols, drawn, span = _stations(rng, lambda_b, SETS)
+        # three streams of unit-intensity stations, lengths in 1/sqrt(lambda_b)
+        for stream in range(3):
+            rng = _rng_for(33, stream)
+            cols, drawn, span = _stations(rng, SETS)
             assert np.all(drawn >= span) and np.all(np.isfinite(span))
             radii = np.sqrt(cols[2])
             real = np.isfinite(radii)
@@ -385,17 +388,18 @@ class TestBatchedPowerTest:
         ids=["tcp", "mcp", "light"],
     )
     def test_matches_dense_test_on_engine_draws(self, net):
-        # redraw the engine's streams, add stations in the annulus beyond each
-        # realization's drawn radius and users in the annulus beyond its bound
-        # rho, and test every realization densely: the extras change no load
+        # redraw the engine's streams on the normalized model, add stations in
+        # the annulus beyond each realization's drawn radius and users in the
+        # annulus beyond its bound rho, and test every realization densely:
+        # the extras change no load
         streams, seed, size = 3, 23, _BATCH
         dense = []
         for b in range(streams):
             rng = _rng_for(seed, b)
-            cols, drawn, span = _stations(rng, net.lambda_b, size)
-            users, owner = _pcp_batch(rng, net.users, 0.5 * span, size)
+            cols, drawn, span = _stations(rng, size)
+            users, owner = _pcp_batch(rng, net.normalized().users, 0.5 * span, size)
             extra = _rng_for(seed + 1, b)
-            far = _split(*_disc_batch(extra, net.lambda_b, drawn, drawn + 2.0, size))
+            far = _split(*_disc_batch(extra, 1.0, drawn, drawn + 2.0, size))
             out, per_u = _disc_batch(extra, 200.0, 0.5 * span, 0.5 * span + 0.5, size)
             assert np.all(_norm2(out) > (0.25 * span * span)[_owners(per_u)])
             stations = [np.vstack([_unpad(cols, k), far[k]]) for k in range(size)]
@@ -500,22 +504,26 @@ def _run(net, alpha, cfg):
 class TestWindowInvariants:
     @pytest.mark.parametrize("alpha", [None, 3.0, 4.0])
     def test_window_scales(self, alpha):
-        # same lambda_u / lambda_b, four times the BS density: every draw of
-        # a seeded run shrinks by half, so its loads stay and its window halves
-        dense = NetworkModel(4.0, UserModel(20.0, 5.0, Thomas(0.025)))
+        # same lambda_u / lambda_b, four times the BS density: both models
+        # normalize to the same one, so a seeded run gives bitwise the same
+        # loads, SIR and rate, and its window, W' included, halves exactly
+        assert DENSE_TCP_NET.normalized() == TCP_NET
         cfg = SimConfig(realizations=100, seed=3)
-        small, large = _run(dense, alpha, cfg), _run(TCP_NET, alpha, cfg)
+        small, large = _run(DENSE_TCP_NET, alpha, cfg), _run(TCP_NET, alpha, cfg)
         assert np.array_equal(small.loads, large.loads)
-        assert small.window_radius == pytest.approx(large.window_radius / 2.0, rel=1e-12)
+        if alpha is not None:
+            assert np.array_equal(small.sir, large.sir, equal_nan=True)
+            assert np.array_equal(small.rate, large.rate, equal_nan=True)
+        assert small.window_radius == large.window_radius / 2.0
 
     @pytest.mark.parametrize("alpha", [3.0, 3.3, 3.56, 4.0, 6.0])
     @pytest.mark.parametrize("lambda_b", [1.0, 4.0])
     def test_sir_window_bounds_interference_tail(self, alpha, lambda_b):
-        # the standard deviation of the Rayleigh-faded interference beyond W'
-        # against the mean interference from beyond r0: at most 1% at W', and
-        # more just below W' / 1.05
-        net = NetworkModel(lambda_b, TCP_NET.users)
-        window = _sir_window(net, alpha)
+        # W' is in units of 1/sqrt(lambda_b): at density lambda_b the standard
+        # deviation of the Rayleigh-faded interference beyond W' / sqrt(lambda_b)
+        # against the mean interference from beyond r0 = 0.5 / sqrt(lambda_b)
+        # is at most 1% at W', and more just below W' / 1.05
+        window = _sir_window(alpha) / math.sqrt(lambda_b)
         r0 = 0.5 / math.sqrt(lambda_b)
 
         def share(w):
@@ -525,7 +533,6 @@ class TestWindowInvariants:
 
         assert share(window) <= 0.01
         assert share(window / 1.05 * (1.0 - 1e-9)) > 0.01
-        assert window == pytest.approx(_sir_window(TCP_NET, alpha) / math.sqrt(lambda_b))
 
     def test_windows_at_alpha_4(self, monkeypatch):
         # a load run reports the largest radius any realization drew stations
@@ -534,9 +541,9 @@ class TestWindowInvariants:
         # so every R_i the sampler computes belongs to the run
         cfg = SimConfig(realizations=4 * _BATCH, seed=0)
         load = run_load_simulation(TCP_NET, cfg)
-        assert load.window_radius >= _stations(_rng_for(0, 0), 1.0, _BATCH)[1].max()
+        assert load.window_radius >= _stations(_rng_for(0, 0), _BATCH)[1].max()
         assert 2.0 < load.window_radius < 5.0
-        assert _sir_window(TCP_NET, 4.0) == pytest.approx(2.3712, abs=1e-4)
+        assert _sir_window(4.0) == pytest.approx(2.3712, abs=1e-4)
         seen = []
         real = montecarlo._far_mean
 
@@ -548,24 +555,25 @@ class TestWindowInvariants:
         res = run_sir_simulation(TCP_NET, cfg, RATE_CFG)
         u2, outer = (np.concatenate(parts) for parts in zip(*seen))
         assert outer.size == np.count_nonzero(res.loads)
-        assert np.all(outer >= np.sqrt(u2) + _sir_window(TCP_NET, 4.0))
+        assert np.all(outer >= np.sqrt(u2) + _sir_window(4.0))
         assert res.window_radius == max(load.window_radius, outer.max())
 
     def test_load_run_draws_no_station_beyond_window(self, monkeypatch):
         # every station a load run draws lies within its realization's drawn
-        # radius, and the run reports the largest of these radii
+        # radius, in units of 1/sqrt(lambda_b), and the run reports the largest
+        # of these radii in the model's units: at lambda_b = 4, half of it
         drawn = []
         real = montecarlo._stations
 
-        def recording(rng, lambda_b, size):
-            cols, radius, span = real(rng, lambda_b, size)
+        def recording(rng, size):
+            cols, radius, span = real(rng, size)
             assert np.all(np.sqrt(cols[2]) <= radius, where=np.isfinite(cols[2]))
             drawn.append(radius)
             return cols, radius, span
 
         monkeypatch.setattr(montecarlo, "_stations", recording)
-        res = run_load_simulation(TCP_NET, SimConfig(realizations=3 * _BATCH, seed=4))
-        assert len(drawn) == 3 and np.concatenate(drawn).max() == res.window_radius
+        res = run_load_simulation(DENSE_TCP_NET, SimConfig(realizations=3 * _BATCH, seed=4))
+        assert len(drawn) == 3 and np.concatenate(drawn).max() / 2.0 == res.window_radius
 
     def test_sir_window_at_alpha_3_keeps_loads(self):
         cfg = SimConfig(realizations=100, seed=18)

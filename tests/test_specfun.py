@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,13 @@ class TestMarcumQ1:
         a = np.array([0.0, 5.0, 40.0, 2990.0, 15.0, 50.0, 2999.0])
         b = np.array([9.5, 14.6, 60.0, 3000.0, 5.5, 3.0, 2980.0])
         assert marcum_q1(a, b).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
+    def test_overflowing_product_takes_the_large_x_limit(self):
+        # ab overflows to inf: Q1(a, a) -> 1/2, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert marcum_q1(1e200, 1e200) == 0.5
+            assert marcum_q1(np.array([1e200, 2.0]), np.array([1e200, 3.0]))[0] == 0.5
 
 
 class TestDiscGeometry:
