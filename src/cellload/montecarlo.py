@@ -30,13 +30,13 @@ alpha = 4 and 1.74 at alpha = 5, so a SIR realization costs about what a
 load realization does at every alpha >= 3.
 
 Streams.  Realizations come in streams of _BATCH = 256.  Stream b draws
-from a Philox generator keyed by (seed, b) (Salmon et al. 2011) and runs as
-one pass on one set of arrays, drawn in full, the last one truncated, so
-realization k depends only on (seed, k) and a run of n is a prefix of any
-longer run with the same seed.  A SIR run draws its loads as a load run does
-and its SIR draws after them.  Workers take contiguous runs of streams and
-outputs are concatenated in stream order, so results are bitwise identical
-for any parallel_chunks.
+from an SFC64 generator seeded by SeedSequence(seed, spawn_key=(b,)) and
+runs as one pass on one set of arrays, drawn in full, the last one
+truncated, so realization k depends only on (seed, k) and a run of n is a
+prefix of any longer run with the same seed.  A SIR run draws its loads as a
+load run does and its SIR draws after them.  Workers take contiguous runs of
+streams and outputs are concatenated in stream order, so results are
+bitwise identical for any parallel_chunks.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ __all__ = [
     "empirical_ccdf", "tv_distance", "points_in_typical_cell",
 ]
 
-_BATCH = 256               # realizations per Philox stream, drawn as one pass
+_BATCH = 256               # realizations per stream, drawn as one pass
 _MAX_PARENTS = 2**20       # expected cluster parents a stream may draw
 _DIRECTIONS = 32           # wedges of the circumradius bound
 _STAGE1 = 8                # station columns per draw round and per power-test stage
@@ -141,11 +141,12 @@ class SirSimResult:
 
 
 def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    """The Philox generator of stream `stream` under `seed`.  numpy.random is
-    imported here, at the first draw, so analytic commands never load it."""
-    from numpy.random import Generator, Philox
+    """The SFC64 generator of stream `stream` under `seed`, seeded by
+    SeedSequence(seed, spawn_key=(stream,)).  numpy.random is imported here,
+    at the first draw, so analytic commands never load it."""
+    from numpy.random import SFC64, Generator, SeedSequence
 
-    return Generator(Philox(key=np.uint64(seed), counter=stream << 128))
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(stream,))))
 
 
 def _norm2(pts: np.ndarray) -> np.ndarray:
@@ -253,12 +254,9 @@ def _wedge_reach(cols) -> np.ndarray:
     as (_DIRECTIONS, realizations); 1 / rho is the min over k, and padding at
     infinity adds 0.  Every operation is elementwise along the realizations,
     so a realization's bits do not depend on the others in the call."""
-    reach = np.zeros((_DIRECTIONS, cols.shape[2]))
-    for sx, sy, sn2 in zip(*cols):
-        dots = np.multiply.outer(_EDGES[:, 0], sx / sn2)
-        dots += np.multiply.outer(_EDGES[:, 1], sy / sn2)
-        np.maximum(reach, np.minimum(dots[:-1], dots[1:]), out=reach)
-    return reach
+    dots = np.multiply.outer(_EDGES[:, 0], cols[0] / cols[2])
+    dots += np.multiply.outer(_EDGES[:, 1], cols[1] / cols[2])
+    return np.minimum(dots[:-1], dots[1:]).max(axis=1, initial=0.0)
 
 
 def _stations(rng: np.random.Generator, size: int):
@@ -268,7 +266,7 @@ def _stations(rng: np.random.Generator, size: int):
     A round draws the next _STAGE1 stations of the realizations in `grow`:
     pi |x|^2 grows by unit exponentials and the angles are uniform."""
     blocks = []
-    reach = np.zeros((_DIRECTIONS, size))
+    reach = np.zeros((_DIRECTIONS, size))   # the wedge bound of the realizations in `grow`
     arrival = np.zeros(size)       # pi |x|^2 of each realization's last station
     span = np.full(size, np.inf)
     grow = np.arange(size)
@@ -281,14 +279,15 @@ def _stations(rng: np.random.Generator, size: int):
         twice = 2.0 * np.sqrt(new[2])
         new[0] = twice * np.cos(angle)
         new[1] = twice * np.sin(angle)
-        reach[:, grow] = np.maximum(reach[:, grow], _wedge_reach(new))
-        worst = reach[:, grow].min(axis=0)
+        np.maximum(reach, _wedge_reach(new), out=reach)
+        worst = reach.min(axis=0)
         span[grow] = np.divide(2.0, worst, out=np.full(grow.size, np.inf), where=worst > 0.0)
         block = np.zeros((3, _STAGE1, size))
         block[2] = np.inf
         block[:, :, grow] = new
         blocks.append(block)
-        grow = grow[span[grow] > np.sqrt(new[2, -1])]
+        more = span[grow] > np.sqrt(new[2, -1])
+        grow, reach = grow[more], reach[:, more]
     return np.concatenate(blocks, axis=1), np.sqrt(arrival / math.pi), span
 
 
@@ -315,16 +314,20 @@ def _in_cell(users, owner, cols, near) -> np.ndarray:
     against station columns as `_stations` gives them, of which the first
     near[k] decide realization k.  Each stage tests the users still alive
     against the next _STAGE1 columns and drops those with a non-negative
-    power; a user whose realization has no deciding station left is in the
-    cell.  Exact for any order; near stations first make the first stage
-    drop the most."""
+    power; a user whose realization has no deciding station left, or none
+    left within 2|u|, is in the cell.  Exact for any order; near stations
+    first make the first stage drop the most."""
     ux = np.ascontiguousarray(users[:, 0])
     uy = np.ascontiguousarray(users[:, 1])
+    # |x|^2 > 4 (1 + 1e-12) |u|^2 gives 2 u.x - |x|^2 <= |x| (2|u| - |x|) < 0,
+    # by a margin far above the rounding of the computed power
+    limit = 4.0 * (1.0 + 1e-12) * _norm2(users)
     peak = _max_power(ux, uy, np.bincount(owner, minlength=near.size), cols[:, :_STAGE1])
     alive = np.flatnonzero(peak < 0.0)
     inside = []
     for first in range(_STAGE1, int(near.max(initial=0)), _STAGE1):
-        left = near[owner[alive]] > first
+        at = owner[alive]
+        left = (near[at] > first) & (cols[2, first:].min(axis=0)[at] <= limit[alive])
         inside.append(alive[~left])
         alive = alive[left]
         peak = _max_power(ux[alive], uy[alive], np.bincount(owner[alive], minlength=near.size),
@@ -368,7 +371,7 @@ def _pass(net, rng, rate_cfg, size: int):
     s[ok] = user_fade[ok] * w2[ok] ** (-0.5 * alpha) / interference[ok]
     sir, rate = np.full((2, size), np.nan)
     sir[busy] = s
-    rate[busy] = np.minimum(rate_cfg.bandwidth_w / load * np.log2(1.0 + s),
+    rate[busy] = np.minimum(rate_cfg.bandwidth_w / load * np.log1p(s) / math.log(2),
                             rate_cfg.backhaul_rb / load)
     return loads, sir, rate, window
 

@@ -27,7 +27,7 @@ if argv:
         assert cellload.cli.main(argv) == 0
 print(json.dumps(sorted(sys.modules)))
 """
-# The simulator and its packages: its process pool and its Philox streams.
+# The simulator and its packages: its process pool and its SFC64 streams.
 SIMULATOR = ("cellload.montecarlo", "concurrent.futures", "multiprocessing", "numpy.random")
 ANALYTIC_ARGV = pytest.mark.parametrize(
     "argv",

@@ -240,8 +240,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("seed", [5, 2**64 - 1])
     def test_stream_is_keyed_by_seed_and_counter(self, seed):
-        # stream b draws what Philox(key=seed, counter=b << 128) draws, up to
-        # the largest key and the counter's top bit; distinct streams differ
+        # stream b draws what SFC64(SeedSequence(seed, spawn_key=(b,))) draws,
+        # up to the largest seed and a 128-bit stream; distinct streams differ
         def draws(rng):
             return (rng.random(9), rng.standard_normal(9), rng.poisson(3.0, 9),
                     rng.poisson(40.0, 9), rng.integers(np.array([5, 1000])),
@@ -249,7 +249,8 @@ class TestDeterminism:
 
         firsts = []
         for b in (0, 3, 2**64 + 7, 2**128 - 1):
-            new = np.random.Generator(np.random.Philox(key=seed, counter=b << 128))
+            new = np.random.Generator(
+                np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
             got = draws(_rng_for(seed, b))
             for g, want in zip(got, draws(new)):
                 assert np.array_equal(g, want)
@@ -257,8 +258,8 @@ class TestDeterminism:
         assert len(set(firsts)) == len(firsts)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
-    def test_seed_outside_philox_key_rejected(self, seed):
-        # a 64-bit key would alias 2^64 + 1 to seed 1 and -1 to 2^64 - 1
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # seeds are 64-bit: a negative seed or one of 2^64 or more is refused
         with pytest.raises(ConfigurationError, match="seed"):
             SimConfig(realizations=10, seed=seed)
         SimConfig(realizations=10, seed=2**64 - 1)
@@ -425,6 +426,52 @@ class TestBatchedPowerTest:
         loads = np.bincount(owner[cell], minlength=size)
         assert np.array_equal(loads, _dense_loads(users, owner, sets))
 
+    def test_station_at_twice_the_user_distance(self, monkeypatch):
+        # eight stations at distance 3 form the first stage; the second holds
+        # one station x collinear with the users, at |x| = 1.  A user at
+        # exactly |x| / 2 has power 2|u||x| - |x|^2 = 0 and is not in the cell;
+        # just inside that radius it is, just outside it is not.  The user
+        # 1e-9 inside has no station left within 2|u|, so the early stop
+        # decides it; the others, within 1e-12 of |x| / 2 or beyond, meet x
+        ring = 3.0 * np.stack([np.cos(np.arange(8) * 0.25 * math.pi + 0.1),
+                               np.sin(np.arange(8) * 0.25 * math.pi + 0.1)], axis=1)
+        cols = _columns([np.vstack([ring, [[1.0, 0.0]]])])
+        half = 0.5 * np.array([1.0, 1.0 - 1e-9, 1.0 - 1e-13, 1.0 + 1e-13, 1.0 + 1e-9])
+        users = np.stack([half, np.zeros(half.size)], axis=1)
+        tested = []
+        real = montecarlo._max_power
+
+        def recording(ux, uy, per_real, cols):
+            tested.append(ux.copy())
+            return real(ux, uy, per_real, cols)
+
+        monkeypatch.setattr(montecarlo, "_max_power", recording)
+        owner = np.zeros(half.size, dtype=np.int64)
+        cell = _in_cell(users, owner, cols, np.array([9]))
+        assert cell.tolist() == [1, 2]
+        assert np.array_equal(points_in_typical_cell(users, 0.5 * cols[:2, :, 0].T),
+                              np.isin(np.arange(half.size), cell))
+        assert [t.size for t in tested] == [5, 4]
+        assert np.array_equal(tested[1], half[[0, 2, 3, 4]])
+        # the same, by symmetry, on the negative y axis
+        cell = _in_cell(users[:, ::-1] * -1.0, owner, _columns([np.vstack([ring, [[0.0, -1.0]]])]),
+                        np.array([9]))
+        assert cell.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("kind", [Thomas(0.5), Matern(1.0)], ids=["tcp-0.5", "mcp-1"])
+    def test_early_stop_matches_dense_test_on_wide_clusters(self, kind):
+        # wide clusters spread users over the whole disc b(o, rho): on four
+        # streams of draws the staged test with its early stop gives the
+        # loads of the dense test against every drawn station
+        users_model = UserModel(5.0, 5.0, kind)
+        for b in range(4):
+            rng = _rng_for(28, b)
+            cols, _, span = _stations(rng, _BATCH)
+            users, owner = _pcp_batch(rng, users_model, 0.5 * span, _BATCH)
+            cell = _in_cell(users, owner, cols, np.count_nonzero(cols[2] < span * span, axis=0))
+            dense = _dense_loads(users, owner, [_unpad(cols, k) for k in range(_BATCH)])
+            assert np.array_equal(np.bincount(owner[cell], minlength=_BATCH), dense)
+
     def test_no_stations_or_users(self):
         none = np.empty((0, 2))
         empty_owner = np.empty(0, dtype=np.int64)
@@ -444,7 +491,8 @@ class TestPasses:
         real = montecarlo._pass
 
         def recording(net, rng, rate_cfg, size):
-            seen.append((size, rng.bit_generator.state["state"]["counter"].tolist()))
+            seed_seq = rng.bit_generator.seed_seq
+            seen.append((size, seed_seq.entropy, seed_seq.spawn_key))
             return real(net, rng, rate_cfg, size)
 
         wide = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.5)))
@@ -455,7 +503,7 @@ class TestPasses:
                 seen.clear()
                 res = _run(net, alpha, SimConfig(realizations=_BATCH + 10, seed=44))
                 assert res.loads.size == _BATCH + 10
-                assert seen == [(256, [0, 0, 0, 0]), (256, [0, 0, 1, 0])]
+                assert seen == [(256, 44, (0,)), (256, 44, (1,))]
 
     @pytest.mark.parametrize("kind", [Thomas(0.05), Thomas(0.5), Matern(0.1)],
                              ids=["tcp-0.05", "tcp-0.5", "mcp-0.1"])
@@ -635,6 +683,19 @@ class TestRealizations:
         res = run_sir_simulation(TCP_NET, cfg, rc)
         got = res.rate[res.loads > 0]
         assert np.all(got == 0.0)
+
+    def test_rate_keeps_full_precision_at_low_sir(self):
+        # the rate W / load log2(1 + SIR) is taken as log1p(SIR) / ln 2, so
+        # wherever the backhaul cap does not bind, rate load / W ln 2 gives
+        # back log1p(SIR) to 1e-15 relative, down to SIRs below 1e-2
+        rc = RateConfig(alpha=4.0, bandwidth_w=1e6, backhaul_rb=2e6)
+        res = run_sir_simulation(TCP_NET, SimConfig(realizations=2000, seed=20), rc)
+        busy = res.loads > 0
+        load, sir, rate = res.loads[busy], res.sir[busy], res.rate[busy]
+        free = rate < rc.backhaul_rb / load
+        assert (~free).any() and free.sum() > 1000 and sir[free].min() < 1e-2
+        back = rate[free] * load[free] / rc.bandwidth_w * math.log(2)
+        np.testing.assert_allclose(back, np.log1p(sir[free]), rtol=1e-15, atol=0.0)
 
     def test_sample_sir_rate_fields(self):
         # a light model leaves some cells empty: those carry no SIR or rate
