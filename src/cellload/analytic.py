@@ -111,11 +111,12 @@ class LoadPmf:
         return max(0.0, 1.0 - math.fsum(self.probs))
 
     def conditional_tail(self) -> np.ndarray:
-        """p_n / (1 - p_0) for n >= 1."""
-        p0 = self.probs[0]
-        if p0 >= 1.0:
-            raise InfeasibleModelError("conditional distribution undefined: p0 = 1")
-        return self.probs[1:] / (1.0 - p0)
+        """p_n / sum_{k >= 1} p_k for n >= 1: the listed mass above 0, so mass
+        the terms leave out (1 - sum_n p_n) does not count as loads above 0."""
+        busy = math.fsum(self.probs[1:])
+        if busy <= 0.0:
+            raise InfeasibleModelError("conditional distribution undefined: no mass above load 0")
+        return self.probs[1:] / busy
 
 
 @dataclass(frozen=True)
@@ -290,8 +291,8 @@ _BASE_LEVELS = (12, 6)       # panels of the coarsest grid: r, v transition band
 _GRID_TOL = 1e-8             # largest change between two grids' outputs that ends the refinement
 _GRID_REFINEMENTS = 3        # panel doublings after the base grid before refinement gives up
 _TAIL_TOL = 1e-12            # load mass load_pmf may alias, and may leave beyond its last term
-_MEAN_RTOL = 1e-6            # largest relative gap of load_pmf's mean to mean_load it returns
-_MAX_DFT_SIZE = 2**20        # largest DFT size load_pmf tries
+_MEAN_RTOL = 1e-6            # largest relative gap of the N-term mean to mean_load in load_pmf
+_MAX_DFT_SIZE = 2**20        # largest DFT size tried, and the m_bar the grids refuse
 _FFT_BLOCK = 2**18           # PGF values per block of radius rows
 
 
@@ -347,7 +348,12 @@ def _on_refined_grids(net: NetworkModel, output):
     """output(r_weights, c) on grids of doubling panel counts, until two
     successive grids agree within _GRID_TOL; at most _GRID_REFINEMENTS + 1
     grids are built.  Outputs (arrays, or PMFs by their terms) of different
-    lengths are compared zero-padded."""
+    lengths are compared zero-padded.  m_bar >= _MAX_DFT_SIZE raises
+    ConvergenceError before any table: the series runs past m_bar terms,
+    more than any DFT size tried, and each term costs a pass over the grid."""
+    if net.users.m_bar >= _MAX_DFT_SIZE:
+        raise ConvergenceError(f"mbar {net.users.m_bar:.6g} needs more series terms than "
+                               f"{_MAX_DFT_SIZE}, the largest DFT size")
     levels = _BASE_LEVELS
     out = output(*_pgf_table(net, levels))
     for _ in range(_GRID_REFINEMENTS):
@@ -370,21 +376,16 @@ def _pgf_from_table(r_weights, c, thetas) -> np.ndarray:
     return (np.exp(-inner) * r_weights).sum(axis=1)
 
 
-def _pgf_values(net: NetworkModel, thetas) -> np.ndarray:
-    """PGF values at complex nodes on the first grid that agrees with the one before."""
-    return _on_refined_grids(net, lambda w, c: _pgf_from_table(w, c, thetas))
-
-
 def load_pgf(net: NetworkModel, theta) -> complex:
     """PGF G(theta) = E[theta^load] under the equal-area-circle approximation.
 
     G(1) = 1 up to the truncated cell-radius tail mass (1e-10); G(0) is the
     void probability of the typical cell.  theta is one real or complex
-    number.
+    number, evaluated on the first grid that agrees with the one before.
     """
     if np.ndim(theta) != 0:
         raise DomainError("load_pgf takes one theta; evaluate an array point by point")
-    return complex(_pgf_values(net, theta)[0])
+    return complex(_on_refined_grids(net, lambda w, c: _pgf_from_table(w, c, theta))[0])
 
 
 def _alias_bound(r_weights, c, sizes):
@@ -439,27 +440,17 @@ def _dft_pmf(r_weights, c, n_points=None) -> DftPmf:
 
 def load_pmf(net: NetworkModel) -> DftPmf:
     """PMF of the typical-cell load under the equal-area-circle approximation:
-    the inverse DFT of the PGF on each quadrature grid, at the smallest size
-    whose bound on the aliased mass is at most 1e-12, cut where at most 1e-12
-    of the mass lies beyond the last term.  A PMF whose mean misses the exact
-    mean_load(net) by more than 1e-6 relative (or 1e-12, the trimmed mass)
-    raises ConvergenceError: the table's cluster CDF has lost it.  So does
-    m_bar >= _MAX_DFT_SIZE, before any table: the series runs past m_bar
-    terms, and no DFT size tried is above that."""
-    if net.users.m_bar >= _MAX_DFT_SIZE:
-        raise ConvergenceError(f"mbar {net.users.m_bar:.6g} needs more series terms than "
-                               f"{_MAX_DFT_SIZE}, the largest DFT size")
-    def trimmed(r_weights, c):
-        pmf = _dft_pmf(r_weights, c)
-        size = max(1, int(np.count_nonzero(np.cumsum(pmf.probs[::-1]) > _TAIL_TOL)))
-        return replace(pmf, probs=pmf.probs[:size])
-
-    pmf = _on_refined_grids(net, trimmed)
+    invert_pgf's N terms, cut where at most 1e-12 of the mass lies beyond the
+    last one.  A PMF whose N terms miss the exact mean_load(net) by more than
+    1e-6 relative (or 1e-12, for loads near 0) raises ConvergenceError before
+    the cut: the table's cluster CDF has lost mean."""
+    pmf = invert_pgf(net)
     exact = mean_load(net)
     if not abs(pmf.mean() - exact) <= max(_MEAN_RTOL * exact, _TAIL_TOL):
         raise ConvergenceError(f"PMF mean {pmf.mean():.10g} misses the exact mean {exact:.10g} "
                                f"by more than {_MEAN_RTOL:g} relative", best_estimate=pmf)
-    return pmf
+    size = max(1, int(np.count_nonzero(np.cumsum(pmf.probs[::-1]) > _TAIL_TOL)))
+    return replace(pmf, probs=pmf.probs[:size])
 
 
 def dft_invert_pgf(pgf: Callable, n_points: int) -> DftPmf:
@@ -491,9 +482,11 @@ def invert_pgf(
     n_points: Optional[int] = None,
     moments: Optional[LoadMoments] = None,
 ) -> DftPmf:
-    """load_pmf's DFT at N = n_points (default: load_pmf's N), all N terms
-    kept; N may be at most the series length J.  moments is accepted for
-    existing callers and not read."""
+    """The inverse DFT of the PGF on each quadrature grid until two grids
+    agree, all N terms kept: the path load_pmf gates and cuts.  N = n_points,
+    or by default the smallest power of two above the series length J whose
+    bound on the aliased mass is at most 1e-12; n_points may be below J.
+    moments is accepted for existing callers and not read."""
     return _on_refined_grids(net, lambda r_weights, c: _dft_pmf(r_weights, c, n_points))
 
 
@@ -553,7 +546,7 @@ def sir_ccdf(alpha: float, tau):
 def rate_coverage(net: NetworkModel, cfg: RateConfig, pmf: LoadPmf, rho: float) -> float:
     """P(rate > rho | load > 0) with equal bandwidth sharing and backhaul cap,
 
-    P_r(rho) = sum_{n >= 1: R_b / n > rho} P_c(2^{n rho / W} - 1) p_n / (1 - p_0),
+    P_r(rho) = sum_{n >= 1: R_b / n > rho} P_c(2^{n rho / W} - 1) p_n / sum_{k >= 1} p_k,
 
     the simulator's event min(W/n log2(1 + SIR), R_b/n) > rho; R_b / n falls, so n runs up to a cap.
     """

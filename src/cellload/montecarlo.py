@@ -15,8 +15,9 @@ origin a PPP's stations come nearest first: pi |x_k|^2 is a sum of
 k unit exponentials and the angles are i.i.d. uniform (Haenggi 2012, ch. 2).
 Stations are drawn so, _STAGE1 at a time, until 2 rho is at most the last
 one's distance, the drawn radius; beyond it lies a fresh PPP (the arrival
-times' strong Markov property).  Users are drawn in b(o, rho) and tested
-against the stations within 2 rho, which decide them exactly.
+times' strong Markov property).  Users are drawn in b(o, rho) and each is
+tested against the stations until none is left within 2|u| <= 2 rho, which
+decides it exactly.
 window_radius is the largest radius any realization drew stations to.
 
 SIR far field.  A SIR realization with representative user u draws the
@@ -308,29 +309,30 @@ def _max_power(ux, uy, per_real, cols):
     return peak
 
 
-def _in_cell(users, owner, cols, near) -> np.ndarray:
+def _in_cell(users, owner, cols) -> np.ndarray:
     """Indices of the users in their realization's typical cell: the power
     test of `points_in_typical_cell` for a batch grouped by realization,
-    against station columns as `_stations` gives them, of which the first
-    near[k] decide realization k.  Each stage tests the users still alive
-    against the next _STAGE1 columns and drops those with a non-negative
-    power; a user whose realization has no deciding station left, or none
-    left within 2|u|, is in the cell.  Exact for any order; near stations
-    first make the first stage drop the most."""
+    against station columns as `_stations` gives them.  Each stage tests the
+    users still alive against the next _STAGE1 columns and drops those with
+    a non-negative power; a user whose realization has no station left within
+    2|u| is in the cell.  Exact for any order; near stations first make the
+    first stage drop the most."""
     ux = np.ascontiguousarray(users[:, 0])
     uy = np.ascontiguousarray(users[:, 1])
+    size = cols.shape[2]
     # |x|^2 > 4 (1 + 1e-12) |u|^2 gives 2 u.x - |x|^2 <= |x| (2|u| - |x|) < 0,
     # by a margin far above the rounding of the computed power
     limit = 4.0 * (1.0 + 1e-12) * _norm2(users)
-    peak = _max_power(ux, uy, np.bincount(owner, minlength=near.size), cols[:, :_STAGE1])
+    peak = _max_power(ux, uy, np.bincount(owner, minlength=size), cols[:, :_STAGE1])
     alive = np.flatnonzero(peak < 0.0)
     inside = []
-    for first in range(_STAGE1, int(near.max(initial=0)), _STAGE1):
-        at = owner[alive]
-        left = (near[at] > first) & (cols[2, first:].min(axis=0)[at] <= limit[alive])
+    for first in range(_STAGE1, cols.shape[1], _STAGE1):
+        left = cols[2, first:].min(axis=0)[owner[alive]] <= limit[alive]
         inside.append(alive[~left])
         alive = alive[left]
-        peak = _max_power(ux[alive], uy[alive], np.bincount(owner[alive], minlength=near.size),
+        if not alive.size:
+            break
+        peak = _max_power(ux[alive], uy[alive], np.bincount(owner[alive], minlength=size),
                           cols[:, first:first + _STAGE1])
         alive = alive[peak < 0.0]
     return np.sort(np.concatenate(inside + [alive]))
@@ -345,7 +347,7 @@ def _pass(net, rng, rate_cfg, size: int):
     mean, `_far_mean`."""
     cols, drawn, span = _stations(rng, size)
     users, owner = _pcp_batch(rng, net.users, 0.5 * span, size)
-    cell = _in_cell(users, owner, cols, np.count_nonzero(cols[2] < span * span, axis=0))
+    cell = _in_cell(users, owner, cols)
     loads = np.bincount(owner[cell], minlength=size)
     if rate_cfg is None:
         return loads, None, None, drawn

@@ -476,7 +476,7 @@ class TestInvertPgf:
         monkeypatch.setattr(analytic, "_GRID_REFINEMENTS", 1)
         net = NetworkModel(1.0, UserModel(5.0, 5.0, Thomas(0.07)))
         with pytest.raises(ConvergenceError) as err:
-            analytic._pgf_values(net, [0.5])
+            load_pgf(net, 0.5)
         assert len(calls) == 2
         assert err.value.best_estimate.shape == (1,)
 
@@ -491,6 +491,42 @@ class TestLoadPmf:
         assert pmf.probs.size < ref.size
         assert np.max(np.abs(pmf.probs - ref[: pmf.probs.size])) <= 1e-12
         assert np.max(ref[pmf.probs.size :]) <= 1e-12
+
+    @pytest.mark.parametrize("net", [TCP_NET, MCP_NET], ids=["tcp", "mcp"])
+    def test_cut_of_invert_pgf(self, net):
+        # load_pmf is invert_pgf's DFT cut at its 1e-12 tail: the same terms,
+        # DFT size and alias bound, bit for bit
+        pmf, full = load_pmf(net), invert_pgf(net)
+        assert pmf.probs.size < full.probs.size
+        assert np.array_equal(pmf.probs, full.probs[: pmf.probs.size])
+        assert (pmf.dft_size, pmf.alias_bound) == (full.dft_size, full.alias_bound)
+
+    @pytest.mark.parametrize("lambda_p, kind", [(1e-7, Matern(0.1)), (1e-6, Thomas(0.05))],
+                             ids=["mcp", "tcp"])
+    def test_sparse_models_pass_the_mean_gate(self, lambda_p, kind):
+        # the 1e-12 cut drops 5-7.5e-12 of mean at loads 18-20, more than the
+        # gate's 1e-12 floor; the gate reads all N terms, whose mean is right
+        net = NetworkModel(1.0, UserModel(lambda_p, 5.0, kind))
+        exact = mean_load(net)
+        assert invert_pgf(net).mean() == pytest.approx(exact, rel=1e-6)
+        pmf = load_pmf(net)
+        assert pmf.probs.size < pmf.dft_size
+        assert abs(pmf.mean() - exact) <= 1e-11
+
+    @pytest.mark.parametrize("entry", [lambda net: load_pgf(net, 0.5), invert_pgf, load_pmf],
+                             ids=["load_pgf", "invert_pgf", "load_pmf"])
+    def test_large_mbar_refused_before_any_table(self, entry, monkeypatch):
+        # the series runs past mbar terms, one pass over the grid each: every
+        # entry point of the grid ladder refuses mbar >= 2^20 at once
+        def forbidden(*args):
+            raise AssertionError("no PGF table may be built")
+
+        monkeypatch.setattr(analytic, "_pgf_table", forbidden)
+        net = NetworkModel(1.0, UserModel(5.0, 2.0**20, Thomas(0.05)))
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="series terms"):
+            entry(net)
+        assert time.perf_counter() - start < 1.0
 
     def test_exact_mean_and_tail(self):
         # the cell-radius truncation (1e-10) is most of the missing mass
@@ -668,6 +704,25 @@ class TestRateCoverage:
         cfg = RateConfig(alpha=4.0, bandwidth_w=1e6)
         full = tcp_pmf.conditional_tail().sum()
         assert rate_coverage(TCP_NET, cfg, tcp_pmf, 1e-12) == pytest.approx(full, abs=1e-12)
+
+    @pytest.mark.parametrize("m_bar", [1e-9, 1e-12])
+    def test_sparse_load_conditions_on_mass_above_zero(self, m_bar):
+        # almost every busy cell holds one user, so the coverage is the
+        # single-user P_c(2^(rho / W) - 1); the 1e-10 of mass the cell-radius
+        # truncation leaves out is no busy cell
+        net = NetworkModel(1.0, UserModel(5.0, m_bar, Thomas(0.05)))
+        cfg = RateConfig(alpha=4.0, bandwidth_w=1e6)
+        single = sir_ccdf(4.0, 2.0**0.02 - 1.0)
+        assert single == pytest.approx(0.98630, abs=1e-5)
+        assert rate_coverage(net, cfg, load_pmf(net), 2e4) == pytest.approx(single, abs=1e-6)
+
+    def test_no_mass_above_zero_refused(self):
+        # at mbar = 1e-13 the cut PMF is p_0 alone: no busy cell to condition on
+        net = NetworkModel(1.0, UserModel(5.0, 1e-13, Thomas(0.05)))
+        pmf = load_pmf(net)
+        assert pmf.probs.size == 1
+        with pytest.raises(InfeasibleModelError):
+            rate_coverage(net, RateConfig(alpha=4.0, bandwidth_w=1e6), pmf, 2e4)
 
     def test_small_threshold_limit(self, tcp_pmf):
         cfg = RateConfig(alpha=4.0, bandwidth_w=1e6)

@@ -222,6 +222,19 @@ class TestPmf:
         else:
             assert out == "" and "exact mean" in err
 
+    @pytest.mark.parametrize("argv", [
+        MCP_ARGS[:5] + ["1e-7"] + MCP_ARGS[6:],
+        TCP_ARGS[:5] + ["1e-6"] + TCP_ARGS[6:],
+    ], ids=["mcp-1e-7", "tcp-1e-6"])
+    def test_sparse_models_exit_zero(self, argv, capsys):
+        # the mean gate reads the DFT's terms before the 1e-12 tail cut,
+        # which drops a few 1e-12 of mean here
+        code, out, _ = run_cli(["pmf"] + argv, capsys)
+        assert code == 0
+        d = json.loads(out)
+        assert math.fsum(n * p for n, p in enumerate(d["probs"])) == pytest.approx(
+            5.0 * float(argv[5]), abs=1e-11)
+
     def test_degenerate_model(self, capsys):
         code, out, _ = run_cli(["pmf"] + EMPTY_ARGS, capsys)
         d = json.loads(out)
@@ -294,6 +307,13 @@ class TestRate:
         d = json.loads(out)
         assert code == 0
         assert d["coverage"] == d["empirical"] == [0.0]
+
+    def test_no_mass_above_zero_exits_validation(self, capsys):
+        # at mbar = 1e-13 the PMF is p_0 alone: coverage given a busy cell is undefined
+        argv = ["rate"] + EMPTY_ARGS[:7] + ["1e-13"] + EMPTY_ARGS[8:]
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert "no mass above load 0" in err
 
     def test_unparsable_thresholds_exit_validation(self, capsys):
         code, _, err = run_cli(["rate"] + TCP_ARGS + ["--thresholds", "1e5,abc"], capsys)

@@ -422,7 +422,7 @@ class TestBatchedPowerTest:
         users, per_u = _disc_batch(rng, 20.0, 0.0, 1.5, size)
         assert per.min() < _STAGE1 < per.max()
         sets, owner = _split(stations, per), _owners(per_u)
-        cell = _in_cell(users, owner, _columns(sets), per)
+        cell = _in_cell(users, owner, _columns(sets))
         loads = np.bincount(owner[cell], minlength=size)
         assert np.array_equal(loads, _dense_loads(users, owner, sets))
 
@@ -447,15 +447,14 @@ class TestBatchedPowerTest:
 
         monkeypatch.setattr(montecarlo, "_max_power", recording)
         owner = np.zeros(half.size, dtype=np.int64)
-        cell = _in_cell(users, owner, cols, np.array([9]))
+        cell = _in_cell(users, owner, cols)
         assert cell.tolist() == [1, 2]
         assert np.array_equal(points_in_typical_cell(users, 0.5 * cols[:2, :, 0].T),
                               np.isin(np.arange(half.size), cell))
         assert [t.size for t in tested] == [5, 4]
         assert np.array_equal(tested[1], half[[0, 2, 3, 4]])
         # the same, by symmetry, on the negative y axis
-        cell = _in_cell(users[:, ::-1] * -1.0, owner, _columns([np.vstack([ring, [[0.0, -1.0]]])]),
-                        np.array([9]))
+        cell = _in_cell(users[:, ::-1] * -1.0, owner, _columns([np.vstack([ring, [[0.0, -1.0]]])]))
         assert cell.tolist() == [1, 2]
 
     @pytest.mark.parametrize("kind", [Thomas(0.5), Matern(1.0)], ids=["tcp-0.5", "mcp-1"])
@@ -468,7 +467,7 @@ class TestBatchedPowerTest:
             rng = _rng_for(28, b)
             cols, _, span = _stations(rng, _BATCH)
             users, owner = _pcp_batch(rng, users_model, 0.5 * span, _BATCH)
-            cell = _in_cell(users, owner, cols, np.count_nonzero(cols[2] < span * span, axis=0))
+            cell = _in_cell(users, owner, cols)
             dense = _dense_loads(users, owner, [_unpad(cols, k) for k in range(_BATCH)])
             assert np.array_equal(np.bincount(owner[cell], minlength=_BATCH), dense)
 
@@ -477,9 +476,9 @@ class TestBatchedPowerTest:
         empty_owner = np.empty(0, dtype=np.int64)
         users = np.array([[0.5, 0.0], [0.1, 0.2]])
         no_cols = _columns([none] * 3)
-        assert _in_cell(users, np.array([0, 2]), no_cols, np.zeros(3, int)).tolist() == [0, 1]
+        assert _in_cell(users, np.array([0, 2]), no_cols).tolist() == [0, 1]
         cols = _columns([users[:1], users[1:], none])
-        assert _in_cell(none, empty_owner, cols, np.array([1, 1, 0])).size == 0
+        assert _in_cell(none, empty_owner, cols).size == 0
 
 
 class TestPasses:
