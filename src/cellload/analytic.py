@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from . import quadrature
 from .errors import ConvergenceError, DomainError, InfeasibleModelError, InversionQualityError
@@ -191,6 +190,16 @@ _GAMMA_CHEB = np.array([
 _GAMMA_FIT_ERROR = 5e-11
 
 
+def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] T_k(x) for len(c) >= 2 by Clenshaw's recurrence, in the operation order of
+    numpy.polynomial.chebyshev.chebval (bitwise equal to it; that module is not imported)."""
+    x2 = 2.0 * x
+    c0, c1 = c[-2], c[-1]
+    for ck in c[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def _pair_excess_integral(net: NetworkModel) -> quadrature.IntegrationResult:
     """Clustering contribution to E[L^2], 2*pi * int_0^rmax r rho_excess(r) gamma(r) dr with
     rmax the excess support (2R, or 12 sigma) capped at _GAMMA_SPAN, on Gauss-Legendre panels
@@ -201,7 +210,7 @@ def _pair_excess_integral(net: NetworkModel) -> quadrature.IntegrationResult:
     value, evals = None, 0
     for panels in (32, 64, 128, 256):
         r, w = _panel_nodes(np.linspace(0.0, rmax, panels + 1))
-        gamma = chebval(r * (2.0 / _GAMMA_SPAN) - 1.0, _GAMMA_CHEB)
+        gamma = _chebval(r * (2.0 / _GAMMA_SPAN) - 1.0, _GAMMA_CHEB)
         refined = 2.0 * math.pi * float(w @ (r * pair_correlation_excess(users, r) * gamma))
         evals += r.size
         if value is not None and abs(refined - value) <= max(1e-12, 1e-6 * abs(refined)):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -519,5 +520,14 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """Program entry of `python -m cellload.cli` and the `cellload` script: `main()` on a
+    frozen start-up heap.  gc.freeze() moves every object alive after the imports, numpy's
+    included, into the permanent generation, which the collections at interpreter exit
+    skip; in-process callers of `main(argv)` keep their collector as it is."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

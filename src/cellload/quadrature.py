@@ -29,8 +29,28 @@ __all__ = [
     "integrate_finite",
 ]
 
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
+# Gauss-Legendre rules as the literals numpy.polynomial.legendre.leggauss(7) and (15)
+# return, so that no import loads numpy.polynomial; tests/test_quadrature.py reruns them.
+_NODES_LO = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0, 0.4058451513773972,
+    0.7415311855993945, 0.9491079123427586,
+])
+_WEIGHTS_LO = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+    0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
+])
+_NODES_HI = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_WEIGHTS_HI = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
 
 
 @dataclass(frozen=True)
@@ -124,8 +144,18 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> Inte
     return IntegrationResult(value, error, counter.count)
 
 
-# per-panel rule of the tensor rule below and of the PGF grid in analytic
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(12)
+# per-panel rule of the tensor rule below and of the PGF grid in analytic: the literals
+# of leggauss(12), rerun like the pair above
+_PANEL_X = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+    -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+    0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_PANEL_W = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+    0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+    0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
 _SLAB_CAP = 2_000_000      # integrand values per slab of the tensor rule
 
 

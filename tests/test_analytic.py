@@ -32,6 +32,7 @@ from cellload.analytic import (
     _GAMMA_CHEB,
     _GAMMA_FIT_ERROR,
     _GAMMA_SPAN,
+    _chebval,
     _pair_excess_integral,
 )
 from cellload.errors import (
@@ -154,6 +155,12 @@ class TestCovariogram:
         )
         u = np.random.default_rng(11).uniform(0.0, _GAMMA_SPAN, 50) * (2.0 / _GAMMA_SPAN) - 1.0
         assert np.max(np.abs(chebval(u, rebuilt) - chebval(u, _GAMMA_CHEB))) <= 1e-10
+
+    def test_clenshaw_sum_is_chebval(self):
+        # the runtime sum is numpy's, without importing numpy.polynomial
+        u = np.concatenate([np.linspace(-1.0, 1.0, 1001),
+                            np.random.default_rng(13).uniform(-1.0, 1.0, 1000)])
+        assert _chebval(u, _GAMMA_CHEB).tobytes() == chebval(u, _GAMMA_CHEB).tobytes()
 
     def test_fit_error_bounds_gap_to_finer_rule(self):
         # the gap peaks at small r, where the theta = pi slice kinks at x = r

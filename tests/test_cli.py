@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import gc
 import io
 import json
 import math
@@ -634,7 +635,49 @@ class TestReports:
         assert json.loads(path.read_text())["mean"] == 25.0
 
 
+def run_entry(argv):
+    """`python -m cellload.cli argv` in a fresh interpreter, the program entry a user runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "cellload.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+
+
 class TestProcess:
+    def test_entry_pmf_matches_main(self, capsys):
+        proc = run_entry(["pmf"] + TCP_ARGS)
+        code, out, _ = run_cli(["pmf"] + TCP_ARGS, capsys)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out and proc.stderr == ""
+
+    def test_entry_validation_error(self):
+        proc = run_entry(["moments"] + TCP_ARGS[:-1] + ["-0.1"])
+        assert proc.returncode == cli.EXIT_VALIDATION
+        assert proc.stdout == "" and proc.stderr.startswith("validation error: ")
+
+    def test_entry_convergence_error(self):
+        proc = run_entry(["pmf"] + TCP_ARGS[:-1] + ["1e9"])
+        assert proc.returncode == cli.EXIT_CONVERGENCE
+        assert proc.stdout == "" and "exact mean" in proc.stderr
+
+    def test_entry_out_file(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        proc = run_entry(["rate"] + TCP_ARGS + ["--out", str(path)])
+        _, out, _ = run_cli(["rate"] + TCP_ARGS, capsys)
+        assert proc.returncode == 0 and proc.stdout == ""
+        assert path.read_text() == out
+
+    def test_entry_freezes_before_main(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        assert cli.run() == 0 and calls == ["freeze", "main"]
+
+    def test_main_leaves_collector_unfrozen(self, capsys):
+        # only the program entry freezes the start-up heap
+        frozen = gc.get_freeze_count()
+        assert cli.main(["moments"] + TCP_ARGS) == 0
+        assert gc.get_freeze_count() == frozen
+
     def test_bare_value_error_propagates(self, monkeypatch):
         # a bare ValueError is a programming error, not an invalid input
         def broken(net):

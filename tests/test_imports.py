@@ -1,6 +1,7 @@
 """The package runs on numpy alone: no command loads scipy, including a
 Thomas `pmf` (Marcum Q) and a `rate` (SIR CCDF), and no module under
-src/cellload imports it.  The analytic commands also load none of the
+src/cellload imports it.  Nor do they load numpy.polynomial, whose rules and
+series are stored as literals.  The analytic commands also load none of the
 simulator (`cellload.montecarlo`) or its machinery (the process pool and
 numpy.random).  Each CLI case runs in a fresh interpreter, since this test
 process has long imported all of them."""
@@ -51,6 +52,12 @@ def loaded_modules(argv: str) -> tuple:
 @ANALYTIC_ARGV
 def test_no_scipy(argv):
     assert [m for m in loaded_modules(argv) if m.partition(".")[0] == "scipy"] == []
+
+
+@ANALYTIC_ARGV
+def test_no_numpy_polynomial(argv):
+    # the quadrature rules and the covariogram series are stored, not computed
+    assert [m for m in loaded_modules(argv) if m.startswith("numpy.polynomial")] == []
 
 
 @ANALYTIC_ARGV

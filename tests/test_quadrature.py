@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from cellload.errors import ConvergenceError
+from cellload import quadrature
 from cellload.quadrature import IntegrationResult, QuadSpec, integrate_finite, tensor_triple
 
 from helpers import CLOSED_FORM_SUITE, integrate_nested, integrate_semi_infinite, quad_any
+
+
+@pytest.mark.parametrize("n, nodes, weights", [
+    (7, "_NODES_LO", "_WEIGHTS_LO"), (15, "_NODES_HI", "_WEIGHTS_HI"), (12, "_PANEL_X", "_PANEL_W"),
+])
+def test_stored_rules_are_leggauss(n, nodes, weights):
+    x, w = np.polynomial.legendre.leggauss(n)
+    assert getattr(quadrature, nodes).tobytes() == x.tobytes()
+    assert getattr(quadrature, weights).tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("f,lo,hi,exact", CLOSED_FORM_SUITE)
