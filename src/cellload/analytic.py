@@ -221,20 +221,29 @@ def _pair_excess_integral(net: NetworkModel) -> quadrature.IntegrationResult:
 
 def load_moments(net: NetworkModel) -> LoadMoments:
     """Exact first two moments of the typical-cell load.  Moments beyond the
-    float range (a second moment or error that overflows, or a mean load whose
-    square is not a normal float) raise ConvergenceError."""
+    float range raise ConvergenceError naming the quantity that left it: a mean
+    load whose square underflows or overflows, a pair-excess term that is not
+    finite, or a second moment or error that overflows."""
     norm = net.normalized()
     lam_u = norm.users.intensity
     mean = lam_u  # lambda_u / lambda_b with lambda_b = 1
+
+    def beyond(what):
+        return ConvergenceError(f"load moments beyond the float range (mean load {mean:.3g}): {what}")
+
+    if not sys.float_info.min <= mean * mean < math.inf:
+        raise beyond("the squared mean load is not a normal float")
     try:   # Python floats raise on a ** that overflows and on / 0, numpy does here
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             excess = _pair_excess_integral(net)
-        second = mean + lam_u**2 * E_V2 + excess.value
-        err2 = lam_u**2 * _E_V2_ERROR + excess.error_estimate
     except ArithmeticError:
-        second = err2 = math.inf
-    if not (math.isfinite(second + err2) and mean * mean >= sys.float_info.min):
-        raise ConvergenceError(f"load moments beyond the float range (mean load {mean:.3g})")
+        excess = None
+    if excess is None or not math.isfinite(excess.value + excess.error_estimate):
+        raise beyond("the pair-excess (clustering) term is not finite")
+    second = mean + lam_u**2 * E_V2 + excess.value   # lam_u**2 = mean * mean is finite here
+    err2 = lam_u**2 * _E_V2_ERROR + excess.error_estimate
+    if not math.isfinite(second + err2):
+        raise beyond("the second moment overflows")
     variance = second - mean**2
     if variance < 0:
         raise ConvergenceError("negative variance from quadrature", best_estimate=variance)
@@ -324,6 +333,8 @@ def _pgf_table(net: NetworkModel, levels):
     The series stops on m_bar alone, at the first j with j + 1 > m_bar and
     pi_j(m_bar) / (1 - m_bar / (j + 1)) < 1e-17; pi_j(mu) increases in mu below
     j, so that bounds the truncated tail sum_{k>j} pi_k(mu) at every mu <= m_bar.
+    A grid weight, cluster CDF value or coefficient that is not finite (a
+    cluster scale or density beyond the float range) raises ConvergenceError.
     """
     n_r, n_trans = levels
     users = net.normalized().users
@@ -333,24 +344,31 @@ def _pgf_table(net: NetworkModel, levels):
     r_weights = r_weights * cell_radius_pdf(r_nodes)
     r_phys = r_nodes / math.sqrt(math.pi)
 
-    lo, xi_lo = cluster_plateau(users, r_phys)
-    v_nodes, v_weights = _panel_nodes(np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1))
-    vw = np.column_stack([0.5 * lo * lo, v_weights * v_nodes])  # plateau node, then v dv
-    mu = m_bar * np.column_stack([xi_lo, cluster_cdf(users, r_phys[:, None], v_nodes)])
-    if not np.isfinite(mu).all():     # a NaN would run silently into every coefficient
-        raise ConvergenceError("cluster CDF is not finite on the PGF grid")
-    with np.errstate(divide="ignore"):
+    # what overflows here is refused below; lo^2 overflows wherever the Matern R^2 does,
+    # so cluster_cdf never sees an R whose square is not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lo, xi_lo = cluster_plateau(users, r_phys)
+        v_nodes, v_weights = _panel_nodes(np.linspace(lo, r_phys + reach, n_trans + 1, axis=-1))
+        vw = np.column_stack([0.5 * lo**2, v_weights * v_nodes])  # plateau node, then v dv
+        if not np.isfinite(vw).all():
+            raise ConvergenceError("PGF grid weights v dv are not finite")
+        mu = m_bar * np.column_stack([xi_lo, cluster_cdf(users, r_phys[:, None], v_nodes)])
+        if not np.isfinite(mu).all():     # a NaN would run silently into every coefficient
+            raise ConvergenceError("cluster CDF is not finite on the PGF grid")
         log_mu = np.log(mu)
-    coeffs, j = [], 0
-    while True:
-        j += 1
-        log_fact = math.lgamma(j + 1)
-        pi_j = np.exp(j * log_mu - mu - log_fact)
-        pi_bar = math.exp(j * math.log(m_bar) - m_bar - log_fact)
-        coeffs.append((pi_j * vw).sum(axis=1))
-        if j + 1 > m_bar and pi_bar < 1e-17 * (1.0 - m_bar / (j + 1)):
-            break
-    return r_weights, 2.0 * math.pi * users.lambda_p * np.array(coeffs).T
+        coeffs, j = [], 0
+        while True:
+            j += 1
+            log_fact = math.lgamma(j + 1)
+            pi_j = np.exp(j * log_mu - mu - log_fact)
+            pi_bar = math.exp(j * math.log(m_bar) - m_bar - log_fact)
+            coeffs.append((pi_j * vw).sum(axis=1))
+            if j + 1 > m_bar and pi_bar < 1e-17 * (1.0 - m_bar / (j + 1)):
+                break
+        c = 2.0 * math.pi * users.lambda_p * np.array(coeffs).T
+    if not np.isfinite(c).all():
+        raise ConvergenceError("PGF series coefficients are not finite")
+    return r_weights, c
 
 
 def _on_refined_grids(net: NetworkModel, output):
@@ -402,11 +420,13 @@ def _alias_bound(r_weights, c, sizes):
     table's law, one per DFT size N in sizes, with log G(e^s) = logsumexp_r
     (log w_r + sum_j c_j (e^(j s) - 1)) on 32 log-spaced s: below
     1 / _MAX_DFT_SIZE the bound stays above G(1) / e at every size tried, and
-    j s <= 700 keeps e^(j s) finite.  Fewer theta only loosen the bound."""
+    j s <= 700 keeps e^(j s) finite.  Fewer theta only loosen the bound, and a
+    log G(e^s) or bound that overflows is inf: no bound from that theta."""
     j = np.arange(1, c.shape[1] + 1)
     s = np.geomspace(1.0 / _MAX_DFT_SIZE, 700.0 / j[-1], 32)
-    log_g = np.logaddexp.reduce(np.log(r_weights)[:, None] + c @ np.expm1(np.outer(j, s)), axis=0)
-    return np.exp(np.min(log_g - np.multiply.outer(sizes, s), axis=-1))
+    with np.errstate(over="ignore"):
+        log_g = np.logaddexp.reduce(np.log(r_weights)[:, None] + c @ np.expm1(np.outer(j, s)), axis=0)
+        return np.exp(np.min(log_g - np.multiply.outer(sizes, s), axis=-1))
 
 
 def _pgf_at_roots(r_weights, c, n_points) -> np.ndarray:
@@ -495,7 +515,7 @@ def invert_pgf(
     agree, all N terms kept: the path load_pmf gates and cuts.  N = n_points,
     or by default the smallest power of two above the series length J whose
     bound on the aliased mass is at most 1e-12; n_points may be below J.
-    moments is accepted for existing callers and not read."""
+    moments is not read; it stays because perfbench/run.py passes it."""
     return _on_refined_grids(net, lambda r_weights, c: _dft_pmf(r_weights, c, n_points))
 
 
@@ -558,6 +578,7 @@ def rate_coverage(net: NetworkModel, cfg: RateConfig, pmf: LoadPmf, rho: float) 
     P_r(rho) = sum_{n >= 1: R_b / n > rho} P_c(2^{n rho / W} - 1) p_n / sum_{k >= 1} p_k,
 
     the simulator's event min(W/n log2(1 + SIR), R_b/n) > rho; R_b / n falls, so n runs up to a cap.
+    The PMF carries the model, so net is not read; it stays because perfbench/run.py passes it.
     """
     if not rho > 0:
         raise DomainError("rho must be positive")

@@ -26,8 +26,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import ClassVar, Optional
+import types
+from typing import Optional
 
 import numpy as np
 
@@ -43,106 +43,42 @@ EXIT_COMPARISON = 4
 
 
 # ---------------------------------------------------------------------------
-# Report records (JSON round-trip supported via from_dict)
+# Report records: a `report` tag and the fields REPORT_FIELDS lists for it
 # ---------------------------------------------------------------------------
 
-class _Report:
-    """JSON round trip of a report record; `report` is the tag that names its type."""
-
-    report: ClassVar[str]
-
-    def to_dict(self) -> dict:
-        return {"report": self.report, **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        given = d.keys() - {"report"}
-        unknown = given - {f.name for f in fields(cls)}
-        missing = {f.name for f in fields(cls)
-                   if f.default is MISSING and f.default_factory is MISSING} - given
-        if unknown or missing:
-            raise ConfigurationError(f"{cls.report} report: unknown fields {sorted(unknown)}, "
-                                     f"missing fields {sorted(missing)}")
-        return cls(**{k: d[k] for k in given})
-
-
-@dataclass
-class MomentsReport(_Report):
-    report = "moments"
-    model: dict
-    mean: float
-    second_moment: float
-    variance: float
-    normalized_variance: float
-    nb_fit: Optional[dict] = None
-    mc: Optional[dict] = None
-
-
-@dataclass
-class PmfReport(_Report):
-    report = "pmf"
-    model: dict
-    probs: list
-    tail_mass: float
-    empirical: Optional[list] = None
-    tv_distance: Optional[float] = None
-
-
-@dataclass
-class RateReport(_Report):
-    report = "rate"
-    model: dict
-    rate: dict
-    thresholds: list
-    coverage: list
-    empirical: Optional[list] = None
-    max_abs_gap: Optional[float] = None
-
-
-@dataclass
-class SimulateReport(_Report):
-    report = "simulate"
-    model: dict
-    realizations: int
-    seed: int
-    window_radius: float
-    mean_load: float
-    variance_load: float
-    normalized_variance: Optional[float]
-    empirical_pmf: list
-    sir_thresholds: Optional[list] = None
-    sir_ccdf: Optional[list] = None
-
-
-@dataclass
-class CompareReport(_Report):
-    report = "compare"
-    model: dict
-    realizations: int
-    seed: int
-    checks: list = field(default_factory=list)
-    passed: bool = True
-
-    def add(self, name: str, value: Optional[float], tolerance: float):
-        """Gate `value <= tolerance`; an undefined (None) value fails."""
-        ok = value is not None and bool(value <= tolerance)
-        self.checks.append({"check": name, "value": value, "tolerance": tolerance, "pass": ok})
-        self.passed = self.passed and ok
-
-
-REPORT_TYPES = {
-    cls.report: cls
-    for cls in (MomentsReport, PmfReport, RateReport, SimulateReport, CompareReport)
+# tag -> (required fields, optional fields); an optional field is None unless given
+REPORT_FIELDS = {
+    "moments": (("model", "mean", "second_moment", "variance", "normalized_variance"),
+                ("nb_fit", "mc")),
+    "pmf": (("model", "probs", "tail_mass"), ("empirical", "tv_distance")),
+    "rate": (("model", "rate", "thresholds", "coverage"), ("empirical", "max_abs_gap")),
+    "simulate": (("model", "realizations", "seed", "window_radius", "mean_load", "variance_load",
+                  "normalized_variance", "empirical_pmf"), ("sir_thresholds", "sir_ccdf")),
+    "compare": (("model", "realizations", "seed", "checks", "passed"), ()),
 }
 
 
-def parse_report(text: str):
-    """Parse a JSON report back into its emitting record type."""
+class Report(types.SimpleNamespace):
+    """One report: its `report` tag and the fields REPORT_FIELDS lists for that tag.  A report
+    built by a command and one parsed from JSON pass the same check of the tag and fields."""
+
+    def __init__(self, /, report=None, **fields):
+        if report not in REPORT_FIELDS:
+            raise ConfigurationError(
+                f"unknown report type {report!r}, expected one of {sorted(REPORT_FIELDS)}")
+        required, optional = REPORT_FIELDS[report]
+        unknown = fields.keys() - {*required, *optional}
+        missing = set(required) - fields.keys()
+        if unknown or missing:
+            raise ConfigurationError(f"{report} report: unknown fields {sorted(unknown)}, "
+                                     f"missing fields {sorted(missing)}")
+        super().__init__(report=report, **{**dict.fromkeys(optional), **fields})
+
+
+def parse_report(text: str) -> Report:
+    """Parse a JSON report back into a Report."""
     d = json.loads(text)
-    tag = d.get("report") if isinstance(d, dict) else None
-    if tag not in REPORT_TYPES:
-        raise ConfigurationError(f"unknown report type {tag!r}, expected one of {sorted(REPORT_TYPES)}")
-    return REPORT_TYPES[tag].from_dict(d)
+    return Report(**d) if isinstance(d, dict) else Report()
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +241,14 @@ def _sample_stats(loads: np.ndarray) -> dict:
 # Reports: each takes the analytic result and, for an MC check, a simulation
 # ---------------------------------------------------------------------------
 
-def _moments_report(args, m: analytic.LoadMoments, res=None) -> MomentsReport:
+def _moments_report(args, m: analytic.LoadMoments, res=None) -> Report:
     try:
         nb = analytic.nb_fit(m)
         nb_dict = {"r": nb.r, "t": nb.t}
     except CellLoadError:
         nb_dict = None
-    return MomentsReport(
+    return Report(
+        "moments",
         model=_model_dict(args),
         mean=m.mean,
         second_moment=m.second_moment,
@@ -323,8 +260,9 @@ def _moments_report(args, m: analytic.LoadMoments, res=None) -> MomentsReport:
     )
 
 
-def _pmf_report(args, pmf: analytic.LoadPmf, res=None) -> PmfReport:
-    report = PmfReport(
+def _pmf_report(args, pmf: analytic.LoadPmf, res=None) -> Report:
+    report = Report(
+        "pmf",
         model=_model_dict(args),
         probs=[float(p) for p in pmf.probs],
         tail_mass=pmf.tail_mass(),
@@ -338,9 +276,10 @@ def _pmf_report(args, pmf: analytic.LoadPmf, res=None) -> PmfReport:
     return report
 
 
-def _rate_report(args, net, cfg: RateConfig, grid: list, pmf, res=None) -> RateReport:
+def _rate_report(args, net, cfg: RateConfig, grid: list, pmf, res=None) -> Report:
     coverage = [analytic.rate_coverage(net, cfg, pmf, rho) for rho in grid]
-    report = RateReport(
+    report = Report(
+        "rate",
         model=_model_dict(args),
         rate={"alpha": cfg.alpha, "bandwidth_w": cfg.bandwidth_w,
               "backhaul_rb": cfg.backhaul_rb if math.isfinite(cfg.backhaul_rb) else "inf"},
@@ -387,7 +326,8 @@ def cmd_simulate(args):
     res = _simulation(args, net, cfg if args.with_sir else None)()
     taus = [0.1, 1.0, 10.0] if args.with_sir else None
     stats = _sample_stats(res.loads)
-    report = SimulateReport(
+    report = Report(
+        "simulate",
         model=_model_dict(args),
         realizations=args.realizations,
         seed=args.seed,
@@ -412,6 +352,13 @@ def cmd_simulate(args):
     return report, EXIT_OK
 
 
+def _gate(report: Report, name: str, value: Optional[float], tolerance: float) -> None:
+    """Add the check `value <= tolerance` to a compare report; an undefined (None) value fails."""
+    ok = value is not None and bool(value <= tolerance)
+    report.checks.append({"check": name, "value": value, "tolerance": tolerance, "pass": ok})
+    report.passed = report.passed and ok
+
+
 def cmd_compare(args):
     """Gate the moments, pmf and (with --with-rate) rate reports built on one run."""
     net = build_network(args)
@@ -423,16 +370,17 @@ def cmd_compare(args):
     m, pmf, res = analytic.load_moments(net), analytic.load_pmf(net), run()
     moments, dist = _moments_report(args, m, res), _pmf_report(args, pmf, res)
     mc = moments.mc
-    report = CompareReport(model=_model_dict(args), realizations=args.realizations, seed=args.seed)
-    report.add("mean_within_3_stderr", abs(moments.mean - mc["mean"]), 3.0 * mc["mean_stderr"])
+    report = Report("compare", model=_model_dict(args), realizations=args.realizations,
+                    seed=args.seed, checks=[], passed=True)
+    _gate(report, "mean_within_3_stderr", abs(moments.mean - mc["mean"]), 3.0 * mc["mean_stderr"])
     nv = mc["normalized_variance"]
     # undefined when the sample has no spread to compare against
-    report.add("normalized_variance_rel_error",
-               abs(moments.normalized_variance - nv) / nv if nv else None, args.variance_tolerance)
-    report.add("pmf_tv_distance", dist.tv_distance, args.tv_tolerance)
+    _gate(report, "normalized_variance_rel_error",
+          abs(moments.normalized_variance - nv) / nv if nv else None, args.variance_tolerance)
+    _gate(report, "pmf_tv_distance", dist.tv_distance, args.tv_tolerance)
     if args.with_rate:
-        report.add("rate_ccdf_max_abs_gap",
-                   _rate_report(args, net, cfg, grid, pmf, res).max_abs_gap, args.rate_tolerance)
+        _gate(report, "rate_ccdf_max_abs_gap",
+              _rate_report(args, net, cfg, grid, pmf, res).max_abs_gap, args.rate_tolerance)
     return report, (EXIT_OK if report.passed else EXIT_COMPARISON)
 
 
@@ -440,8 +388,8 @@ def cmd_compare(args):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def render_json(report) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+def render_json(report: Report) -> str:
+    return json.dumps(vars(report), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _csv_table(d: dict):
@@ -463,8 +411,8 @@ def _csv_table(d: dict):
     return header, [[repr(v) for v in row] for row in zip(*cols)]
 
 
-def render_csv(report) -> str:
-    header, rows = _csv_table(report.to_dict())
+def render_csv(report: Report) -> str:
+    header, rows = _csv_table(vars(report))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -125,7 +125,7 @@ def cluster_plateau(model: UserModel, r):
     one of b(o, r) and the parent's disc contains the other, and min(r, R)^2 / R^2 exactly."""
     if isinstance(model.kind, Thomas):
         return np.maximum(r - cluster_reach(model), 0.0), np.ones_like(r)
-    big_r = model.kind.radius
+    big_r = np.float64(model.kind.radius)   # so that an R^2 past the float range is inf, not an error
     return np.abs(r - big_r), np.minimum(r, big_r) ** 2 / big_r**2
 
 

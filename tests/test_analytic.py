@@ -416,6 +416,15 @@ class TestInvertPgf:
         with pytest.raises(InversionQualityError):
             dft_invert_pgf(lambda th: np.full(np.shape(th), np.nan + 0j), 128)
 
+    def test_imaginary_residue_rejected(self):
+        # p_1 = e^(1e-6 i): the real parts sum to 1 - 5e-13, the imaginary part is 1e-6
+        with pytest.raises(InversionQualityError, match="imaginary residue"):
+            dft_invert_pgf(lambda th: th * np.exp(1e-6j), 128)
+
+    def test_lost_mass_rejected(self):
+        with pytest.raises(InversionQualityError, match="sums to 0.500000"):
+            dft_invert_pgf(lambda th: 0.5 * th, 128)
+
     def test_distribution_sanity(self):
         pmf = invert_pgf(TCP_NET, 128)
         assert abs(pmf.raw_sum - 1.0) <= 1e-4

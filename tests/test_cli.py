@@ -162,24 +162,41 @@ class TestPmf:
         assert code == cli.EXIT_CONVERGENCE and out == ""
         assert "no DFT size" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["moments", "--mbar", "1e300"],
-        ["moments", "--kind", "mcp", "--cluster-radius", "0.1", "--mbar", "1e200"],
-        ["moments", "--lambda-p", "1e300"],
-        ["moments", "--sigma", "1e200"],
-        ["moments", "--lambda-b", "1e300"],
-        ["pmf", "--mbar", "1e200"],
-        ["pmf", "--kind", "mcp", "--cluster-radius", "0.1", "--mbar", "3e6"],
+    @pytest.mark.parametrize("argv, says", [
+        (["moments", "--mbar", "1e300"], "squared mean load"),
+        (["moments", "--kind", "mcp", "--cluster-radius", "0.1", "--mbar", "1e200"],
+         "squared mean load"),
+        (["moments", "--lambda-p", "1e300"], "squared mean load"),
+        (["moments", "--sigma", "1e200"], "pair-excess"),
+        (["moments", "--lambda-b", "1e300"], "squared mean load"),
+        (["pmf", "--mbar", "1e200"], "series terms"),
+        (["pmf", "--kind", "mcp", "--cluster-radius", "0.1", "--mbar", "3e6"], "series terms"),
+        (["moments", "--sigma", "1e-200"], "pair-excess"),
+        (["moments", "--lambda-p", "1e-160"], "squared mean load"),
+        (["moments", "--lambda-p", "2.5e153"], "second moment overflows"),
+        (["pmf", "--kind", "mcp", "--cluster-radius", "1e200"], "grid weights"),
+        (["rate", "--kind", "mcp", "--cluster-radius", "1e200"], "grid weights"),
+        (["pmf", "--sigma", "1e200"], "grid weights"),
+        (["pmf", "--lambda-p", "1e300"], "no DFT size"),
+        (["pmf", "--kind", "mcp", "--cluster-radius", "1e308"], "grid weights"),
+        (["pmf", "--kind", "mcp", "--cluster-radius", "1e-300"], "cluster CDF"),
     ], ids=["mbar-1e300", "mcp-mbar-1e200", "lambda-p-1e300", "sigma-1e200", "lambda-b-1e300",
-            "pmf-mbar-1e200", "pmf-mcp-mbar-3e6"])
-    def test_extreme_model_exits_convergence_at_once(self, argv, capsys):
-        # moments beyond the float range, and series longer than the largest
-        # DFT size, fail with one line before any PGF table is built
+            "pmf-mbar-1e200", "pmf-mcp-mbar-3e6", "sigma-1e-200", "lambda-p-1e-160",
+            "lambda-p-2.5e153", "pmf-mcp-radius-1e200", "rate-mcp-radius-1e200",
+            "pmf-sigma-1e200", "pmf-lambda-p-1e300", "pmf-mcp-radius-1e308",
+            "pmf-mcp-radius-1e-300"])
+    def test_extreme_model_exits_convergence_at_once(self, argv, says, capsys):
+        # moments beyond the float range, series longer than the largest DFT
+        # size, and PGF tables past the float range fail with one line that
+        # names the quantity at fault (a RuntimeWarning is an error here)
         start = time.perf_counter()
         code, out, err = run_cli(argv[:1] + TCP_ARGS + argv[1:], capsys)
         assert time.perf_counter() - start < 5.0
         assert code == cli.EXIT_CONVERGENCE and out == ""
         assert err.startswith("convergence error:") and err.count("\n") == 1
+        assert says in err
+        if argv[0] == "moments":
+            assert "beyond the float range" in err
 
     @pytest.mark.parametrize("command", ["pmf", "rate"])
     def test_tiny_clusters_return_exact_mean(self, command, capsys):
@@ -199,17 +216,25 @@ class TestPmf:
     def test_vanishing_clusters_exit_without_warnings(self):
         # at sigma = 1e-200 the Marcum argument ab overflows to inf, which
         # takes the large-ab limit: exit 0 with nothing on stderr, even where
-        # a RuntimeWarning is an error
+        # a RuntimeWarning is an error; clusters of scale 1e200 exit 3 with one
+        # line, their grid weights refused before they reach the series
         src = Path(__file__).resolve().parents[1] / "src"
         probe = "import sys; from cellload.cli import main; sys.exit(main(sys.argv[1:]))"
-        out = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", probe, "pmf"]
-            + TCP_ARGS[:-1] + ["1e-200"],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-        )
+
+        def pmf(args):
+            return subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-c", probe, "pmf"] + args,
+                env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            )
+
+        out = pmf(TCP_ARGS[:-1] + ["1e-200"])
         assert out.returncode == 0 and out.stderr == ""
         probs = json.loads(out.stdout)["probs"]
         assert math.fsum(n * p for n, p in enumerate(probs)) == pytest.approx(25.0, rel=1e-6)
+        for args in (TCP_ARGS[:-1] + ["1e200"], MCP_ARGS[:-1] + ["1e200"]):
+            out = pmf(args)
+            assert out.returncode == cli.EXIT_CONVERGENCE and out.stdout == ""
+            assert out.stderr.startswith("convergence error:") and out.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("sigma, code", [("3e4", 0), ("1e9", cli.EXIT_CONVERGENCE)])
     def test_huge_clusters_mean_gate(self, sigma, code, capsys):
@@ -542,25 +567,27 @@ class TestReports:
     def test_json_round_trip(self, capsys):
         _, out, _ = run_cli(["pmf"] + TCP_ARGS, capsys)
         report = cli.parse_report(out)
-        assert isinstance(report, cli.PmfReport)
+        assert isinstance(report, cli.Report) and report.report == "pmf"
         assert report.tail_mass == json.loads(out)["tail_mass"]
         assert json.loads(cli.render_json(report)) == json.loads(out)
 
     def test_round_trip_all_types(self, capsys):
+        # byte for byte, as the benchmark checks each CLI report it parses
         cases = [
-            (["moments"] + TCP_ARGS, cli.MomentsReport),
-            (["pmf"] + TCP_ARGS, cli.PmfReport),
-            (["rate"] + TCP_ARGS + ["--thresholds", "1e5"], cli.RateReport),
-            (["simulate"] + TCP_ARGS + ["--realizations", "50", "--seed", "1"],
-             cli.SimulateReport),
-            (["compare"] + TCP_ARGS + ["--realizations", "3000", "--seed", "1",
-              "--tv-tolerance", "0.5"], cli.CompareReport),
+            ["moments"] + TCP_ARGS,
+            ["pmf"] + TCP_ARGS,
+            ["rate"] + TCP_ARGS + ["--thresholds", "1e5"],
+            ["simulate"] + TCP_ARGS + ["--realizations", "50", "--seed", "1"],
+            ["compare"] + TCP_ARGS + ["--realizations", "3000", "--seed", "1",
+                                      "--tv-tolerance", "0.5"],
         ]
-        for argv, typ in cases:
-            _, out, _ = run_cli(argv, capsys)
-            report = cli.parse_report(out)
-            assert isinstance(report, typ)
-            assert json.loads(cli.render_json(report)) == json.loads(out)
+        texts = [(argv[0], run_cli(argv, capsys)[1]) for argv in cases]
+        texts += [(p.stem, p.read_text()) for p in sorted(EXAMPLE_DIR.glob("*.json"))]
+        assert sorted(tag for tag, _ in texts) == sorted(2 * list(cli.REPORT_FIELDS))
+        for tag, text in texts:
+            report = cli.parse_report(text)
+            assert isinstance(report, cli.Report) and report.report == tag
+            assert cli.render_json(report) + "\n" == text, tag
 
     def test_csv_format(self, capsys):
         argv = ["rate"] + TCP_ARGS + ["--thresholds", "1e5,2e5", "--format", "csv"]
@@ -592,11 +619,21 @@ class TestReports:
             assert [r[0] for r in body] == sorted(d.keys() - skipped)
 
     def test_csv_pads_short_empirical_pmf(self):
-        report = cli.PmfReport(model={}, probs=[0.5, 0.25, 0.25], tail_mass=0.0,
-                               empirical=[0.75, 0.25], tv_distance=0.25)
+        report = cli.Report("pmf", model={}, probs=[0.5, 0.25, 0.25], tail_mass=0.0,
+                            empirical=[0.75, 0.25], tv_distance=0.25)
         rows = list(csv.reader(io.StringIO(cli.render_csv(report))))
         assert rows == [["n", "analytic", "empirical"], ["0", "0.5", "0.75"],
                         ["1", "0.25", "0.25"], ["2", "0.25", "0.0"]]
+
+    def test_report_built_in_code_is_checked(self):
+        # the commands' builders run the check parse_report runs
+        with pytest.raises(ConfigurationError, match=r"rate report: unknown fields "
+                           r"\['tail_mass'\], missing fields \['coverage', 'thresholds'\]"):
+            cli.Report("rate", model={}, rate={}, tail_mass=0.0)
+        with pytest.raises(ConfigurationError, match="unknown report type 'histogram'"):
+            cli.Report("histogram", model={})
+        report = cli.Report("rate", model={}, rate={}, thresholds=[1e5], coverage=[0.5])
+        assert report.empirical is None and report.max_abs_gap is None
 
     def test_parse_report_unknown_tag(self):
         with pytest.raises(ConfigurationError, match="unknown report type 'histogram'"):

@@ -2,7 +2,6 @@
 docs/reports.md and README.md record for it."""
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -107,9 +106,9 @@ def _documented_fields(tag: str) -> set:
     return {name for cell in rows for name in re.findall(r"`(\w+)`", cell)}
 
 
-@pytest.mark.parametrize("tag", sorted(cli.REPORT_TYPES))
+@pytest.mark.parametrize("tag", sorted(cli.REPORT_FIELDS))
 def test_every_report_field_is_documented(tag):
-    fields = {f.name for f in dataclasses.fields(cli.REPORT_TYPES[tag])} - {"model"}
+    fields = set().union(*cli.REPORT_FIELDS[tag]) - {"model"}
     assert fields - _documented_fields(tag) == set()
 
 
