@@ -305,9 +305,11 @@ def nb_pmf(params: NegBinParams, n) -> np.ndarray:
 # PGF of the load and its DFT inversion
 # ---------------------------------------------------------------------------
 
-_BASE_LEVELS = (12, 6)       # panels of the coarsest grid: r, v transition band
+_BASE_LEVELS = (6, 3)        # panels of the coarsest grid: r, v transition band; the paper
+                             # model's PMF stops at the next, (12, 6), 1.5e-9 from this one
 _GRID_TOL = 1e-8             # largest change between two grids' outputs that ends the refinement
-_GRID_REFINEMENTS = 3        # panel doublings after the base grid before refinement gives up
+_GRID_REFINEMENTS = 4        # panel doublings after the base grid before refinement gives up:
+                             # the last grid is (96, 48)
 _TAIL_TOL = 1e-12            # load mass load_pmf may alias, and may leave beyond its last term
 _MEAN_RTOL = 1e-6            # largest relative gap of the N-term mean to mean_load in load_pmf
 _MAX_DFT_SIZE = 2**20        # largest DFT size tried, and the m_bar the grids refuse
@@ -372,12 +374,14 @@ def _pgf_table(net: NetworkModel, levels):
 
 
 def _on_refined_grids(net: NetworkModel, output):
-    """output(r_weights, c) on grids of doubling panel counts, until two
-    successive grids agree within _GRID_TOL; at most _GRID_REFINEMENTS + 1
-    grids are built.  Outputs (arrays, or PMFs by their terms) of different
-    lengths are compared zero-padded.  m_bar >= _MAX_DFT_SIZE raises
-    ConvergenceError before any table: the series runs past m_bar terms,
-    more than any DFT size tried, and each term costs a pass over the grid."""
+    """output(r_weights, c) on grids of doubling panel counts, (6, 3), (12, 6),
+    .. (96, 48), until two successive grids agree within _GRID_TOL: at most
+    _GRID_REFINEMENTS + 1 = 5 grids are built, and the finer grid of the
+    first agreeing pair is returned.  Outputs (arrays, or PMFs by their
+    terms) of different lengths are compared zero-padded.  m_bar >=
+    _MAX_DFT_SIZE raises ConvergenceError before any table: the series runs
+    past m_bar terms, more than any DFT size tried, and each term costs a
+    pass over the grid."""
     if net.users.m_bar >= _MAX_DFT_SIZE:
         raise ConvergenceError(f"mbar {net.users.m_bar:.6g} needs more series terms than "
                                f"{_MAX_DFT_SIZE}, the largest DFT size")

@@ -496,6 +496,19 @@ class TestInvertPgf:
         assert len(calls) == 2
         assert err.value.best_estimate.shape == (1,)
 
+    @pytest.mark.parametrize("kernel", [Thomas(0.005), Thomas(0.05), Thomas(1.0),
+                                        Matern(0.005), Matern(0.1), Matern(1.0)], ids=repr)
+    def test_coarse_grids_do_not_agree_falsely(self, kernel):
+        # the ladder stops at the first pair of grids that agree within
+        # _GRID_TOL; whatever pair that is, its PMF must be that close to the
+        # ladder's last rung, the (96, 48) grid, at the same N
+        assert tuple(n * 2**analytic._GRID_REFINEMENTS for n in analytic._BASE_LEVELS) == (96, 48)
+        for lambda_p, m_bar in [(5.0, 5.0), (50.0, 1.0), (0.5, 20.0)]:
+            net = NetworkModel(1.0, UserModel(lambda_p, m_bar, kernel))
+            pmf = invert_pgf(net)
+            ref = analytic._dft_pmf(*analytic._pgf_table(net, (96, 48)), pmf.dft_size)
+            assert np.max(np.abs(pmf.probs - ref.probs)) <= analytic._GRID_TOL
+
 
 class TestLoadPmf:
     @pytest.mark.parametrize("net", [TCP_NET, MCP_NET], ids=["tcp", "mcp"])
@@ -559,8 +572,8 @@ class TestLoadPmf:
 
     def test_cluster_cdf_only_on_the_transition_band(self, monkeypatch):
         # the plateau is closed form: each grid evaluates xi on its
-        # 12 n_r x 12 n_trans band nodes only, 51,840 points over the two
-        # grids the paper model builds
+        # 12 n_r x 12 n_trans band nodes only, 12,960 points (2,592 + 10,368)
+        # over the two grids the paper model builds
         sizes = []
         real = analytic.cluster_cdf
 
@@ -573,7 +586,7 @@ class TestLoadPmf:
         load_pmf(TCP_NET)
         n_r, n_trans = analytic._BASE_LEVELS
         assert sizes == [144 * n_r * n_trans * 4**k for k in range(len(sizes))]
-        assert sum(sizes) == 51_840
+        assert sum(sizes) == 12_960
 
     def test_unreachable_tolerance_stops(self, monkeypatch):
         # no DFT size up to the cap can meet the tolerance: the size search
